@@ -15,7 +15,9 @@ measure of index n, whose transform is again a mask product.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
@@ -365,14 +367,49 @@ def finite_level(
     return mu
 
 
-def mask(B: Sequence[int], xi: ArrayLike) -> complex | np.ndarray:
-    """Mask polynomial M_B(xi) = mean_b exp(-2*pi*i*b*xi); period 1, |M| <= 1."""
+@functools.lru_cache(maxsize=64)
+def _digit_polynomial(B: tuple[int, ...]) -> tuple[int, tuple[float, ...]]:
+    """(min B, c) with c_d = #{b in B : b - min B = d} / #B."""
     if not len(B):
         raise ValueError("digit set must be nonempty")
+    try:
+        digits = [operator.index(b) for b in B]
+    except TypeError:
+        raise ValueError(f"digits must be integers, got {list(B)}") from None
+    lo = min(digits)
+    counts = [0] * (max(digits) - lo + 1)
+    for b in digits:
+        counts[b - lo] += 1
+    return lo, tuple(k / len(digits) for k in counts)
+
+
+def mask(B: Sequence[int], xi: ArrayLike) -> complex | np.ndarray:
+    """Mask polynomial M_B(xi) = mean_b exp(-2*pi*i*b*xi); period 1, |M| <= 1.
+
+    One exp gives z = exp(-2*pi*i*xi); then M_B = z^min(B) * sum_d c_d z^d
+    by Horner, with conj(z) standing in for 1/z when min B < 0.  The cost is
+    one exp plus max|B - min B| + |min B| complex multiplications per point,
+    and M_B(-xi) == conj(M_B(xi)) holds exactly.
+    """
+    lo, coef = _digit_polynomial(tuple(B))
     x = np.asarray(xi, dtype=float)
-    b = np.asarray(B, dtype=float)
-    out = np.exp(-2j * np.pi * np.multiply.outer(b, x)).mean(axis=0)
-    return complex(out) if x.ndim == 0 else out
+    z = x * (-2j * np.pi)
+    if x.ndim == 0:
+        # the same steps in Python complex arithmetic, without numpy's per-call cost
+        z = complex(np.exp(z))
+        out = complex(coef[-1])
+    else:
+        np.exp(z, out=z)
+        out = np.full(x.shape, coef[-1], dtype=complex)
+    for c in coef[-2::-1]:
+        out *= z
+        if c:
+            out += c
+    if lo < 0:
+        z = z.conjugate()
+    for _ in range(abs(lo)):
+        out *= z
+    return out
 
 
 def fourier_finite(spec: ConvolutionSpec, n: int, xi: ArrayLike) -> complex | np.ndarray:
@@ -385,7 +422,7 @@ def fourier_finite(spec: ConvolutionSpec, n: int, xi: ArrayLike) -> complex | np
     for k in range(1, n + 1):
         t = spec.triple_at(k)
         p *= t.N ** spec.exponent_at(k)
-        out = out * mask(t.B, x * _inv_float(p))
+        out *= mask(t.B, x * _inv_float(p))
     return complex(out) if x.ndim == 0 else out
 
 
@@ -452,7 +489,7 @@ def fourier_tail(tail: TailSpec, xi: ArrayLike, depth: int = DEFAULT_TAIL_DEPTH)
     for j in range(1, depth + 1):
         t = tail.triple_at(j)
         p *= t.N ** tail.exponent_at(j)
-        out = out * mask(t.B, x * _inv_float(p))
+        out *= mask(t.B, x * _inv_float(p))
     bound = tail_truncation_bound(tail, x, depth)
     if x.ndim == 0:
         return TailValue(complex(out), float(bound))

@@ -98,6 +98,7 @@ class BuildParams:
             "epsilon": self.epsilon,
             "K": self.K,
             "depth": self.depth,
+            "max_m": self.max_m,
         }
 
 
@@ -126,6 +127,7 @@ class SpectrumLevels:
     epsilon_used: float
     k_window: int
     probe_depth: int
+    max_m: int = BuildParams.max_m
 
     @property
     def level_count(self) -> int:
@@ -153,22 +155,25 @@ class SpectrumLevels:
                 "epsilon": self.epsilon_used,
                 "K": self.k_window,
                 "depth": self.probe_depth,
+                "max_m": self.max_m,
             },
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "SpectrumLevels":
-        params = obj.get("parameters", {})
+        """Inverse of to_json; a missing field, parameters included, raises KeyError."""
+        params = obj["parameters"]
         return cls(
             levels=tuple(tuple(int(x) for x in lv) for lv in obj["levels"]),
             indices=tuple(int(x) for x in obj["indices"]),
             shifts=tuple(
                 tuple((int(l), int(k)) for l, k in sh) for sh in obj["shifts"]
             ),
-            delta_used=float(params.get("delta", 0.0)),
-            epsilon_used=float(params.get("epsilon", 0.0)),
-            k_window=int(params.get("K", 0)),
-            probe_depth=int(params.get("depth", 0)),
+            delta_used=float(params["delta"]),
+            epsilon_used=float(params["epsilon"]),
+            k_window=int(params["K"]),
+            probe_depth=int(params["depth"]),
+            max_m=int(params["max_m"]),
         )
 
     @classmethod
@@ -181,6 +186,7 @@ class SpectrumLevels:
             epsilon_used=params.epsilon,
             k_window=params.K,
             probe_depth=params.depth,
+            max_m=params.max_m,
         )
 
 
@@ -280,6 +286,7 @@ def next_level(
         epsilon_used=params.epsilon,
         k_window=params.K,
         probe_depth=params.depth,
+        max_m=params.max_m,
     )
 
 

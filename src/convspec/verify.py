@@ -28,6 +28,7 @@ from .convolution import (
     _tail_series_coefficient,
     fourier_finite,
     fourier_tail,
+    tail_truncation_bound,
 )
 from .spectrum import SpectrumLevels
 
@@ -60,9 +61,24 @@ def orthonormality_gram(measure: DiscreteMeasure, Lambda: Sequence[int]) -> floa
     return float(np.max(np.abs(g - np.eye(lam.size))))
 
 
-def _level_points(levels: SpectrumLevels, i: int, xi: np.ndarray) -> np.ndarray:
+def _check_level(levels: SpectrumLevels, i: int) -> None:
+    if not 1 <= i <= levels.level_count:
+        raise ValueError(f"level index {i} out of range 1..{levels.level_count}")
+
+
+def _finite_part(
+    spec: ConvolutionSpec, levels: SpectrumLevels, i: int, xi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Points lambda + xi over level i and |mu^_{m_i}|^2 there (rows: lambda)."""
     lam = np.asarray(levels.level(i), dtype=float)
-    return lam[:, None] + xi[None, :]
+    pts = lam[:, None] + xi[None, :]
+    f2 = np.abs(fourier_finite(spec, levels.m(i), pts))
+    f2 *= f2
+    return pts, f2
+
+
+def _completeness_defect(f2: np.ndarray) -> float:
+    return float(np.max(np.abs(f2.sum(axis=0) - 1.0)))
 
 
 def level_completeness(
@@ -72,52 +88,53 @@ def level_completeness(
     xi_grid: Sequence[float],
 ) -> float:
     """Max over the grid of |sum_Lambda_i |mu^_{m_i}(lambda+xi)|^2 - 1|."""
-    if not 1 <= i <= levels.level_count:
-        raise ValueError(f"level index {i} out of range 1..{levels.level_count}")
-    xi = np.asarray(xi_grid, dtype=float)
-    pts = _level_points(levels, i, xi)
-    f = fourier_finite(spec, levels.m(i), pts)
-    q = (np.abs(f) ** 2).sum(axis=0)
-    return float(np.max(np.abs(q - 1.0)))
+    _check_level(levels, i)
+    _, f2 = _finite_part(spec, levels, i, np.asarray(xi_grid, dtype=float))
+    return _completeness_defect(f2)
 
 
-def _q_with_bounds(
+class _GridPass(NamedTuple):
+    q: np.ndarray
+    bound: np.ndarray
+    completeness_defect: float
+
+
+def _grid_pass(
     spec: ConvolutionSpec,
     levels: SpectrumLevels,
     i: int,
     depth: int,
     xi: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Q values over the grid plus per-point truncation bounds.
+) -> _GridPass:
+    """Q over the grid, its per-point truncation bounds and the level completeness.
 
-    Bound = level part (worst 1 - |tail|^2 over the level, tail evaluated
-    with its own truncation margin) + depth part (transform truncation,
-    summed over the level).
+    One mask product per point: F = mu^_{m_i}(lambda + xi) over the first
+    m_i factors and T = the tail transform over the next depth - m_i, so
+    Q = sum |F|^2 |T|^2 is the depth-factor truncation.  Bound = level part
+    (worst 1 - |tail|^2 over the level, tail evaluated with its own
+    truncation margin) + depth part (transform truncation, summed over the
+    level).  The completeness defect is the same as level_completeness.
     """
     m_i = levels.m(i)
     if depth < m_i:
         raise ValueError(f"depth {depth} must be >= m_i = {m_i}")
-    pts = _level_points(levels, i, xi)
-    f = fourier_finite(spec, depth, pts)
-    q = (np.abs(f) ** 2).sum(axis=0)
-
+    pts, f2 = _finite_part(spec, levels, i, xi)
     tail = TailSpec(spec, m_i)
     z = pts * _inv_float(spec.scale_product(m_i))
     if depth > m_i:
         tv = fourier_tail(tail, z, depth - m_i)
-        low = np.clip(np.abs(tv.value) - tv.bound, 0.0, 1.0)
+        t_abs = np.abs(tv.value)
+        low = np.clip(t_abs - tv.bound, 0.0, 1.0)
+        t_abs *= t_abs
+        t_abs *= f2
+        q = t_abs.sum(axis=0)
     else:
-        low = np.clip(1.0 - np.asarray(tail_bound_at(tail, z)), 0.0, 1.0)
+        low = np.clip(1.0 - tail_truncation_bound(tail, z, 0), 0.0, 1.0)
+        q = f2.sum(axis=0)
     level_part = np.max(1.0 - low**2, axis=0)
     coef0 = _tail_series_coefficient(TailSpec(spec, 0), depth)
     depth_part = 2.0 * coef0 * np.abs(pts).sum(axis=0)
-    return q, level_part + depth_part
-
-
-def tail_bound_at(tail: TailSpec, z: np.ndarray) -> np.ndarray:
-    """Truncation bound for the zero-factor tail approximation (value 1)."""
-    coef = _tail_series_coefficient(tail, 0)
-    return coef * np.abs(z)
+    return _GridPass(q, level_part + depth_part, _completeness_defect(f2))
 
 
 class QValue(NamedTuple):
@@ -133,10 +150,9 @@ def q_function(
     xi: float,
 ) -> QValue:
     """Q over level i at a single point, with its accumulated truncation bound."""
-    if not 1 <= i <= levels.level_count:
-        raise ValueError(f"level index {i} out of range 1..{levels.level_count}")
-    q, b = _q_with_bounds(spec, levels, i, depth, np.asarray([float(xi)]))
-    return QValue(float(q[0]), float(b[0]))
+    _check_level(levels, i)
+    res = _grid_pass(spec, levels, i, depth, np.asarray([float(xi)]))
+    return QValue(float(res.q[0]), float(res.bound[0]))
 
 
 @dataclass(frozen=True)
@@ -196,13 +212,12 @@ def spectral_report(
     base = np.linspace(-2.0, 2.0, grid_n)
     if extra_worst > 0:
         coarse = np.linspace(-2.0, 2.0, 4 * grid_n + 1)
-        q_coarse, _ = _q_with_bounds(spec, levels, i, depth, coarse)
+        q_coarse = _grid_pass(spec, levels, i, depth, coarse).q
         worst = coarse[np.argsort(q_coarse, kind="stable")[:extra_worst]]
         grid = np.unique(np.concatenate([base, worst]))
     else:
         grid = base
-    q, bounds = _q_with_bounds(spec, levels, i, depth, grid)
-    comp = level_completeness(spec, levels, i, grid)
+    q, bounds, comp = _grid_pass(spec, levels, i, depth, grid)
     tail_bound = float(np.max(bounds))
     min_q = float(np.min(q))
     passed = comp <= completeness_tol and min_q >= 1.0 - (tail_bound + q_slack)

@@ -130,6 +130,19 @@ def test_verify_detects_tampered_levels(capsys, tmp_path):
     assert payload["min_q"] < 1 - 0.01
 
 
+def test_verify_levels_file_missing_parameter_exits_3(capsys, tmp_path):
+    levels_path = tmp_path / "levels.json"
+    main(["spectrum", "--preset", "jp", "--levels", "3", "--out", str(levels_path)])
+    obj = json.loads(levels_path.read_text())
+    assert obj["parameters"]["max_m"] == 512
+    del obj["parameters"]["depth"]
+    partial = tmp_path / "partial.json"
+    partial.write_text(json.dumps(obj))
+    code = main(["verify", "--preset", "jp", "--levels-file", str(partial)])
+    assert code == 3
+    assert "depth" in capsys.readouterr().err
+
+
 def test_verify_not_applicable_after_failed_construction(capsys, tmp_path):
     levels_path = tmp_path / "failed.json"
     code = main(["spectrum", "--preset", "example14", "--word", ":2",

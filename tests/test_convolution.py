@@ -185,6 +185,56 @@ def test_mask_period_and_bound():
         assert mask(b, xi) == pytest.approx(mask(b, xi + 1.0), abs=1e-9)
 
 
+def exp_sum_mask(B, xi):
+    """Reference: one exp per digit, averaged."""
+    return np.exp(-2j * np.pi * np.outer(np.asarray(B, float), np.atleast_1d(xi))).mean(0)
+
+
+def random_digit_sets(rng, count):
+    fixed = [[0], [0, 3], [0, 2, 7], [-6, -2], [-5, -4, -1], [-6, 9], [4, 5, 9]]
+    drawn = [rng.sample(range(-6, 10), rng.randint(1, 5)) for _ in range(count)]
+    return fixed + drawn
+
+
+def test_mask_matches_exp_sum_reference():
+    # Both formulas round the phase argument, so the error grows with |b*xi|.
+    rng = random.Random(11)
+    nrng = np.random.default_rng(11)
+    for B in random_digit_sets(rng, 60):
+        for radius in (1.0, 100.0):
+            xi = nrng.uniform(-radius, radius, 64)
+            tol = 1e-14 * (1 + max(abs(b) for b in B) * np.abs(xi))
+            got = mask(B, xi)
+            assert isinstance(got, np.ndarray) and got.shape == xi.shape
+            assert np.all(np.abs(got - exp_sum_mask(B, xi)) <= tol)
+            scalar = mask(B, float(xi[0]))
+            assert isinstance(scalar, complex)
+            assert abs(scalar - exp_sum_mask(B, xi[0])[0]) <= tol[0]
+    grid = np.array([[0.1, -0.4], [2.5, 7.0]])
+    assert mask((0, 1, 2), grid).shape == (2, 2)
+
+
+def test_mask_conjugate_symmetry_is_exact():
+    # choose_k breaks the tie at x = 1/2 (N = 2) toward k = 0 only if
+    # |tail(1/2)| and |tail(-1/2)| agree to the last bit.
+    rng = random.Random(12)
+    nrng = np.random.default_rng(12)
+    for B in random_digit_sets(rng, 40):
+        xi = np.concatenate([nrng.uniform(-50, 50, 64), [0.5, 0.25, 1 / 3, 0.0]])
+        assert np.array_equal(mask(B, -xi), np.conj(mask(B, xi)))
+        for x in xi[-4:]:
+            assert mask(B, -float(x)) == mask(B, float(x)).conjugate()
+
+
+def test_mask_rejects_bad_digits():
+    with pytest.raises(ValueError, match="integers"):
+        mask([0, 1.5], 0.1)
+    with pytest.raises(ValueError, match="integers"):
+        mask([0.0, 2.0], np.array([0.1, 0.2]))
+    with pytest.raises(ValueError, match="nonempty"):
+        mask([], 0.1)
+
+
 def test_fourier_finite_jp_values(jp_spec):
     assert fourier_finite(jp_spec, 1, 0.0) == pytest.approx(1.0)
     assert abs(fourier_finite(jp_spec, 1, 1.0)) < 1e-15

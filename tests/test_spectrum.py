@@ -189,6 +189,26 @@ def test_levels_json_round_trip(mixed_spec):
     assert again == levels
 
 
+def test_parameters_round_trip_including_max_m(mixed_spec):
+    params = BuildParams(delta=0.25, epsilon=0.1, K=5, depth=33, max_m=64)
+    levels = build_quiet(mixed_spec, 3, params=params)
+    assert levels.max_m == 64
+    js = levels.to_json()
+    assert js["parameters"] == params.to_json()
+    assert SpectrumLevels.from_json(js) == levels
+
+
+@pytest.mark.parametrize("missing", ["delta", "epsilon", "K", "depth", "max_m"])
+def test_levels_json_missing_parameter_raises(mixed_spec, missing):
+    js = build_quiet(mixed_spec, 2).to_json()
+    del js["parameters"][missing]
+    with pytest.raises(KeyError, match=missing):
+        SpectrumLevels.from_json(js)
+    del js["parameters"]
+    with pytest.raises(KeyError, match="parameters"):
+        SpectrumLevels.from_json(js)
+
+
 def test_build_rejects_zero_depth(jp_spec):
     with pytest.raises(ValueError):
         build_quiet(jp_spec, 0)

@@ -168,3 +168,25 @@ def test_report_csv_and_json(jp_spec):
     lines = rep.to_csv().strip().splitlines()
     assert lines[0] == "xi,q,bound"
     assert len(lines) == 1 + len(rep.xi_grid)
+
+
+def test_report_completeness_is_level_completeness(jp_spec, mixed_spec):
+    for spec, depth_i in ((jp_spec, 5), (mixed_spec, 3)):
+        levels = build_quiet(spec, depth_i)
+        rep = spectral_report(spec, levels, grid_n=32, depth=30)
+        again = level_completeness(spec, levels, depth_i, rep.xi_grid)
+        assert rep.completeness_defect == again
+
+
+def test_report_q_matches_full_depth_product(jp_spec, mixed_spec):
+    # Reference: Q as one depth-factor product per point, not split at m_i.
+    for spec, depth_i in ((jp_spec, 5), (mixed_spec, 3)):
+        levels = build_quiet(spec, depth_i)
+        rep = spectral_report(spec, levels, grid_n=32, depth=30)
+        lam = np.asarray(levels.level(depth_i), float)
+        pts = lam[:, None] + np.asarray(rep.xi_grid)[None, :]
+        direct = (np.abs(fourier_finite(spec, 30, pts)) ** 2).sum(axis=0)
+        assert np.max(np.abs(np.asarray(rep.q_values) - direct)) <= 1e-12
+        for xi in rep.xi_grid[::7]:
+            qv = q_function(spec, levels, depth_i, 30, xi)
+            assert qv.q == pytest.approx(rep.q_values[rep.xi_grid.index(xi)], abs=1e-15)
