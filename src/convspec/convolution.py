@@ -367,15 +367,19 @@ def finite_level(
     return mu
 
 
-@functools.lru_cache(maxsize=64)
-def _digit_polynomial(B: tuple[int, ...]) -> tuple[int, tuple[float, ...]]:
-    """(min B, c) with c_d = #{b in B : b - min B = d} / #B."""
-    if not len(B):
-        raise ValueError("digit set must be nonempty")
+def _integer_digits(B: Sequence[int]) -> tuple[int, ...]:
+    """B as a tuple of ints, checked before the cache, where 2.0 and 2 are one key."""
     try:
-        digits = [operator.index(b) for b in B]
+        return tuple(operator.index(b) for b in B)
     except TypeError:
         raise ValueError(f"digits must be integers, got {list(B)}") from None
+
+
+@functools.lru_cache(maxsize=64)
+def _digit_polynomial(digits: tuple[int, ...]) -> tuple[int, tuple[float, ...]]:
+    """(min B, c) with c_d = #{b in B : b - min B = d} / #B."""
+    if not digits:
+        raise ValueError("digit set must be nonempty")
     lo = min(digits)
     counts = [0] * (max(digits) - lo + 1)
     for b in digits:
@@ -391,7 +395,7 @@ def mask(B: Sequence[int], xi: ArrayLike) -> complex | np.ndarray:
     one exp plus max|B - min B| + |min B| complex multiplications per point,
     and M_B(-xi) == conj(M_B(xi)) holds exactly.
     """
-    lo, coef = _digit_polynomial(tuple(B))
+    lo, coef = _digit_polynomial(_integer_digits(B))
     x = np.asarray(xi, dtype=float)
     z = x * (-2j * np.pi)
     if x.ndim == 0:
@@ -406,7 +410,8 @@ def mask(B: Sequence[int], xi: ArrayLike) -> complex | np.ndarray:
         if c:
             out += c
     if lo < 0:
-        z = z.conjugate()
+        # in place for arrays: the memory a call takes must not depend on the digits
+        z = z.conjugate() if x.ndim == 0 else np.conjugate(z, out=z)
     for _ in range(abs(lo)):
         out *= z
     return out

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -226,9 +227,25 @@ def test_mask_conjugate_symmetry_is_exact():
             assert mask(B, -float(x)) == mask(B, float(x)).conjugate()
 
 
+def test_mask_memory_does_not_depend_on_digit_shift():
+    # Translating B moves min B across 0; the negative side must not cost an
+    # extra array, or a run's peak memory depends on the drawn translates.
+    xi = np.linspace(-2.0, 2.0, 100_000)
+    peaks = []
+    for shift in range(-3, 4):
+        B = (shift, shift + 2)
+        mask(B, xi)  # fills the digit-polynomial cache outside the measurement
+        tracemalloc.start()
+        mask(B, xi)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert max(peaks) - min(peaks) < 8 * xi.size  # half of one complex array
+
+
 def test_mask_rejects_bad_digits():
     with pytest.raises(ValueError, match="integers"):
         mask([0, 1.5], 0.1)
+    mask([0, 2], 0.1)  # (0.0, 2.0) is equal to this call's cached (0, 2)
     with pytest.raises(ValueError, match="integers"):
         mask([0.0, 2.0], np.array([0.1, 0.2]))
     with pytest.raises(ValueError, match="nonempty"):
