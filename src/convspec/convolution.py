@@ -141,6 +141,14 @@ class SelectionWord:
         )
 
 
+class Factor(NamedTuple):
+    """One factor position k: its triple, scale N^e and running product P_k."""
+
+    triple: HadamardTriple
+    scale: int
+    product: int
+
+
 @dataclass(frozen=True)
 class ConvolutionSpec:
     """A triple family (1-indexed) and the word selecting factors from it."""
@@ -164,12 +172,20 @@ class ConvolutionSpec:
     def exponent_at(self, k: int) -> int:
         return self.word.exponent(k)
 
-    def scale_product(self, n: int) -> int:
-        """Signed exact product of the first n factor scales N^e."""
+    def factors(self, n: int) -> list[Factor]:
+        """Positions 1..n as (triple, scale N^e, signed running product P_k)."""
+        table = []
         p = 1
         for k in range(1, n + 1):
-            p *= self.triple_at(k).N ** self.exponent_at(k)
-        return p
+            t = self.triple_at(k)
+            scale = t.N ** self.exponent_at(k)
+            p *= scale
+            table.append(Factor(t, scale, p))
+        return table
+
+    def scale_product(self, n: int) -> int:
+        """Signed exact product P_n of the first n factor scales N^e (1 for n = 0)."""
+        return self.factors(n)[-1].product if n > 0 else 1
 
     def describe(self) -> str:
         fam = ",".join(
@@ -191,29 +207,9 @@ class ConvolutionSpec:
         )
 
 
-@dataclass(frozen=True)
-class TailSpec:
+def TailSpec(spec: ConvolutionSpec, skip: int = 0) -> ConvolutionSpec:
     """The convolution with its first ``skip`` factors dropped and rescaled."""
-
-    spec: ConvolutionSpec
-    skip: int = 0
-
-    def __post_init__(self):
-        if self.skip < 0:
-            raise ValueError("skip must be >= 0")
-
-    def triple_at(self, j: int) -> HadamardTriple:
-        """Triple of the j-th tail factor (j >= 1)."""
-        return self.spec.triple_at(self.skip + j)
-
-    def exponent_at(self, j: int) -> int:
-        return self.spec.exponent_at(self.skip + j)
-
-    def word(self) -> SelectionWord:
-        return self.spec.word.shifted(self.skip)
-
-    def describe(self) -> str:
-        return f"{self.spec.describe()} skip={self.skip}"
+    return ConvolutionSpec(spec.family, spec.word.shifted(skip))
 
 
 @dataclass(frozen=True)
@@ -301,10 +297,6 @@ class SupportBound:
     def level_interval(self) -> tuple[float, float]:
         return (-(self.h - 1), self.h - 1)
 
-    def tail_interval(self, n: int) -> tuple[float, float]:
-        r = self.h * 0.5**n
-        return (-r, r)
-
 
 def fraction_str(q: Fraction) -> str:
     """Exact decimal string when the denominator is 2^a*5^b, else 'p/q'."""
@@ -355,10 +347,9 @@ def finite_level(
     if n < 1:
         raise ValueError(f"level must be >= 1, got {n}")
     mu = DiscreteMeasure.point_mass(0)
-    p = 1
-    for k in range(1, n + 1):
-        t = spec.triple_at(k)
-        p *= t.N ** spec.exponent_at(k)
+    # P_k has more than k bits, so a budget of b bits runs out by level max(b, 1)
+    last = min(n, max(max_denominator_bits, 1))
+    for k, (t, _, p) in enumerate(spec.factors(last), start=1):
         if p.bit_length() > max_denominator_bits:
             raise DepthTooLargeError(
                 f"denominator exceeds {max_denominator_bits} bits at level {k}"
@@ -417,49 +408,48 @@ def mask(B: Sequence[int], xi: ArrayLike) -> complex | np.ndarray:
     return out
 
 
+def _mask_product(spec: ConvolutionSpec, n: int, x: np.ndarray) -> np.ndarray:
+    """prod_{k<=n} M_{B_k}(x / P_k) over the first n factors of spec."""
+    out = np.ones(x.shape, dtype=complex)
+    for f in spec.factors(n):
+        out *= mask(f.triple.B, x * _inv_float(f.product))
+    return out
+
+
 def fourier_finite(spec: ConvolutionSpec, n: int, xi: ArrayLike) -> complex | np.ndarray:
     """Transform of the n-factor truncation as a product of n masks."""
     if n < 1:
         raise ValueError(f"level must be >= 1, got {n}")
     x = np.asarray(xi, dtype=float)
-    out = np.ones(x.shape, dtype=complex)
-    p = 1
-    for k in range(1, n + 1):
-        t = spec.triple_at(k)
-        p *= t.N ** spec.exponent_at(k)
-        out *= mask(t.B, x * _inv_float(p))
+    out = _mask_product(spec, n, x)
     return complex(out) if x.ndim == 0 else out
 
 
-def _tail_series_coefficient(tail: TailSpec, depth: int) -> float:
+def _tail_series_coefficient(tail: ConvolutionSpec, depth: int) -> float:
     """Exact value of sum_{j>depth} 2*pi*max|B_j| / |P_j| for the tail factors.
 
-    P_j is the running product of the tail scales |N|^e.  The word is
+    P_j is the running product of the tail scales N^e.  The word is
     eventually periodic, so past the preperiodic part the terms form a
     geometric pattern and the series sums in closed form.
     """
-    w = tail.word()
+    w = tail.word
     pre = max(len(w.prefix), len(w.exp_prefix))
     per = math.lcm(len(w.period), len(w.exp_period))
     # first index > max(depth, pre) aligned with the period start
     t0 = max(0, -(-(depth - pre) // per))  # ceil
     start = pre + 1 + t0 * per
+    table = tail.factors(start + per - 1)
 
-    fam = tail.spec.family
-    maxb = [max(abs(b) for b in t.B) for t in fam]
+    def term(f: Factor) -> float:
+        return 2.0 * math.pi * max(abs(b) for b in f.triple.B) * abs(_inv_float(f.product))
 
-    p = 1
     total = 0.0
-    for j in range(1, start):
-        p *= fam[w.symbol(j) - 1].N ** w.exponent(j)
-        if j > depth:
-            total += 2.0 * math.pi * maxb[w.symbol(j) - 1] * abs(_inv_float(p))
+    for f in table[depth : start - 1]:
+        total += term(f)
     s_per = 0.0
-    q = 1
-    for j in range(start, start + per):
-        p *= fam[w.symbol(j) - 1].N ** w.exponent(j)
-        q *= abs(fam[w.symbol(j) - 1].N) ** w.exponent(j)
-        s_per += 2.0 * math.pi * maxb[w.symbol(j) - 1] * abs(_inv_float(p))
+    for f in table[start - 1 :]:
+        s_per += term(f)
+    q = math.prod(abs(f.scale) for f in table[start - 1 :])
     total += s_per / (1.0 - _inv_float(q))
     return total
 
@@ -468,7 +458,7 @@ DEFAULT_TAIL_DEPTH = 40
 
 
 def tail_truncation_bound(
-    tail: TailSpec, xi: ArrayLike, depth: int = DEFAULT_TAIL_DEPTH
+    tail: ConvolutionSpec, xi: ArrayLike, depth: int = DEFAULT_TAIL_DEPTH
 ) -> float | np.ndarray:
     """Rigorous bound on |exact tail transform - depth-factor truncation|.
 
@@ -484,17 +474,14 @@ def tail_truncation_bound(
     return float(out) if x.ndim == 0 else out
 
 
-def fourier_tail(tail: TailSpec, xi: ArrayLike, depth: int = DEFAULT_TAIL_DEPTH) -> TailValue:
+def fourier_tail(
+    tail: ConvolutionSpec, xi: ArrayLike, depth: int = DEFAULT_TAIL_DEPTH
+) -> TailValue:
     """Truncated tail transform (depth factors) with its truncation bound."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     x = np.asarray(xi, dtype=float)
-    out = np.ones(x.shape, dtype=complex)
-    p = 1
-    for j in range(1, depth + 1):
-        t = tail.triple_at(j)
-        p *= t.N ** tail.exponent_at(j)
-        out *= mask(t.B, x * _inv_float(p))
+    out = _mask_product(tail, depth, x)
     bound = tail_truncation_bound(tail, x, depth)
     if x.ndim == 0:
         return TailValue(complex(out), float(bound))

@@ -84,7 +84,9 @@ class EquiPositivityCertificate:
         return "\n".join(lines) + "\n"
 
 
-def choose_k(tail: TailSpec, x: float, K: int = 8, depth: int = 40) -> tuple[int, float]:
+def choose_k(
+    tail: ConvolutionSpec, x: float, K: int = 8, depth: int = 40
+) -> tuple[int, float]:
     """Shift k in [-K, K] maximizing |tail transform(x + k)| (truncated).
 
     Ties break toward smaller |k|, then the positive one; x = 0 always

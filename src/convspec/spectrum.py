@@ -112,9 +112,6 @@ class CompositeBlocks:
     bigB: tuple[int, ...]
     bigL: tuple[int, ...]
 
-    def triple(self) -> HadamardTriple:
-        return HadamardTriple(self.bigN, self.bigB, self.bigL)
-
 
 @dataclass(frozen=True)
 class SpectrumLevels:
@@ -140,10 +137,6 @@ class SpectrumLevels:
     def m(self, i: int) -> int:
         """Factor count m_i of level i >= 1."""
         return self.indices[i - 1]
-
-    def shift_map(self, i: int) -> dict[int, int]:
-        """Block-frequency -> shift map used to build level i >= 1."""
-        return dict(self.shifts[i - 1])
 
     def to_json(self) -> dict:
         return {
@@ -196,23 +189,15 @@ def _normalized_spec(spec: ConvolutionSpec) -> ConvolutionSpec:
     )
 
 
-def _effective_triple(spec: ConvolutionSpec, k: int) -> HadamardTriple:
-    """Position-k factor as a plain triple: (N^e, B, N^(e-1) L)."""
-    t = spec.triple_at(k)
-    e = spec.exponent_at(k)
-    return HadamardTriple(
-        t.N**e, t.B, tuple(t.N ** (e - 1) * l for l in t.L)
-    )
-
-
 def block_frequencies(spec: ConvolutionSpec, p: int, q: int) -> CompositeBlocks:
     """Composite triple over factor positions p+1..q (frequencies normalized)."""
     if not 0 <= p < q:
         raise ValueError(f"invalid range: need 0 <= p < q, got p={p}, q={q}")
-    nspec = _normalized_spec(spec)
-    composite = compose_triples(
-        [_effective_triple(nspec, k) for k in range(p + 1, q + 1)]
-    )
+    # position k as a plain triple: (N^e, B, N^(e-1) L)
+    composite = compose_triples([
+        HadamardTriple(s, t.B, tuple(s // t.N * l for l in t.L))
+        for t, s, _ in _normalized_spec(spec).factors(q)[p:]
+    ])
     return CompositeBlocks(
         p=p, q=q, bigN=composite.N, bigB=composite.B, bigL=composite.L
     )
@@ -237,14 +222,17 @@ def next_level(
     prev = state.levels[-1]
     m_prev = state.indices[-1] if state.indices else 0
 
+    # every |lambda| / |P_m| < delta/2 iff the largest one is
+    reach = max(abs(lam) for lam in prev)
+    half_delta = Fraction(params.delta) / 2
+    table = spec.factors(params.max_m)
     m_i = None
     for m in subsequence:
         if m <= m_prev:
             continue
         if m > params.max_m:
             break
-        inv = abs(Fraction(1, spec.scale_product(m)))
-        if all(abs(lam) * inv < Fraction(params.delta) / 2 for lam in prev):
+        if Fraction(reach, abs(table[m - 1].product)) < half_delta:
             m_i = m
             break
     if m_i is None:

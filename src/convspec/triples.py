@@ -34,6 +34,16 @@ __all__ = [
 DEFAULT_UNITARITY_TOL = 1e-12
 
 
+def _unitarity_deviation(N: int, B: tuple[int, ...], L: tuple[int, ...]) -> float:
+    """Max entrywise deviation from the identity of the row Gram matrix of the
+    normalized exponential matrix [exp(-2*pi*i*b*l/N) / sqrt(#B)], rows b in B."""
+    m = np.exp(
+        -2j * np.pi * np.outer(np.asarray(B, float), np.asarray(L, float)) / N
+    ) / math.sqrt(len(B))
+    g = m @ m.conj().T
+    return float(np.max(np.abs(g - np.eye(len(B)))))
+
+
 @dataclass(frozen=True)
 class HadamardTriple:
     """Scale N with digit tuple B and frequency tuple L, #B == #L >= 2.
@@ -68,17 +78,9 @@ class HadamardTriple:
     def size(self) -> int:
         return len(self.B)
 
-    def matrix(self) -> np.ndarray:
-        """Normalized exponential matrix, rows indexed by B, columns by L."""
-        b = np.asarray(self.B, dtype=float)
-        l = np.asarray(self.L, dtype=float)
-        return np.exp(-2j * np.pi * np.outer(b, l) / self.N) / math.sqrt(self.size)
-
     def unitarity_deviation(self) -> float:
         """Max entrywise deviation of the row Gram matrix from the identity."""
-        m = self.matrix()
-        g = m @ m.conj().T
-        return float(np.max(np.abs(g - np.eye(self.size))))
+        return _unitarity_deviation(self.N, self.B, self.L)
 
     def is_valid(self, tol: float = DEFAULT_UNITARITY_TOL) -> bool:
         return self.unitarity_deviation() <= tol
@@ -124,11 +126,7 @@ def verify_triple(
         raise ValueError("digit and frequency sets must be nonempty")
     if len(B) != len(L):
         return TripleReport(ok=False, deviation=None, reason="size-mismatch")
-    m = np.exp(
-        -2j * np.pi * np.outer(np.asarray(B, float), np.asarray(L, float)) / N
-    ) / math.sqrt(len(B))
-    g = m @ m.conj().T
-    dev = float(np.max(np.abs(g - np.eye(len(B)))))
+    dev = _unitarity_deviation(N, B, L)
     return TripleReport(ok=dev <= tol, deviation=dev)
 
 

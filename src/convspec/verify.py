@@ -132,7 +132,7 @@ def _grid_pass(
         low = np.clip(1.0 - tail_truncation_bound(tail, z, 0), 0.0, 1.0)
         q = f2.sum(axis=0)
     level_part = np.max(1.0 - low**2, axis=0)
-    coef0 = _tail_series_coefficient(TailSpec(spec, 0), depth)
+    coef0 = _tail_series_coefficient(spec, depth)
     depth_part = 2.0 * coef0 * np.abs(pts).sum(axis=0)
     return _GridPass(q, level_part + depth_part, _completeness_defect(f2))
 

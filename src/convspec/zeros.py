@@ -15,7 +15,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .convolution import ConvolutionSpec, TailSpec, fourier_tail, mask
+from .convolution import ConvolutionSpec, fourier_tail, mask
 
 __all__ = [
     "ZeroEnclosure",
@@ -312,11 +312,10 @@ def integral_periodic_zero_probe(
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    tail = TailSpec(spec, 0)
     best_v = -1.0
     best_k = 0
     for k in search_order(K):
-        v = abs(fourier_tail(tail, xi + k, depth).value)
+        v = abs(fourier_tail(spec, xi + k, depth).value)
         if v > best_v:
             best_v, best_k = v, k
         if v > tol:
@@ -375,11 +374,8 @@ def zero_propagation(
         raise ValueError("steps must be >= 1")
     ys = [(float(xi0),)]
     flags = [abs(xi0 - round(xi0)) <= integer_tol]
-    for n in range(1, steps + 1):
-        t = spec.triple_at(n)
-        e = spec.exponent_at(n)
-        scale = t.N**e
-        l_eff = [t.N ** (e - 1) * (l % abs(t.N)) for l in t.L]
+    for t, scale, _ in spec.factors(steps):
+        l_eff = [scale // t.N * (l % abs(t.N)) for l in t.L]
         nxt: list[float] = []
         for x in ys[-1]:
             for l in l_eff:

@@ -1,5 +1,6 @@
 """CLI exit codes, report shapes, determinism, end-to-end flows."""
 
+import hashlib
 import json
 
 import pytest
@@ -233,6 +234,46 @@ def test_byte_identical_output(capsys):
     _, s1 = run(capsys, "spectrum", "--preset", "jp", "--levels", "3")
     _, s2 = run(capsys, "spectrum", "--preset", "jp", "--levels", "3")
     assert s1 == s2
+
+
+MIXED_CONFIG = {
+    "triples": [
+        {"N": 2, "B": [0, 1], "L": [0, 1]},
+        {"N": 3, "B": [0, 1, 2], "L": [0, 1, 2]},
+    ],
+    "word": {"prefix": [], "period": [1, 2]},
+}
+
+
+def integer_part(obj):
+    """The report with every float and string dropped: levels, indices, shifts, ..."""
+    if isinstance(obj, dict):
+        return {k: integer_part(v) for k, v in obj.items() if not isinstance(v, (float, str))}
+    if isinstance(obj, list):
+        return [integer_part(v) for v in obj if not isinstance(v, (float, str))]
+    return obj
+
+
+@pytest.mark.parametrize("argv, want_code, digest", [
+    (["--preset", "jp", "--levels", "6"], 0,
+     "baeb9fc2f7a4ff055b56c1a1b49fec2baa7b73de13a95b0040263d8b2b11e885"),
+    (["--config", "MIXED", "--word", ":12", "--levels", "5"], 0,
+     "1044d11f7cc3322f2f23339b871f2f0ccc1f37b21f15480e1bfbbdc76c3ca47d"),
+    (["--config", "MIXED", "--word", "1:21", "--exponents", "2:13", "--levels", "3"], 0,
+     "05c1a53ce2852f26231aa1e3048054ac992108438e7a6bdba50f1ca3b010242e"),
+    (["--preset", "example14", "--word", ":2"], 2,
+     "adb84ce56eb7f16ebb17bc5d642d35635b130c4f6564fb6a3fba4632fe32a7da"),
+])
+def test_spectrum_golden_digests(capsys, tmp_path, argv, want_code, digest):
+    # every level, index and shift is pinned; floats are left out so the
+    # digest does not depend on the platform's libm
+    cfg = tmp_path / "mixed.json"
+    cfg.write_text(json.dumps(MIXED_CONFIG))
+    argv = [str(cfg) if a == "MIXED" else a for a in argv]
+    code, payload = run_json(capsys, "spectrum", *argv)
+    assert code == want_code
+    text = json.dumps(integer_part(payload), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_word_parsing_variants(capsys):

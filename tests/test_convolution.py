@@ -17,15 +17,19 @@ from convspec import (
     HadamardTriple,
     SelectionWord,
     TailSpec,
+    block_frequencies,
     cdf,
+    compose_triples,
     convolve,
     finite_level,
     fourier_finite,
     fourier_tail,
     fraction_str,
     mask,
+    normalize_frequencies,
     support_bound,
     tail_truncation_bound,
+    zero_propagation,
 )
 from conftest import random_spec
 
@@ -127,6 +131,17 @@ def test_finite_level_rejects_bad_depth(jp_spec):
         finite_level(jp_spec, 0)
     with pytest.raises(DepthTooLargeError):
         finite_level(jp_spec, 40, max_denominator_bits=16)
+
+
+def test_finite_level_budget_names_first_level_past_it(jp_spec):
+    # P_k = 4^k has 2k + 1 bits, so a 16-bit budget runs out at level 8
+    for n in (8, 40, 10**9):
+        with pytest.raises(DepthTooLargeError, match="at level 8$"):
+            finite_level(jp_spec, n, max_denominator_bits=16)
+    assert len(finite_level(jp_spec, 7, max_denominator_bits=16)) == 2**7
+    for bits in (0, 1, 2):
+        with pytest.raises(DepthTooLargeError, match="at level 1$"):
+            finite_level(jp_spec, 3, max_denominator_bits=bits)
 
 
 def test_weight_sums_exactly_one_random():
@@ -339,6 +354,77 @@ def test_tail_stabilizes_within_bound():
         v1 = fourier_tail(tail, xi, t)
         v2 = fourier_tail(tail, xi, 2 * t)
         assert abs(v2.value - v1.value) <= v1.bound + 1e-12
+
+
+# --- the factor table and what reads it -------------------------------------
+
+def test_factor_table_matches_word_random():
+    rng = random.Random(61)
+    for _ in range(25):
+        spec = random_spec(rng)
+        n = rng.randint(0, 12)
+        table = spec.factors(n)
+        assert len(table) == n
+        p = 1
+        for k, f in enumerate(table, start=1):
+            t = spec.triple_at(k)
+            p *= t.N ** spec.exponent_at(k)
+            assert f == (t, t.N ** spec.exponent_at(k), p)
+        assert spec.scale_product(n) == p
+        skip = rng.randint(0, 5)
+        assert TailSpec(spec, skip) == ConvolutionSpec(spec.family, spec.word.shifted(skip))
+
+
+def test_tail_bound_matches_fraction_series_random():
+    rng = random.Random(67)
+    for _ in range(25):
+        spec = random_spec(rng)
+        n = rng.randint(0, 4)
+        d = rng.randint(0, 30)
+        # sum_{j=d+1}^{d+400} max|B_j| / |P_j| over the tail, P_j its running product
+        series = F(0)
+        p = 1
+        for j in range(1, d + 401):
+            t = spec.triple_at(n + j)
+            p *= t.N ** spec.exponent_at(n + j)
+            if j > d:
+                series += F(max(abs(b) for b in t.B), abs(p))
+        got = tail_truncation_bound(TailSpec(spec, n), 1.0, d)
+        assert got == pytest.approx(2 * math.pi * float(series), rel=1e-12)
+
+
+def test_block_frequencies_match_hand_built_composite_random():
+    rng = random.Random(71)
+    for _ in range(25):
+        spec = random_spec(rng)
+        p = rng.randint(0, 3)
+        q = p + rng.randint(1, 3)
+        family = [normalize_frequencies(t) for t in spec.family]
+        factors = []
+        for k in range(p + 1, q + 1):
+            t = family[spec.word.symbol(k) - 1]
+            e = spec.word.exponent(k)
+            factors.append(
+                HadamardTriple(t.N**e, t.B, tuple(t.N ** (e - 1) * l for l in t.L))
+            )
+        want = compose_triples(factors)
+        got = block_frequencies(spec, p, q)
+        assert (got.p, got.q) == (p, q)
+        assert (got.bigN, got.bigB, got.bigL) == (want.N, want.B, want.L)
+
+
+def test_zero_propagation_first_step_random():
+    rng = random.Random(73)
+    for _ in range(25):
+        spec = random_spec(rng)
+        xi0 = rng.uniform(-3, 3)
+        t = spec.triple_at(1)
+        e = spec.exponent_at(1)
+        taus = [(xi0 + t.N ** (e - 1) * (l % abs(t.N))) / t.N**e for l in t.L]
+        want = sorted(tau for tau in taus if abs(mask(t.B, tau)) > 1e-6)
+        trace = zero_propagation(spec, xi0, 1, tol=1e-6)
+        assert trace.sets[0] == (xi0,)
+        assert list(trace.sets[1]) == pytest.approx(want, abs=1e-12)
 
 
 # --- support bound and cdf --------------------------------------------------
