@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .triples import HadamardTriple
+from .triples import HadamardTriple, _integers
 
 __all__ = [
     "DEFAULT_TAIL_DEPTH",
@@ -267,13 +266,6 @@ class DiscreteMeasure:
     def total_mass(self) -> Fraction:
         return sum((w for _, w in self.atoms), start=Fraction(0))
 
-    def fourier(self, xi: ArrayLike) -> complex | np.ndarray:
-        """Transform sum_x w(x) exp(-2*pi*i*x*xi), evaluated in doubles."""
-        x = np.asarray(xi, dtype=float)
-        e = np.exp(-2j * np.pi * np.multiply.outer(self.positions(), x))
-        out = np.tensordot(self.weights(), e, axes=1)
-        return complex(out) if np.isscalar(xi) or x.ndim == 0 else out
-
     def to_csv(self) -> str:
         lines = ["position,weight"]
         for pos, w in self.atoms:
@@ -358,14 +350,6 @@ def finite_level(
     return mu
 
 
-def _integer_digits(B: Sequence[int]) -> tuple[int, ...]:
-    """B as a tuple of ints, checked before the cache, where 2.0 and 2 are one key."""
-    try:
-        return tuple(operator.index(b) for b in B)
-    except TypeError:
-        raise ValueError(f"digits must be integers, got {list(B)}") from None
-
-
 @functools.lru_cache(maxsize=64)
 def _digit_polynomial(digits: tuple[int, ...]) -> tuple[int, tuple[float, ...]]:
     """(min B, c) with c_d = #{b in B : b - min B = d} / #B."""
@@ -386,7 +370,8 @@ def mask(B: Sequence[int], xi: ArrayLike) -> complex | np.ndarray:
     one exp plus max|B - min B| + |min B| complex multiplications per point,
     and M_B(-xi) == conj(M_B(xi)) holds exactly.
     """
-    lo, coef = _digit_polynomial(_integer_digits(B))
+    # digits are checked before the cache, where 2.0 and 2 are one key
+    lo, coef = _digit_polynomial(_integers(B))
     x = np.asarray(xi, dtype=float)
     z = x * (-2j * np.pi)
     if x.ndim == 0:

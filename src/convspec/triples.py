@@ -13,6 +13,7 @@ on B/N.  Scales may be negative; only |N| >= 2 is required.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
@@ -32,6 +33,14 @@ __all__ = [
 ]
 
 DEFAULT_UNITARITY_TOL = 1e-12
+
+
+def _integers(values: Sequence[int], name: str = "digits") -> tuple[int, ...]:
+    """values as ints by operator.index, which rejects 2.5 (and 2.0) where int() truncates."""
+    try:
+        return tuple(operator.index(v) for v in values)
+    except TypeError:
+        raise ValueError(f"{name} must be integers, got {list(values)}") from None
 
 
 def _unitarity_deviation(N: int, B: tuple[int, ...], L: tuple[int, ...]) -> float:
@@ -58,9 +67,9 @@ class HadamardTriple:
     L: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "N", int(self.N))
-        object.__setattr__(self, "B", tuple(int(b) for b in self.B))
-        object.__setattr__(self, "L", tuple(int(l) for l in self.L))
+        object.__setattr__(self, "N", _integers([self.N], "scales")[0])
+        object.__setattr__(self, "B", _integers(self.B))
+        object.__setattr__(self, "L", _integers(self.L, "frequencies"))
         if abs(self.N) < 2:
             raise ValueError(f"invalid scale N={self.N}: need |N| >= 2")
         if len(self.B) != len(self.L):
@@ -90,7 +99,7 @@ class HadamardTriple:
 
     @classmethod
     def from_json(cls, obj: dict) -> "HadamardTriple":
-        return cls(int(obj["N"]), tuple(obj["B"]), tuple(obj["L"]))
+        return cls(obj["N"], tuple(obj["B"]), tuple(obj["L"]))
 
 
 @dataclass(frozen=True)
@@ -115,13 +124,12 @@ def verify_triple(
 
     Fails (without raising) when #B != #L or when the row Gram matrix of the
     normalized exponential matrix deviates from the identity by more than
-    ``tol``.  A scale with |N| < 2 is rejected with ValueError.
+    ``tol``.  A scale with |N| < 2, or any non-integer entry, raises ValueError.
     """
-    N = int(N)
+    N = _integers([N], "scales")[0]
     if abs(N) < 2:
         raise ValueError(f"invalid scale N={N}: need |N| >= 2")
-    B = tuple(int(b) for b in B)
-    L = tuple(int(l) for l in L)
+    B, L = _integers(B), _integers(L, "frequencies")
     if not B or not L:
         raise ValueError("digit and frequency sets must be nonempty")
     if len(B) != len(L):
@@ -186,7 +194,7 @@ def compose_triples(ts: Sequence[HadamardTriple]) -> HadamardTriple:
 
 def difference_gcd(B: Sequence[int]) -> int:
     """gcd of all pairwise differences of B; 0 for a singleton."""
-    B = [int(b) for b in B]
+    B = _integers(B)
     if not B:
         raise ValueError("digit set must be nonempty")
     g = 0

@@ -1,21 +1,23 @@
 """Zero sets of mask polynomials and integral periodic zero probing.
 
-A mask M_B extends to an entire function, so its real zeros are isolated
-and there are at most diam(B) of them per unit period.  Zeros are located
-by sampling |M_B|^2 on a grid tied to the largest digit, bracketing sign
-changes of its derivative, bisecting, and Newton-polishing.  The finite
-enumeration of scaled zero products and the numeric probes for integral
-periodic zeros build on this; probe verdicts are numerical evidence, not
-proofs.
+A mask M_B is z^min(B) times a polynomial in z = exp(-2*pi*i*xi), so its
+real zeros are the unit-circle roots of that polynomial, at most diam(B)
+per unit period.  They are eigenvalues (numpy.roots) of the polynomial's
+exact square-free part, where every root is simple, each polished by one
+Newton step.  The finite enumeration of scaled zero products and the
+numeric probes for integral periodic zeros build on this; probe verdicts
+are numerical evidence, not proofs.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .convolution import ConvolutionSpec, fourier_tail, mask
+from .triples import _integers
 
 __all__ = [
     "ZeroEnclosure",
@@ -33,6 +35,8 @@ __all__ = [
 DEFAULT_RESIDUAL_TOL = 1e-10
 DEFAULT_PROBE_TOL = 1e-6
 DEFAULT_INTEGER_TOL = 1e-8
+_PRIME = 2**61 - 1  # modulus of the square-freeness test
+_CIRCLE_TOL = 1e-8  # largest ||z| - 1| of a polynomial root taken as a mask zero
 
 
 @dataclass(frozen=True)
@@ -83,82 +87,106 @@ def search_order(K: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _mask_derivs(B, x: float) -> tuple[complex, complex, complex]:
-    s0 = s1 = s2 = 0j
-    for b in B:
-        w = -2j * math.pi * b
-        e = cmath.exp(w * x)
-        s0 += e
-        s1 += w * e
-        s2 += w * w * e
-    n = len(B)
-    return s0 / n, s1 / n, s2 / n
+def _mod_prime(a: list[int]) -> list[int]:
+    return [x % _PRIME for x in a]
 
 
-def _g(B, x: float) -> float:
-    m = mask(B, x)
-    return m.real * m.real + m.imag * m.imag
+def _primitive(a: list[int]) -> list[int]:
+    g = math.gcd(*a) or 1
+    return [x // g for x in a]
 
 
-def _gp(B, x: float) -> float:
-    m, m1, _ = _mask_derivs(B, x)
-    return 2.0 * (m.conjugate() * m1).real
+def _gcd(a: list[int], b: list[int], reduce) -> list[int]:
+    """gcd(a, b) up to a constant factor: Euclid on pseudo-remainders.
+
+    Polynomials are integer coefficient lists, highest power first.  Each
+    step replaces a by lc(b) * a - a[0] * z^k * b, which needs no division;
+    ``reduce`` (mod the prime, or the primitive part) keeps coefficients small.
+    """
+    while b:
+        while len(a) >= len(b):
+            f, c = a[0], b[0]
+            a = reduce([c * x - f * y for x, y in zip(a, b)][1:] + [c * x for x in a[len(b):]])
+            while a and a[0] == 0:
+                del a[0]
+        a, b = b, a
+    return a
+
+
+def _quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer polynomials where b divides a exactly."""
+    q: list[int] = []
+    while len(a) >= len(b):
+        f = a[0] // b[0]
+        q.append(f)
+        a = [x - f * y for x, y in zip(a, b)][1:] + a[len(b):]
+    return q
+
+
+def _square_free_part(p: list[int]) -> list[int]:
+    """p / gcd(p, p'), exactly; every root of the result is simple.
+
+    A constant gcd modulo the prime proves p square-free: a common factor
+    over the integers would survive the reduction, since p's leading
+    coefficient (a digit count) is below the prime.  Only when the test
+    finds a factor does Euclid run over the integers.
+    """
+    dp = [(len(p) - 1 - i) * c for i, c in enumerate(p[:-1])]
+    if len(_gcd(_mod_prime(p), _mod_prime(dp), _mod_prime)) == 1:
+        return p
+    return _quotient(p, _primitive(_gcd(p, _primitive(dp), _primitive)))
 
 
 def _zeros_in_unit_period(B, residual_tol: float) -> list[ZeroEnclosure]:
-    """Zeros of M_B in [0, 1) with enclosure radii."""
-    n = 8 * max(abs(b) for b in B) + 8
-    xs = [j / n for j in range(n + 1)]
-    gs = [_g(B, x) for x in xs]
-    gps = [_gp(B, x) for x in xs]
+    """Zeros of M_B in [0, 1) with enclosure radii.
 
-    candidates: list[tuple[float, float]] = []  # (x, radius seed)
-    for j in range(n + 1):
-        if gs[j] <= residual_tol * residual_tol:
-            candidates.append((xs[j], 1e-12))
-    for j in range(n):
-        if gps[j] < 0.0 <= gps[j + 1]:
-            a, b = xs[j], xs[j + 1]
-            while b - a > 1e-15:
-                mid = 0.5 * (a + b)
-                if _gp(B, mid) < 0.0:
-                    a = mid
-                else:
-                    b = mid
-            candidates.append((0.5 * (a + b), 0.5 * (b - a)))
+    With z = exp(-2*pi*i*xi), M_B(xi) = z^min(B) * p(z) / #B for the digit
+    count polynomial p(z) = sum_b z^(b - min B), so the zeros are
+    xi = -arg(z)/(2*pi) mod 1 over the roots z of p on the unit circle.
+    They are taken from the square-free part s of p, where every root is
+    simple, polished by one Newton step in xi and kept only if
+    |M_B(xi)| <= residual_tol; the radius is twice the next step, |s/s'|/pi.
+    """
+    hi = max(B)
+    p = [0] * (hi - min(B) + 1)
+    for b in B:
+        p[hi - b] += 1
+    s = np.array([float(c) for c in _square_free_part(p)])
+    ds = np.polyder(s)
 
-    found: list[ZeroEnclosure] = []
-    for x0, rad in candidates:
-        x = x0
-        for _ in range(6):  # Newton on d|M|^2/dxi
-            m, m1, m2 = _mask_derivs(B, x)
-            gp = 2.0 * (m.conjugate() * m1).real
-            gpp = 2.0 * (abs(m1) ** 2 + (m.conjugate() * m2).real)
-            if gpp <= 0.0:
-                break
-            step = gp / gpp
-            if abs(step) > 1.0 / n:
-                break
-            x -= step
-        m, m1, _ = _mask_derivs(B, x)
-        if abs(m) <= residual_tol:
-            r = max(rad, 2.0 * abs(m) / max(abs(m1), 1e-3), 1e-15)
-            found.append(ZeroEnclosure(x % 1.0, min(r, 1e-10)))
+    def newton_step(x):  # -f/f' for f(x) = s(exp(-2*pi*i*x))
+        w = np.exp(-2j * np.pi * x)
+        return np.polyval(s, w) / (2j * np.pi * w * np.polyval(ds, w))
 
-    found.sort(key=lambda e: (e.root, e.radius))
-    merged: list[ZeroEnclosure] = []
-    for e in found:
-        if merged and min(
-            abs(e.root - merged[-1].root), 1.0 - abs(e.root - merged[-1].root)
-        ) < 1e-9:
-            if e.radius < merged[-1].radius:
-                merged[-1] = ZeroEnclosure(merged[-1].root, e.radius)
-            continue
-        merged.append(e)
-    # circular duplicate: a root at ~1.0 folded to ~0.0
-    if len(merged) > 1 and 1.0 - (merged[-1].root - merged[0].root) < 1e-9:
-        merged.pop()
-    return merged
+    z = np.roots(s)
+    z = z[np.abs(np.abs(z) - 1.0) <= _CIRCLE_TOL]
+    xs = -np.angle(z) / (2 * np.pi) % 1.0
+    xs = np.sort(xs + newton_step(xs).real)
+    radii = 2.0 * np.abs(newton_step(xs))
+    residuals = np.abs(mask(B, xs))
+    return [
+        ZeroEnclosure(float(x), max(float(r), 1e-15))
+        for x, r, m in zip(xs, radii, residuals)
+        if m <= residual_tol
+    ]
+
+
+def _translates(base: list[ZeroEnclosure], lo: float, hi: float) -> list[ZeroEnclosure]:
+    """Every integer translate of the unit-period zeros in base inside [lo, hi]."""
+    out = []
+    for e in base:
+        k = math.floor(lo - e.root) - 1
+        while e.root + k <= hi + 1e-12:
+            x = e.root + k
+            if x >= lo - 1e-12:
+                out.append(ZeroEnclosure(x, e.radius))
+            k += 1
+    return out
+
+
+def _zero_free_radius(base: list[ZeroEnclosure]) -> float:
+    positive = [e.root for e in base if e.root > 1e-12]
+    return min(positive) / 2.0 if positive else math.inf
 
 
 def mask_zeros(
@@ -168,22 +196,14 @@ def mask_zeros(
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
 ) -> ZeroSetReport:
     """All zeros of M_B in [lo, hi], located per unit period and translated."""
-    B = tuple(int(b) for b in B)
+    B = _integers(B)
     if not B:
         raise ValueError("digit set must be nonempty")
     if len(set(B)) == 1:
         raise ValueError("no zeros by definition: mask of a singleton never vanishes")
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    base = _zeros_in_unit_period(B, residual_tol)
-    out = []
-    for e in base:
-        k = math.floor(lo - e.root) - 1
-        while e.root + k <= hi + 1e-12:
-            x = e.root + k
-            if x >= lo - 1e-12:
-                out.append(ZeroEnclosure(x, e.radius))
-            k += 1
+    out = _translates(_zeros_in_unit_period(B, residual_tol), lo, hi)
     out.sort(key=lambda z: z.root)
     return ZeroSetReport(
         entries=tuple(out),
@@ -198,16 +218,12 @@ def zero_free_radius(B) -> float:
     Returned as half the smallest positive zero; inf when the mask has no
     real zeros at all (then every radius qualifies).
     """
-    B = tuple(int(b) for b in B)
+    B = _integers(B)
     if not B:
         raise ValueError("digit set must be nonempty")
     if len(set(B)) == 1:
         return math.inf
-    base = _zeros_in_unit_period(B, DEFAULT_RESIDUAL_TOL)
-    positive = [e.root for e in base if e.root > 1e-12]
-    if not positive:
-        return math.inf
-    return min(positive) / 2.0
+    return _zero_free_radius(_zeros_in_unit_period(B, DEFAULT_RESIDUAL_TOL))
 
 
 def _sum_bounded_tuples(m: int, bound: int):
@@ -234,23 +250,18 @@ def enumerate_zero_products(family, h: float) -> ZeroSetReport:
     scales = [t.N for t in family]
     pts: list[ZeroEnclosure] = []
     for t in family:
-        delta = zero_free_radius(t.B)
+        base = _zeros_in_unit_period(t.B, DEFAULT_RESIDUAL_TOL)
+        delta = _zero_free_radius(base)
         if not h > delta:
             continue  # no scaled zero reaches [-h, h]
-        base = _zeros_in_unit_period(t.B, DEFAULT_RESIDUAL_TOL)
         kmax = math.floor(math.log2(h / delta))
         for tup in _sum_bounded_tuples(m, kmax):
             s = 1
             for nj, kj in zip(scales, tup):
                 s *= nj**kj
             half = h / abs(s)
-            for e in base:
-                k = math.floor(-half - e.root) - 1
-                while e.root + k <= half + 1e-12:
-                    z = e.root + k
-                    if z >= -half - 1e-12:
-                        pts.append(ZeroEnclosure(s * z, abs(s) * e.radius))
-                    k += 1
+            for e in _translates(base, -half, half):
+                pts.append(ZeroEnclosure(s * e.root, abs(s) * e.radius))
     pts.sort(key=lambda z: z.root)
     merged: list[ZeroEnclosure] = []
     for e in pts:
@@ -375,16 +386,11 @@ def zero_propagation(
     ys = [(float(xi0),)]
     flags = [abs(xi0 - round(xi0)) <= integer_tol]
     for t, scale, _ in spec.factors(steps):
-        l_eff = [scale // t.N * (l % abs(t.N)) for l in t.L]
-        nxt: list[float] = []
-        for x in ys[-1]:
-            for l in l_eff:
-                tau = (x + l) / scale
-                if abs(mask(t.B, tau)) > tol:
-                    nxt.append(tau)
-        nxt.sort()
+        l_eff = [float(scale // t.N * (l % abs(t.N))) for l in t.L]
+        tau = np.add.outer(ys[-1], l_eff).ravel() / float(scale)
+        nxt = np.sort(tau[np.abs(mask(t.B, tau)) > tol], kind="stable")
         dedup: list[float] = []
-        for v in nxt:
+        for v in nxt.tolist():
             if dedup and abs(v - dedup[-1]) < 1e-12:
                 continue
             dedup.append(v)

@@ -57,6 +57,14 @@ def test_check_malformed_config_exits_3(capsys, tmp_path):
     assert code == 3
 
 
+def test_check_non_integer_digits_exits_3(capsys, tmp_path):
+    cfg = tmp_path / "fractional.json"
+    cfg.write_text(json.dumps({"triples": [{"N": 4, "B": [0, 2.5], "L": [0, 1]}]}))
+    code, out = run(capsys, "check", "--config", str(cfg))
+    assert code == 3
+    assert out == ""
+
+
 def test_usage_errors_exit_1(capsys):
     assert main(["check"]) == 1  # neither preset nor config
     assert main(["zeros", "--preset", "jp"]) == 1  # no mode chosen

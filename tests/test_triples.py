@@ -69,6 +69,21 @@ def test_triple_constructor_rejects_duplicates():
         HadamardTriple(4, (0, 2, 3), (0, 1))
 
 
+def test_triple_constructor_rejects_non_integer_entries():
+    # int() would truncate each of these to a valid triple
+    for N, B, L in ((4, (0, 2.5), (0, 1)), (4.5, (0, 2), (0, 1)), (4, (0, 2), (0, 1.5))):
+        with pytest.raises(ValueError, match="must be integers"):
+            HadamardTriple(N, B, L)
+    with pytest.raises(ValueError, match="must be integers"):
+        HadamardTriple.from_json({"N": 4, "B": [0, 2.0], "L": [0, 1]})
+
+
+def test_verify_triple_rejects_non_integer_entries():
+    for N, B, L in ((4, [0, 2.5], [0, 1]), (4.5, [0, 2], [0, 1]), (4, [0, 2], [0, 1.5])):
+        with pytest.raises(ValueError, match="must be integers"):
+            verify_triple(N, B, L)
+
+
 def test_translate_identity_and_examples():
     t = HadamardTriple(4, (0, 2), (0, 1))
     assert translate_triple(t, 0, 0) == t
@@ -161,6 +176,11 @@ def test_difference_gcd_examples():
     assert difference_gcd([5]) == 0
     assert difference_gcd([0, 1, 2]) == 1
     assert difference_gcd([0, 2]) == 2
+
+
+def test_difference_gcd_rejects_non_integer_digits():
+    with pytest.raises(ValueError, match="must be integers"):
+        difference_gcd([0, 2.5])
 
 
 def test_difference_gcd_invariances():

@@ -2,7 +2,10 @@
 
 import math
 import random
+from fractions import Fraction
+from itertools import product
 
+import numpy as np
 import pytest
 
 from convspec import (
@@ -109,6 +112,74 @@ def test_mask_zeros_against_companion_matrix_oracle():
             assert abs(a - b) < 1e-6, (digits, got.roots, oracle)
 
 
+def mpmath_mask_zeros(digits):
+    """Distinct mask zeros in [0, 1): the unit-circle roots of
+    sum_b z^(b - min B) from mpmath.polyroots at 30 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    coeffs = [0] * (max(digits) - min(digits) + 1)
+    for b in digits:
+        coeffs[max(digits) - b] += 1
+    with mpmath.workdps(30):
+        # the extra bits let Durand-Kerner converge on double roots as well;
+        # the numpy start only saves iterations
+        start = [mpmath.mpc(complex(z)) for z in np.roots(coeffs)]
+        roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=110, roots_init=start)
+        zeros = []
+        for z in roots:
+            x = -mpmath.arg(z) / (2 * mpmath.pi) % 1
+            if abs(abs(z) - 1) < 1e-20 and all(abs(x - y) > 1e-20 for y in zeros):
+                zeros.append(x)
+    return sorted(Fraction(int(man)) * Fraction(2) ** exp for man, exp in (x.man_exp for x in zeros))
+
+
+def assert_zeros_enclosed(digits, want):
+    got = mask_zeros(digits, 0.0, 1.0 - 1e-9)
+    assert len(got) == len(want), (digits, got.roots, [float(x) for x in want])
+    for e, x in zip(got.entries, want):
+        assert abs(Fraction(e.root) - x) <= e.radius, (digits, e, float(x))
+
+
+_rng = random.Random(1618)
+MPMATH_SETS = [(-5, 0, 8, 13), (-12, -1, 0, 11)] + [
+    tuple(sorted(_rng.sample(range(-12, 13), _rng.randint(2, 5)))) for _ in range(16)
+]
+
+
+@pytest.mark.parametrize("digits", MPMATH_SETS)
+def test_mask_zeros_against_mpmath_oracle(digits):
+    """Every zero is found and every radius contains the 30-digit root."""
+    assert_zeros_enclosed(digits, mpmath_mask_zeros(digits))
+
+
+@pytest.mark.parametrize("steps", [(1, 3), (1, 3, 9), (2, 6), (1, 2), (3, 9, 27), (1, 1)])
+def test_mask_zeros_product_sets_exact(steps):
+    """B = {0,k_1} + ... + {0,k_r} gives M_B = prod M_{0,k}, which vanishes exactly
+    at the (2j+1)/(2k); a k shared by two factors is a repeated root."""
+    digits = [sum(c) for c in product(*((0, k) for k in steps))]
+    want = sorted({Fraction(2 * j + 1, 2 * k) for k in steps for j in range(k)})
+    assert_zeros_enclosed(digits, want)
+
+
+def test_mask_zeros_translation_invariant():
+    # shifting B multiplies the mask by a unimodular factor, leaving the zeros
+    digits = (0, 5, 13, 18)
+    base = mask_zeros(digits, 0.0, 1.0)
+    assert len(base) == 17
+    for s in range(-3, 4):
+        got = mask_zeros([b + s for b in digits], 0.0, 1.0)
+        assert got.roots == pytest.approx(base.roots, abs=1e-15), s
+
+
+def test_mask_zeros_rejects_non_integer_digits():
+    with pytest.raises(ValueError, match="must be integers"):
+        mask_zeros([0, 2.5], 0.0, 1.0)
+
+
+def test_zero_free_radius_rejects_non_integer_digits():
+    with pytest.raises(ValueError, match="must be integers"):
+        zero_free_radius([0, 2.7])
+
+
 def test_zero_free_radius_examples():
     assert zero_free_radius([0, 2]) == pytest.approx(1 / 8, abs=1e-10)
     assert zero_free_radius([0, 1]) == pytest.approx(1 / 4, abs=1e-10)
@@ -189,6 +260,34 @@ def test_propagation_invariants_random():
             for n in range(steps + 1)
         ]
         assert all(c <= cap for c, cap in zip(tr.counts, caps))
+
+
+def propagation_sets_by_scalar_loop(spec, xi0, steps, tol=1e-6):
+    """Y_n one candidate at a time, each with its own scalar mask call."""
+    ys = [(float(xi0),)]
+    for t, scale, _ in spec.factors(steps):
+        nxt = []
+        for x in ys[-1]:
+            for l in t.L:
+                tau = (x + scale // t.N * (l % abs(t.N))) / scale
+                if abs(mask(t.B, tau)) > tol:
+                    nxt.append(tau)
+        kept = []
+        for v in sorted(nxt):
+            if not kept or abs(v - kept[-1]) >= 1e-12:
+                kept.append(v)
+        ys.append(tuple(kept))
+    return tuple(ys)
+
+
+def test_propagation_matches_scalar_loop_random():
+    rng = random.Random(4242)
+    for _ in range(40):
+        spec = random_spec(rng)
+        xi0 = rng.uniform(-2.0, 2.0)
+        steps = rng.randint(2, 5)
+        tr = zero_propagation(spec, xi0, steps=steps)
+        assert tr.sets == propagation_sets_by_scalar_loop(spec, xi0, steps)
 
 
 def test_propagation_trace_shape(e14_tail_spec):
