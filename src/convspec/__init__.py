@@ -11,7 +11,6 @@ from .convolution import (
     DepthTooLargeError,
     DiscreteMeasure,
     SelectionWord,
-    SupportBound,
     TailSpec,
     TailValue,
     cdf,
@@ -21,13 +20,11 @@ from .convolution import (
     fourier_tail,
     fraction_str,
     mask,
-    support_bound,
     tail_truncation_bound,
 )
 from .equipos import EquiPositivityCertificate, ProbeRow, choose_k, probe_family
 from .spectrum import (
     BuildParams,
-    CompositeBlocks,
     EquiPositivityViolation,
     GcdNotCertifiedWarning,
     GcdReport,
@@ -71,7 +68,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BuildParams",
-    "CompositeBlocks",
     "ConvolutionSpec",
     "DepthTooLargeError",
     "DiscreteMeasure",
@@ -87,7 +83,6 @@ __all__ = [
     "QValue",
     "SelectionWord",
     "SpectrumLevels",
-    "SupportBound",
     "TailSpec",
     "TailValue",
     "TripleReport",
@@ -117,7 +112,6 @@ __all__ = [
     "q_function",
     "reduce_frequencies",
     "spectral_report",
-    "support_bound",
     "tail_truncation_bound",
     "translate_triple",
     "verify_triple",

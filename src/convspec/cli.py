@@ -320,11 +320,13 @@ def build_parser() -> _Parser:
     _add_spec_options(p)
     _add_output_options(p)
     p.add_argument("--levels", type=int, default=3, help="construction depth")
-    p.add_argument("--delta", type=float, default=0.2)
-    p.add_argument("--epsilon", type=float, default=BuildParams().epsilon,
+    defaults = BuildParams()
+    p.add_argument("--delta", type=float, default=defaults.delta)
+    p.add_argument("--epsilon", type=float, default=defaults.epsilon,
                    help="demanded tail-transform floor")
-    p.add_argument("--kmax", type=int, default=8, help="shift search window")
-    p.add_argument("--depth", type=int, default=40, help="tail truncation factors")
+    p.add_argument("--kmax", type=int, default=defaults.K, help="shift search window")
+    p.add_argument("--depth", type=int, default=defaults.depth,
+                   help="tail truncation factors")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("verify", help="Gram/completeness verification of levels")

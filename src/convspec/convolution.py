@@ -32,7 +32,6 @@ __all__ = [
     "DiscreteMeasure",
     "TailSpec",
     "TailValue",
-    "SupportBound",
     "DepthTooLargeError",
     "finite_level",
     "convolve",
@@ -40,7 +39,6 @@ __all__ = [
     "fourier_finite",
     "fourier_tail",
     "tail_truncation_bound",
-    "support_bound",
     "cdf",
     "fraction_str",
 ]
@@ -52,6 +50,15 @@ DEFAULT_DENOMINATOR_BITS = 1 << 16
 
 class DepthTooLargeError(ValueError):
     """Raised when level denominators exceed the configured bit budget."""
+
+
+def _eventually_periodic(pre: tuple[int, ...], per: tuple[int, ...], k: int) -> int:
+    """Entry k >= 1 of the sequence pre + per + per + ..."""
+    if k < 1:
+        raise ValueError(f"position must be >= 1, got {k}")
+    if k <= len(pre):
+        return pre[k - 1]
+    return per[(k - len(pre) - 1) % len(per)]
 
 
 @dataclass(frozen=True)
@@ -69,10 +76,10 @@ class SelectionWord:
     exp_period: tuple[int, ...] = (1,)
 
     def __post_init__(self):
-        object.__setattr__(self, "prefix", tuple(int(s) for s in self.prefix))
-        object.__setattr__(self, "period", tuple(int(s) for s in self.period))
-        object.__setattr__(self, "exp_prefix", tuple(int(s) for s in self.exp_prefix))
-        object.__setattr__(self, "exp_period", tuple(int(s) for s in self.exp_period))
+        for name in ("prefix", "period"):
+            object.__setattr__(self, name, _integers(getattr(self, name), "word symbols"))
+        for name in ("exp_prefix", "exp_period"):
+            object.__setattr__(self, name, _integers(getattr(self, name), "exponents"))
         if not self.period:
             raise ValueError("word period must be nonempty")
         if not self.exp_period:
@@ -84,19 +91,11 @@ class SelectionWord:
 
     def symbol(self, k: int) -> int:
         """Symbol at position k >= 1."""
-        if k < 1:
-            raise ValueError(f"position must be >= 1, got {k}")
-        if k <= len(self.prefix):
-            return self.prefix[k - 1]
-        return self.period[(k - len(self.prefix) - 1) % len(self.period)]
+        return _eventually_periodic(self.prefix, self.period, k)
 
     def exponent(self, k: int) -> int:
         """Exponent at position k >= 1."""
-        if k < 1:
-            raise ValueError(f"position must be >= 1, got {k}")
-        if k <= len(self.exp_prefix):
-            return self.exp_prefix[k - 1]
-        return self.exp_period[(k - len(self.exp_prefix) - 1) % len(self.exp_period)]
+        return _eventually_periodic(self.exp_prefix, self.exp_period, k)
 
     @property
     def max_symbol(self) -> int:
@@ -280,16 +279,6 @@ class TailValue(NamedTuple):
     bound: float | np.ndarray
 
 
-@dataclass(frozen=True)
-class SupportBound:
-    """h = 1 + max|digit|; levels live in [-(h-1), h-1], tails shrink like 2^-n."""
-
-    h: int
-
-    def level_interval(self) -> tuple[float, float]:
-        return (-(self.h - 1), self.h - 1)
-
-
 def fraction_str(q: Fraction) -> str:
     """Exact decimal string when the denominator is 2^a*5^b, else 'p/q'."""
     den = q.denominator
@@ -471,11 +460,6 @@ def fourier_tail(
     if x.ndim == 0:
         return TailValue(complex(out), float(bound))
     return TailValue(out, bound)
-
-
-def support_bound(spec: ConvolutionSpec) -> SupportBound:
-    """h = 1 + max over the family of max|b|."""
-    return SupportBound(1 + max(max(abs(b) for b in t.B) for t in spec.family))
 
 
 def cdf(measure: DiscreteMeasure, x: Fraction | int | float) -> Fraction:

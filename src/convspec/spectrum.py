@@ -29,6 +29,7 @@ from .convolution import ConvolutionSpec, TailSpec
 from .equipos import choose_k
 from .triples import (
     HadamardTriple,
+    _integers,
     compose_triples,
     difference_gcd,
     normalize_frequencies,
@@ -36,7 +37,6 @@ from .triples import (
 
 __all__ = [
     "BuildParams",
-    "CompositeBlocks",
     "SpectrumLevels",
     "GcdReport",
     "GcdNotCertifiedWarning",
@@ -85,10 +85,11 @@ class BuildParams:
     max_m: int = 512
 
     def __post_init__(self):
-        if self.delta <= 0:
+        if not self.delta > 0:  # NaN fails too
             raise ValueError("delta must be positive")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
+        _integers((self.K, self.depth, self.max_m), "K, depth and max_m")
         if self.K < 1 or self.depth < 1 or self.max_m < 1:
             raise ValueError("K, depth and max_m must be >= 1")
 
@@ -103,28 +104,14 @@ class BuildParams:
 
 
 @dataclass(frozen=True)
-class CompositeBlocks:
-    """Composite triple over factor positions p+1..q of the effective sequence."""
-
-    p: int
-    q: int
-    bigN: int
-    bigB: tuple[int, ...]
-    bigL: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class SpectrumLevels:
-    """Nested integer sets Lambda_0 <= Lambda_1 <= ... with their shift data."""
+    """Nested integer sets Lambda_0 <= Lambda_1 <= ... with their shift data
+    and the parameters that built them."""
 
     levels: tuple[tuple[int, ...], ...]
     indices: tuple[int, ...]
     shifts: tuple[tuple[tuple[int, int], ...], ...]
-    delta_used: float
-    epsilon_used: float
-    k_window: int
-    probe_depth: int
-    max_m: int = BuildParams.max_m
+    params: BuildParams
 
     @property
     def level_count(self) -> int:
@@ -143,44 +130,29 @@ class SpectrumLevels:
             "levels": [list(lv) for lv in self.levels],
             "indices": list(self.indices),
             "shifts": [[[l, k] for l, k in sh] for sh in self.shifts],
-            "parameters": {
-                "delta": self.delta_used,
-                "epsilon": self.epsilon_used,
-                "K": self.k_window,
-                "depth": self.probe_depth,
-                "max_m": self.max_m,
-            },
+            "parameters": self.params.to_json(),
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "SpectrumLevels":
-        """Inverse of to_json; a missing field, parameters included, raises KeyError."""
-        params = obj["parameters"]
+        """Inverse of to_json; a missing field, parameters included, raises
+        KeyError, and a non-integer entry or invalid parameter ValueError."""
+        p = obj["parameters"]
         return cls(
-            levels=tuple(tuple(int(x) for x in lv) for lv in obj["levels"]),
-            indices=tuple(int(x) for x in obj["indices"]),
+            levels=tuple(_integers(lv, "levels") for lv in obj["levels"]),
+            indices=_integers(obj["indices"], "indices"),
             shifts=tuple(
-                tuple((int(l), int(k)) for l, k in sh) for sh in obj["shifts"]
+                tuple((l, k) for l, k in (_integers(lk, "shifts") for lk in sh))
+                for sh in obj["shifts"]
             ),
-            delta_used=float(params["delta"]),
-            epsilon_used=float(params["epsilon"]),
-            k_window=int(params["K"]),
-            probe_depth=int(params["depth"]),
-            max_m=int(params["max_m"]),
+            params=BuildParams(
+                float(p["delta"]), float(p["epsilon"]), p["K"], p["depth"], p["max_m"]
+            ),
         )
 
     @classmethod
     def initial(cls, params: BuildParams) -> "SpectrumLevels":
-        return cls(
-            levels=((0,),),
-            indices=(),
-            shifts=(),
-            delta_used=params.delta,
-            epsilon_used=params.epsilon,
-            k_window=params.K,
-            probe_depth=params.depth,
-            max_m=params.max_m,
-        )
+        return cls(levels=((0,),), indices=(), shifts=(), params=params)
 
 
 def _normalized_spec(spec: ConvolutionSpec) -> ConvolutionSpec:
@@ -189,34 +161,30 @@ def _normalized_spec(spec: ConvolutionSpec) -> ConvolutionSpec:
     )
 
 
-def block_frequencies(spec: ConvolutionSpec, p: int, q: int) -> CompositeBlocks:
+def block_frequencies(spec: ConvolutionSpec, p: int, q: int) -> HadamardTriple:
     """Composite triple over factor positions p+1..q (frequencies normalized)."""
     if not 0 <= p < q:
         raise ValueError(f"invalid range: need 0 <= p < q, got p={p}, q={q}")
     # position k as a plain triple: (N^e, B, N^(e-1) L)
-    composite = compose_triples([
+    return compose_triples([
         HadamardTriple(s, t.B, tuple(s // t.N * l for l in t.L))
         for t, s, _ in _normalized_spec(spec).factors(q)[p:]
     ])
-    return CompositeBlocks(
-        p=p, q=q, bigN=composite.N, bigB=composite.B, bigL=composite.L
-    )
 
 
 def next_level(
     spec: ConvolutionSpec,
     state: SpectrumLevels,
     subsequence: Iterable[int] | None = None,
-    params: BuildParams | None = None,
 ) -> SpectrumLevels:
-    """Extend the construction by one level.
+    """Extend the construction by one level, with the parameters of ``state``.
 
     m_i is the least element of ``subsequence`` past the current index whose
     accumulated scale shrinks every current element below delta/2; the shift
     of each block frequency comes from the tail-transform search, with the
     achieved value required to reach epsilon.
     """
-    params = params or BuildParams()
+    params = state.params
     if subsequence is None:
         subsequence = range(1, params.max_m + 1)
     prev = state.levels[-1]
@@ -245,11 +213,11 @@ def next_level(
     n0_prev = spec.scale_product(m_prev)
 
     shift_map: dict[int, int] = {}
-    for lam in blocks.bigL:
+    for lam in blocks.L:
         if lam == 0:
             shift_map[0] = 0
             continue
-        ratio = Fraction(lam, blocks.bigN)
+        ratio = Fraction(lam, blocks.N)
         whole = math.floor(ratio)
         x = float(ratio - whole)
         k_x, achieved = choose_k(tail, x, K=params.K, depth=params.depth)
@@ -259,9 +227,9 @@ def next_level(
             )
         shift_map[lam] = k_x - whole
 
-    block_points = [lam + shift_map[lam] * blocks.bigN for lam in blocks.bigL]
+    block_points = [lam + shift_map[lam] * blocks.N for lam in blocks.L]
     new_level = sorted({a + n0_prev * b for a in prev for b in block_points})
-    if len(new_level) != len(prev) * len(blocks.bigL):
+    if len(new_level) != len(prev) * len(blocks.L):
         raise RuntimeError(
             "level cardinality collapsed; the input spec is not a valid "
             "Hadamard system"
@@ -270,11 +238,7 @@ def next_level(
         levels=state.levels + (tuple(new_level),),
         indices=state.indices + (m_i,),
         shifts=state.shifts + (tuple(sorted(shift_map.items())),),
-        delta_used=params.delta,
-        epsilon_used=params.epsilon,
-        k_window=params.K,
-        probe_depth=params.depth,
-        max_m=params.max_m,
+        params=params,
     )
 
 
@@ -305,7 +269,7 @@ def build_spectrum(
     subsequence = list(subsequence) if subsequence is not None else None
     state = SpectrumLevels.initial(params)
     for _ in range(depth_i):
-        state = next_level(spec, state, subsequence=subsequence, params=params)
+        state = next_level(spec, state, subsequence=subsequence)
     return state
 
 

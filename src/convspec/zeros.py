@@ -266,6 +266,9 @@ def enumerate_zero_products(family, h: float) -> ZeroSetReport:
     merged: list[ZeroEnclosure] = []
     for e in pts:
         if merged and abs(e.root - merged[-1].root) < 1e-9:
+            # one point reached through several scale products: widest radius
+            if e.radius > merged[-1].radius:
+                merged[-1] = ZeroEnclosure(merged[-1].root, e.radius)
             continue
         merged.append(e)
     return ZeroSetReport(

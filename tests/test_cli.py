@@ -65,6 +65,18 @@ def test_check_non_integer_digits_exits_3(capsys, tmp_path):
     assert out == ""
 
 
+def test_check_non_integer_word_exits_3(capsys, tmp_path):
+    cfg = tmp_path / "fractional_word.json"
+    cfg.write_text(json.dumps({
+        "triples": [{"N": 4, "B": [0, 2], "L": [0, 1]}],
+        "word": {"period": [1.7]},
+    }))
+    for command in ("check", "spectrum"):
+        code, out = run(capsys, command, "--config", str(cfg))
+        assert code == 3
+        assert out == ""
+
+
 def test_usage_errors_exit_1(capsys):
     assert main(["check"]) == 1  # neither preset nor config
     assert main(["zeros", "--preset", "jp"]) == 1  # no mode chosen
@@ -150,6 +162,31 @@ def test_verify_levels_file_missing_parameter_exits_3(capsys, tmp_path):
     code = main(["verify", "--preset", "jp", "--levels-file", str(partial)])
     assert code == 3
     assert "depth" in capsys.readouterr().err
+
+
+def _verify_edited_levels(tmp_path, edit):
+    levels_path = tmp_path / "levels.json"
+    main(["spectrum", "--preset", "jp", "--levels", "3", "--out", str(levels_path)])
+    obj = json.loads(levels_path.read_text())
+    edit(obj)
+    levels_path.write_text(json.dumps(obj))
+    return main(["verify", "--preset", "jp", "--levels-file", str(levels_path)])
+
+
+def test_verify_non_integer_frequency_exits_3(capsys, tmp_path):
+    def edit(obj):
+        obj["levels"][-1][1] += 0.5
+
+    assert _verify_edited_levels(tmp_path, edit) == 3
+    assert "levels must be integers" in capsys.readouterr().err
+
+
+def test_verify_invalid_parameters_exits_3(capsys, tmp_path):
+    def edit(obj):
+        obj["parameters"].update(delta=-1.0, K=0)
+
+    assert _verify_edited_levels(tmp_path, edit) == 3
+    assert "delta must be positive" in capsys.readouterr().err
 
 
 def test_verify_not_applicable_after_failed_construction(capsys, tmp_path):

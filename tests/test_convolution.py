@@ -27,7 +27,6 @@ from convspec import (
     fraction_str,
     mask,
     normalize_frequencies,
-    support_bound,
     tail_truncation_bound,
     zero_propagation,
 )
@@ -89,6 +88,14 @@ def test_word_validation():
         SelectionWord(period=(0,))
     with pytest.raises(ValueError):
         SelectionWord(period=(1,), exp_period=(0,))
+
+
+def test_word_rejects_non_integer_entries():
+    # int() would truncate these to word 12 with exponent 2
+    with pytest.raises(ValueError, match="word symbols must be integers"):
+        SelectionWord(period=(1.7, 2.2))
+    with pytest.raises(ValueError, match="exponents must be integers"):
+        SelectionWord(period=(1,), exp_period=(2.9,))
 
 
 def test_word_shift_matches_offset_random():
@@ -409,8 +416,7 @@ def test_block_frequencies_match_hand_built_composite_random():
             )
         want = compose_triples(factors)
         got = block_frequencies(spec, p, q)
-        assert (got.p, got.q) == (p, q)
-        assert (got.bigN, got.bigB, got.bigL) == (want.N, want.B, want.L)
+        assert (got.N, got.B, got.L) == (want.N, want.B, want.L)
 
 
 def test_zero_propagation_first_step_random():
@@ -427,19 +433,11 @@ def test_zero_propagation_first_step_random():
         assert list(trace.sets[1]) == pytest.approx(want, abs=1e-12)
 
 
-# --- support bound and cdf --------------------------------------------------
+# --- level support and cdf --------------------------------------------------
 
-def test_support_bound_values(e14_spec, jp_spec):
-    assert support_bound(e14_spec).h == 4
-    assert support_bound(jp_spec).h == 3
-
-
-def test_support_bound_contains_levels(e14_spec):
-    sb = support_bound(e14_spec)
-    lo, hi = sb.level_interval()
+def test_e14_level_positions_in_support(e14_spec):
     mu = finite_level(e14_spec, 6)
     positions = [float(p) for p, _ in mu.atoms]
-    assert all(lo <= p <= hi for p in positions)
     assert all(0.0 <= p <= 3.0 for p in positions)
 
 

@@ -41,12 +41,12 @@ def build_quiet(spec, depth_i, **kw):
 
 def test_block_frequencies_jp(jp_spec):
     b = block_frequencies(jp_spec, 0, 2)
-    assert b.bigN == 16
-    assert sorted(b.bigL) == [0, 1, 4, 5]
-    assert sorted(b.bigB) == [0, 2, 8, 10]
-    assert verify_triple(b.bigN, b.bigB, b.bigL).ok
+    assert b.N == 16
+    assert sorted(b.L) == [0, 1, 4, 5]
+    assert sorted(b.B) == [0, 2, 8, 10]
+    assert verify_triple(b.N, b.B, b.L).ok
     single = block_frequencies(jp_spec, 0, 1)
-    assert single.bigN == 4 and sorted(single.bigL) == [0, 1]
+    assert single.N == 4 and sorted(single.L) == [0, 1]
 
 
 def test_block_frequencies_mixed_word():
@@ -55,18 +55,18 @@ def test_block_frequencies_mixed_word():
         SelectionWord(period=(1, 2)),
     )
     b = block_frequencies(spec, 0, 2)
-    assert b.bigN == 6
-    assert sorted(b.bigL) == [0, 1, 2, 3, 4, 5]
-    assert verify_triple(b.bigN, b.bigB, b.bigL).ok
+    assert b.N == 6
+    assert sorted(b.L) == [0, 1, 2, 3, 4, 5]
+    assert verify_triple(b.N, b.B, b.L).ok
 
 
 def test_block_frequencies_with_exponents(jp_spec):
     spec = ConvolutionSpec(jp_spec.family, SelectionWord(period=(1,), exp_period=(2,)))
     b = block_frequencies(spec, 0, 1)
     # effective triple (16, {0,2}, 4*{0,1})
-    assert b.bigN == 16
-    assert sorted(b.bigL) == [0, 4]
-    assert verify_triple(b.bigN, b.bigB, b.bigL).ok
+    assert b.N == 16
+    assert sorted(b.L) == [0, 4]
+    assert verify_triple(b.N, b.B, b.L).ok
 
 
 def test_block_frequencies_invalid_range(jp_spec):
@@ -89,7 +89,7 @@ def test_first_level_is_block_frequencies(mixed_spec):
     levels = build_quiet(mixed_spec, 1)
     m1 = levels.indices[0]
     b = block_frequencies(mixed_spec, 0, m1)
-    assert sorted(levels.level(1)) == sorted(b.bigL)  # all shifts zero or folded in
+    assert sorted(levels.level(1)) == sorted(b.L)  # all shifts zero or folded in
 
 
 def test_nesting_membership_cardinality(mixed_spec, jp_spec):
@@ -176,6 +176,35 @@ def test_e14_uniform_word_violates_equipositivity(e14_tail_spec):
     assert exc.lam != 0
 
 
+def test_next_level_keeps_the_parameters_of_its_state(mixed_spec):
+    params = BuildParams(delta=0.25, epsilon=0.1, K=5, depth=33, max_m=64)
+    state = next_level(mixed_spec, build_quiet(mixed_spec, 2, params=params))
+    assert state.params == params
+    assert state == build_quiet(mixed_spec, 3, params=params)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("levels", [[0], [0, 1.5]]), ("indices", [1.0]), ("shifts", [[[1, 0.5]]])],
+)
+def test_levels_json_rejects_non_integers(mixed_spec, field, value):
+    js = build_quiet(mixed_spec, 1).to_json()
+    js[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be integers"):
+        SpectrumLevels.from_json(js)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("delta", -1.0), ("delta", float("nan")), ("epsilon", 0.0), ("K", 0), ("depth", 2.5)],
+)
+def test_levels_json_validates_parameters(mixed_spec, key, value):
+    js = build_quiet(mixed_spec, 1).to_json()
+    js["parameters"][key] = value
+    with pytest.raises(ValueError):
+        SpectrumLevels.from_json(js)
+
+
 def test_next_level_from_initial_state(jp_spec):
     state = SpectrumLevels.initial(BuildParams())
     state = next_level(jp_spec, state)
@@ -192,7 +221,7 @@ def test_levels_json_round_trip(mixed_spec):
 def test_parameters_round_trip_including_max_m(mixed_spec):
     params = BuildParams(delta=0.25, epsilon=0.1, K=5, depth=33, max_m=64)
     levels = build_quiet(mixed_spec, 3, params=params)
-    assert levels.max_m == 64
+    assert levels.params.max_m == 64
     js = levels.to_json()
     assert js["parameters"] == params.to_json()
     assert SpectrumLevels.from_json(js) == levels

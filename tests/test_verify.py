@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from convspec import (
+    BuildParams,
     GcdNotCertifiedWarning,
     SpectrumLevels,
     build_spectrum,
@@ -141,10 +142,7 @@ def test_spectral_report_detects_tampering(jp_spec):
         levels=levels.levels[:-1] + (tuple(top),),
         indices=levels.indices,
         shifts=levels.shifts,
-        delta_used=levels.delta_used,
-        epsilon_used=levels.epsilon_used,
-        k_window=levels.k_window,
-        probe_depth=levels.probe_depth,
+        params=levels.params,
     )
     rep = spectral_report(jp_spec, tampered, grid_n=64, depth=30)
     assert not rep.passed
@@ -153,8 +151,7 @@ def test_spectral_report_detects_tampering(jp_spec):
 
 def test_spectral_report_empty_levels_rejected(jp_spec):
     empty = SpectrumLevels(
-        levels=((0,),), indices=(), shifts=(),
-        delta_used=0.2, epsilon_used=0.15, k_window=8, probe_depth=40,
+        levels=((0,),), indices=(), shifts=(), params=BuildParams(),
     )
     with pytest.raises(ValueError, match="no levels"):
         spectral_report(jp_spec, empty)

@@ -219,6 +219,25 @@ def test_enumerate_zero_products_family_order_invariant():
     assert ra.roots == pytest.approx(rb.roots, abs=1e-9)
 
 
+def test_enumerate_zero_products_keeps_largest_merged_radius():
+    # 1.0 = 2 * 0.5 = 3 * (1/3): points reached through several scale products
+    fam = (HadamardTriple(2, (0, 1), (0, 1)), HadamardTriple(3, (0, 1, 2), (0, 1, 2)))
+    h = 4.0
+    raw = []
+    for t in fam:
+        for a, b in product(range(7), repeat=2):
+            s = 2**a * 3**b
+            raw += [(s * e.root, s * e.radius) for e in mask_zeros(t.B, -h / s, h / s).entries]
+    r = enumerate_zero_products(fam, h)
+    grouped = 0
+    for e in r.entries:
+        group = [rad for x, rad in raw if abs(x - e.root) < 1e-9]
+        assert e.radius == max(group)
+        grouped += len(group)
+    assert grouped == len(raw)
+    assert len(raw) > len(r)  # some points were merged
+
+
 def test_probe_jp_witness_at_one(jp_spec):
     v = integral_periodic_zero_probe(jp_spec, 1.0, K=3, depth=40, tol=1e-6)
     assert v.is_witness
