@@ -264,12 +264,9 @@ def cmd_zeros(args) -> int:
 
 def cmd_equipos(args) -> int:
     spec = load_spec(args)
-    skips = _parse_symbols_signed(args.skips)
-    if any(s < 0 for s in skips):
-        raise ConfigError("skips must be nonnegative")
     cert = probe_family(
         spec,
-        skips,
+        _parse_symbols_signed(args.skips),
         grid_n=args.grid,
         K=args.kmax,
         depth=args.depth,

@@ -362,24 +362,19 @@ def mask(B: Sequence[int], xi: ArrayLike) -> complex | np.ndarray:
     # digits are checked before the cache, where 2.0 and 2 are one key
     lo, coef = _digit_polynomial(_integers(B))
     x = np.asarray(xi, dtype=float)
-    z = x * (-2j * np.pi)
-    if x.ndim == 0:
-        # the same steps in Python complex arithmetic, without numpy's per-call cost
-        z = complex(np.exp(z))
-        out = complex(coef[-1])
-    else:
-        np.exp(z, out=z)
-        out = np.full(x.shape, coef[-1], dtype=complex)
+    z = np.asarray(x * (-2j * np.pi))  # a 0-d input takes the same array steps
+    np.exp(z, out=z)
+    out = np.full(x.shape, coef[-1], dtype=complex)
     for c in coef[-2::-1]:
         out *= z
         if c:
             out += c
     if lo < 0:
-        # in place for arrays: the memory a call takes must not depend on the digits
-        z = z.conjugate() if x.ndim == 0 else np.conjugate(z, out=z)
+        # in place: the memory a call takes must not depend on the digits
+        np.conjugate(z, out=z)
     for _ in range(abs(lo)):
         out *= z
-    return out
+    return complex(out) if x.ndim == 0 else out
 
 
 def _mask_product(spec: ConvolutionSpec, n: int, x: np.ndarray) -> np.ndarray:

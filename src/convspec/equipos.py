@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolution import ConvolutionSpec, TailSpec, fourier_tail
+from .convolution import ArrayLike, ConvolutionSpec, TailSpec, fourier_tail
+from .triples import _integers
 from .zeros import search_order
 
 __all__ = [
@@ -85,23 +86,25 @@ class EquiPositivityCertificate:
 
 
 def choose_k(
-    tail: ConvolutionSpec, x: float, K: int = 8, depth: int = 40
-) -> tuple[int, float]:
+    tail: ConvolutionSpec, x: ArrayLike, K: int = 8, depth: int = 40
+) -> tuple[int, float] | tuple[np.ndarray, np.ndarray]:
     """Shift k in [-K, K] maximizing |tail transform(x + k)| (truncated).
 
-    Ties break toward smaller |k|, then the positive one; x = 0 always
-    returns (0, 1).
+    x is a point or an array of points in [0, 1), and (k, value) match its
+    shape.  Ties break toward smaller |k|, then the positive one; x = 0
+    always gives (0, 1).
     """
-    if not 0.0 <= x < 1.0:
+    xs = np.asarray(x, dtype=float)
+    if not np.all((0.0 <= xs) & (xs < 1.0)):
         raise ValueError(f"x must lie in [0, 1), got {x}")
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    if x == 0.0:
-        return 0, 1.0
     ks = np.array(search_order(K))
-    vals = np.abs(fourier_tail(tail, x + ks, depth).value)
-    best = int(np.argmax(vals))  # first maximum respects the tie order
-    return int(ks[best]), float(vals[best])
+    vals = np.abs(fourier_tail(tail, xs[..., None] + ks, depth).value)
+    at_origin = xs == 0.0
+    k = np.where(at_origin, 0, ks[np.argmax(vals, axis=-1)])  # first maximum: the tie order
+    value = np.where(at_origin, 1.0, vals.max(axis=-1))
+    if xs.ndim == 0:
+        return int(k), float(value)
+    return k, value
 
 
 def probe_family(
@@ -114,33 +117,22 @@ def probe_family(
 ) -> EquiPositivityCertificate:
     """Probe the tails of ``spec`` with the given skip indices on a uniform grid.
 
-    Runs :func:`choose_k` for every (grid point, tail) pair; eps-hat is the
+    Runs :func:`choose_k` over the grid for every tail; eps-hat is the
     minimum achieved value.  The result fails when eps-hat does not exceed
     the failure threshold, naming the worst (x, skip) pair.
     """
-    skips = tuple(int(n) for n in skips)
-    if not skips:
-        raise ValueError("skips must be nonempty")
+    skips = _integers(skips, "skips")
+    if not skips or min(skips) < 0:
+        raise ValueError(f"skips must be a nonempty list of integers >= 0, got {list(skips)}")
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
-    ks = np.array(search_order(K))
     xs = np.arange(grid_n) / grid_n
     rows: list[ProbeRow] = []
     for n in skips:
-        tail = TailSpec(spec, n)
-        pts = xs[None, :] + ks[:, None]
-        vals = np.abs(fourier_tail(tail, pts, depth).value)
-        idx = np.argmax(vals, axis=0)
-        rows.append(ProbeRow(x=0.0, skip=n, k=0, value=1.0))
-        for j in range(1, grid_n):
-            rows.append(
-                ProbeRow(
-                    x=float(xs[j]),
-                    skip=n,
-                    k=int(ks[idx[j]]),
-                    value=float(vals[idx[j], j]),
-                )
-            )
+        k, value = choose_k(TailSpec(spec, n), xs, K, depth)
+        rows.extend(
+            ProbeRow(x, n, kx, v) for x, kx, v in zip(xs.tolist(), k.tolist(), value.tolist())
+        )
     rows.sort(key=lambda r: (r.x, r.skip))
     worst = min(rows, key=lambda r: r.value)
     eps_hat = worst.value

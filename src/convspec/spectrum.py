@@ -85,8 +85,8 @@ class BuildParams:
     max_m: int = 512
 
     def __post_init__(self):
-        if not self.delta > 0:  # NaN fails too
-            raise ValueError("delta must be positive")
+        if not 0 < self.delta < math.inf:  # NaN fails too
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         _integers((self.K, self.depth, self.max_m), "K, depth and max_m")
@@ -209,23 +209,18 @@ def next_level(
         )
 
     blocks = block_frequencies(spec, m_prev, m_i)
-    tail = TailSpec(spec, m_i)
     n0_prev = spec.scale_product(m_prev)
 
-    shift_map: dict[int, int] = {}
-    for lam in blocks.L:
-        if lam == 0:
-            shift_map[0] = 0
-            continue
-        ratio = Fraction(lam, blocks.N)
-        whole = math.floor(ratio)
-        x = float(ratio - whole)
-        k_x, achieved = choose_k(tail, x, K=params.K, depth=params.depth)
-        if achieved < params.epsilon:
+    # one shift search over every block frequency, each at x = frac(lambda/N)
+    ratios = [Fraction(lam, blocks.N) for lam in blocks.L]
+    xs = [float(r - math.floor(r)) for r in ratios]
+    ks, achieved = choose_k(TailSpec(spec, m_i), xs, K=params.K, depth=params.depth)
+    for lam, x, value in zip(blocks.L, xs, achieved.tolist()):
+        if lam != 0 and value < params.epsilon:  # k = 0 is forced at lambda = 0
             raise EquiPositivityViolation(
-                lam=lam, m=m_i, x=x, achieved=achieved, epsilon=params.epsilon
+                lam=lam, m=m_i, x=x, achieved=value, epsilon=params.epsilon
             )
-        shift_map[lam] = k_x - whole
+    shift_map = {lam: k - math.floor(r) for lam, k, r in zip(blocks.L, ks.tolist(), ratios)}
 
     block_points = [lam + shift_map[lam] * blocks.N for lam in blocks.L]
     new_level = sorted({a + n0_prev * b for a in prev for b in block_points})

@@ -197,14 +197,12 @@ def spectral_report(
     grid_n: int = 64,
     depth: int = 30,
     extra_worst: int = 10,
-    completeness_tol: float = DEFAULT_COMPLETENESS_TOL,
-    q_slack: float = DEFAULT_Q_SLACK,
 ) -> QReport:
     """Evaluate the deepest level on [-2, 2]: completeness plus Q with bounds.
 
     The grid is grid_n uniform points augmented with the worst points of a
     4x finer coarse scan.  Pass requires the completeness defect within
-    completeness_tol and min Q >= 1 - (tail_bound + q_slack).
+    DEFAULT_COMPLETENESS_TOL and min Q >= 1 - (tail_bound + DEFAULT_Q_SLACK).
     """
     if levels.level_count < 1:
         raise ValueError("no levels to verify")
@@ -220,7 +218,7 @@ def spectral_report(
     q, bounds, comp = _grid_pass(spec, levels, i, depth, grid)
     tail_bound = float(np.max(bounds))
     min_q = float(np.min(q))
-    passed = comp <= completeness_tol and min_q >= 1.0 - (tail_bound + q_slack)
+    passed = comp <= DEFAULT_COMPLETENESS_TOL and min_q >= 1.0 - (tail_bound + DEFAULT_Q_SLACK)
     return QReport(
         xi_grid=tuple(float(x) for x in grid),
         q_values=tuple(float(v) for v in q),

@@ -78,9 +78,12 @@ class ZeroSetReport:
 
 
 def search_order(K: int) -> tuple[int, ...]:
-    """Integer shifts 0, 1, -1, 2, -2, ..., K, -K (smaller |k| first, + before -)."""
-    if K < 0:
-        raise ValueError("K must be >= 0")
+    """Integer shifts 0, 1, -1, 2, -2, ..., K, -K (smaller |k| first, + before -).
+
+    Every shift search takes its window from here, so K >= 1 is checked once.
+    """
+    if K < 1:
+        raise ValueError("K must be >= 1")
     out = [0]
     for j in range(1, K + 1):
         out.extend((j, -j))
@@ -201,8 +204,8 @@ def mask_zeros(
         raise ValueError("digit set must be nonempty")
     if len(set(B)) == 1:
         raise ValueError("no zeros by definition: mask of a singleton never vanishes")
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
     out = _translates(_zeros_in_unit_period(B, residual_tol), lo, hi)
     out.sort(key=lambda z: z.root)
     return ZeroSetReport(
@@ -244,8 +247,8 @@ def enumerate_zero_products(family, h: float) -> ZeroSetReport:
     [-h, h], since every scale has modulus at least 2.
     """
     family = tuple(family)
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if not 0 < h < math.inf:
+        raise ValueError(f"h must be positive and finite, got {h}")
     m = len(family)
     scales = [t.N for t in family]
     pts: list[ZeroEnclosure] = []
@@ -324,22 +327,18 @@ def integral_periodic_zero_probe(
     integral periodic zero set; otherwise xi stays a candidate member up to
     truncation, reported with the best value seen.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    best_v = -1.0
-    best_k = 0
-    for k in search_order(K):
-        v = abs(fourier_tail(spec, xi + k, depth).value)
-        if v > best_v:
-            best_v, best_k = v, k
-        if v > tol:
-            return ZeroProbeVerdict(
-                xi=float(xi), witness_k=k, witness_value=v,
-                max_value=v, max_k=k, tol=tol, K=K, depth=depth,
-            )
+    if not math.isfinite(xi):
+        raise ValueError(f"xi must be finite, got {xi}")
+    ks = search_order(K)
+    vals = np.abs(fourier_tail(spec, xi + np.array(ks), depth).value)
+    above = np.flatnonzero(vals > tol)
+    witness = above.size > 0
+    j = int(above[0]) if witness else int(np.argmax(vals))  # else the first maximum
+    v = float(vals[j])
     return ZeroProbeVerdict(
-        xi=float(xi), witness_k=None, witness_value=0.0,
-        max_value=best_v, max_k=best_k, tol=tol, K=K, depth=depth,
+        xi=float(xi), witness_k=ks[j] if witness else None,
+        witness_value=v if witness else 0.0,
+        max_value=v, max_k=ks[j], tol=tol, K=K, depth=depth,
     )
 
 

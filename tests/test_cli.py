@@ -241,6 +241,16 @@ def test_invalid_parameters_exit_3(capsys):
     assert main(["zeros", "--preset", "jp", "--probe-xi", "1.0", "--kmax", "0"]) == 3
     assert main(["zeros", "--preset", "jp", "--products-h", "-2"]) == 3
     assert main(["equipos", "--preset", "jp", "--grid", "1"]) == 3
+    assert main(["equipos", "--preset", "jp", "--kmax", "0"]) == 3
+    assert main(["equipos", "--preset", "jp", "--skips", "0,-1"]) == 3
+    assert main(["spectrum", "--preset", "jp", "--delta", "inf"]) == 3
+    assert main(["zeros", "--preset", "jp", "--products-h", "inf"]) == 3
+    assert main(["zeros", "--preset", "jp", "--products-h", "nan"]) == 3
+    assert main(["zeros", "--mask", "0,2", "--range", "0,inf"]) == 3
+    assert main(["zeros", "--mask", "0,2", "--range=-inf,0"]) == 3
+    assert main(["zeros", "--mask", "0,2", "--range", "nan,1"]) == 3
+    assert main(["zeros", "--preset", "jp", "--probe-xi", "nan"]) == 3
+    assert main(["zeros", "--preset", "jp", "--probe-xi", "inf"]) == 3
 
 
 def test_equipos_jp_certificate(capsys):
@@ -319,6 +329,19 @@ def test_spectrum_golden_digests(capsys, tmp_path, argv, want_code, digest):
     assert code == want_code
     text = json.dumps(integer_part(payload), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_spectrum_epsilon_above_one_names_first_nonzero_lambda(capsys, tmp_path):
+    # lambda = 0 keeps k = 0 with value 1 unchecked, so the first violation
+    # is lambda = 1 even when epsilon exceeds every attainable value
+    cfg = tmp_path / "mixed.json"
+    cfg.write_text(json.dumps(MIXED_CONFIG))
+    code, payload = run_json(capsys, "spectrum", "--config", str(cfg), "--epsilon", "1.5")
+    assert code == 2
+    err = payload["error"]
+    assert (err["type"], err["lambda"], err["m"], err["x"]) == (
+        "equi-positivity-violation", 1, 1, 0.5)
+    assert err["achieved"] < 1.5
 
 
 def test_word_parsing_variants(capsys):

@@ -3,9 +3,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from convspec import TailSpec, choose_k, probe_family
+from convspec import TailSpec, choose_k, integral_periodic_zero_probe, probe_family
 
 
 def cos_product_oracle(depth=40):
@@ -38,6 +39,40 @@ def test_choose_k_rejects_out_of_range(jp_spec):
         choose_k(TailSpec(jp_spec, 0), 1.0)
     with pytest.raises(ValueError):
         choose_k(TailSpec(jp_spec, 0), -0.25)
+
+
+def test_choose_k_array_matches_scalar_calls(jp_spec, mixed_spec, e14_tail_spec):
+    xs = np.array([[0.0, 0.125, 1 / 3], [0.5, 0.75, 0.999]])
+    for spec in (jp_spec, mixed_spec, e14_tail_spec):
+        tail = TailSpec(spec, 1)
+        k, v = choose_k(tail, xs, K=4, depth=30)
+        assert k.shape == v.shape == xs.shape
+        for idx in np.ndindex(xs.shape):
+            k1, v1 = choose_k(tail, float(xs[idx]), K=4, depth=30)
+            assert int(k[idx]) == k1
+            assert abs(v[idx] - v1) <= 1e-15
+
+
+def test_choose_k_window_must_be_positive(jp_spec):
+    with pytest.raises(ValueError, match="K must be >= 1"):
+        choose_k(TailSpec(jp_spec, 0), 0.25, K=0)
+    with pytest.raises(ValueError, match="K must be >= 1"):
+        probe_family(jp_spec, (0,), grid_n=4, K=0)
+
+
+def test_probe_rejects_non_integer_and_negative_skips(jp_spec):
+    # int() used to turn skip 1.5 into skip 1 without a word
+    for skips in ((1.5,), (0, 1.0), (0, -1)):
+        with pytest.raises(ValueError, match="skips"):
+            probe_family(jp_spec, skips, grid_n=4)
+
+
+def test_probe_xi_agrees_with_equipos_grid(jp_spec):
+    # both answer |mu^(1/2 + k)| through the same shift search arithmetic
+    verdict = integral_periodic_zero_probe(jp_spec, 0.5)
+    row = probe_family(jp_spec, (0,), grid_n=2).rows[1]
+    assert (row.x, row.k) == (0.5, verdict.witness_k)
+    assert verdict.witness_value == row.value
 
 
 def test_probe_jp_certificate(jp_spec):

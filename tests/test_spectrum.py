@@ -241,3 +241,11 @@ def test_levels_json_missing_parameter_raises(mixed_spec, missing):
 def test_build_rejects_zero_depth(jp_spec):
     with pytest.raises(ValueError):
         build_quiet(jp_spec, 0)
+
+
+@pytest.mark.parametrize("delta", [math.inf, -math.inf, math.nan, 0.0])
+def test_build_params_need_a_finite_positive_delta(delta):
+    # an infinite delta used to reach Fraction(inf) inside next_level
+    with pytest.raises(ValueError, match="delta"):
+        BuildParams(delta=delta)
+

@@ -238,6 +238,19 @@ def test_enumerate_zero_products_keeps_largest_merged_radius():
     assert len(raw) > len(r)  # some points were merged
 
 
+def test_non_finite_inputs_are_rejected(jp_spec):
+    # an infinite range used to loop forever; NaN gave empty or false verdicts
+    for lo, hi in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            mask_zeros((0, 2), lo, hi)
+    for h in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            enumerate_zero_products(jp_spec.family, h)
+    for xi in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            integral_periodic_zero_probe(jp_spec, xi)
+
+
 def test_probe_jp_witness_at_one(jp_spec):
     v = integral_periodic_zero_probe(jp_spec, 1.0, K=3, depth=40, tol=1e-6)
     assert v.is_witness
