@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolution import ArrayLike, ConvolutionSpec, TailSpec, fourier_tail
-from .triples import _integers
-from .zeros import search_order
+from .convolution import DEFAULT_TAIL_DEPTH, ArrayLike, ConvolutionSpec, TailSpec, fourier_tail
+from .triples import _integers, _tolerance
+from .zeros import DEFAULT_SHIFT_WINDOW, search_order
 
 __all__ = [
     "ProbeRow",
@@ -86,7 +86,10 @@ class EquiPositivityCertificate:
 
 
 def choose_k(
-    tail: ConvolutionSpec, x: ArrayLike, K: int = 8, depth: int = 40
+    tail: ConvolutionSpec,
+    x: ArrayLike,
+    K: int = DEFAULT_SHIFT_WINDOW,
+    depth: int = DEFAULT_TAIL_DEPTH,
 ) -> tuple[int, float] | tuple[np.ndarray, np.ndarray]:
     """Shift k in [-K, K] maximizing |tail transform(x + k)| (truncated).
 
@@ -111,8 +114,8 @@ def probe_family(
     spec: ConvolutionSpec,
     skips,
     grid_n: int = 128,
-    K: int = 8,
-    depth: int = 40,
+    K: int = DEFAULT_SHIFT_WINDOW,
+    depth: int = DEFAULT_TAIL_DEPTH,
     failure_threshold: float = DEFAULT_FAILURE_THRESHOLD,
 ) -> EquiPositivityCertificate:
     """Probe the tails of ``spec`` with the given skip indices on a uniform grid.
@@ -126,6 +129,7 @@ def probe_family(
         raise ValueError(f"skips must be a nonempty list of integers >= 0, got {list(skips)}")
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
+    _tolerance(failure_threshold, "failure_threshold")
     xs = np.arange(grid_n) / grid_n
     rows: list[ProbeRow] = []
     for n in skips:

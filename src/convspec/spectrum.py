@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .convolution import ConvolutionSpec, TailSpec
+from .convolution import DEFAULT_TAIL_DEPTH, ConvolutionSpec, TailSpec
 from .equipos import choose_k
 from .triples import (
     HadamardTriple,
@@ -34,6 +34,7 @@ from .triples import (
     difference_gcd,
     normalize_frequencies,
 )
+from .zeros import DEFAULT_SHIFT_WINDOW
 
 __all__ = [
     "BuildParams",
@@ -80,15 +81,15 @@ class BuildParams:
 
     delta: float = 0.2
     epsilon: float = 0.15
-    K: int = 8
-    depth: int = 40
+    K: int = DEFAULT_SHIFT_WINDOW
+    depth: int = DEFAULT_TAIL_DEPTH
     max_m: int = 512
 
     def __post_init__(self):
         if not 0 < self.delta < math.inf:  # NaN fails too
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         _integers((self.K, self.depth, self.max_m), "K, depth and max_m")
         if self.K < 1 or self.depth < 1 or self.max_m < 1:
             raise ValueError("K, depth and max_m must be >= 1")

@@ -43,6 +43,13 @@ def _integers(values: Sequence[int], name: str = "digits") -> tuple[int, ...]:
         raise ValueError(f"{name} must be integers, got {list(values)}") from None
 
 
+def _tolerance(value: float, name: str = "tol") -> float:
+    """value itself when it is finite and >= 0; NaN fails too."""
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    return value
+
+
 def _unitarity_deviation(N: int, B: tuple[int, ...], L: tuple[int, ...]) -> float:
     """Max entrywise deviation from the identity of the row Gram matrix of the
     normalized exponential matrix [exp(-2*pi*i*b*l/N) / sqrt(#B)], rows b in B."""
@@ -127,6 +134,7 @@ def verify_triple(
     ``tol``.  A scale with |N| < 2, or any non-integer entry, raises ValueError.
     """
     N = _integers([N], "scales")[0]
+    _tolerance(tol)
     if abs(N) < 2:
         raise ValueError(f"invalid scale N={N}: need |N| >= 2")
     B, L = _integers(B), _integers(L, "frequencies")

@@ -43,6 +43,7 @@ __all__ = [
 
 DEFAULT_COMPLETENESS_TOL = 1e-9
 DEFAULT_Q_SLACK = 1e-3
+_EXTRA_WORST = 10  # worst points of the coarse scan added to the report grid
 
 
 def orthonormality_gram(measure: DiscreteMeasure, Lambda: Sequence[int]) -> float:
@@ -57,8 +58,9 @@ def orthonormality_gram(measure: DiscreteMeasure, Lambda: Sequence[int]) -> floa
     pos = measure.positions()
     w = measure.weights()
     e = np.exp(-2j * np.pi * np.outer(lam, pos))
-    g = (e * w) @ e.conj().T
-    return float(np.max(np.abs(g - np.eye(lam.size))))
+    g = (e * w) @ np.conj(e, out=e).T  # e * w is formed before e is conjugated
+    g.flat[:: lam.size + 1] -= 1.0  # minus the identity
+    return float(np.max(np.abs(g)))
 
 
 def _check_level(levels: SpectrumLevels, i: int) -> None:
@@ -196,25 +198,20 @@ def spectral_report(
     levels: SpectrumLevels,
     grid_n: int = 64,
     depth: int = 30,
-    extra_worst: int = 10,
 ) -> QReport:
     """Evaluate the deepest level on [-2, 2]: completeness plus Q with bounds.
 
-    The grid is grid_n uniform points augmented with the worst points of a
-    4x finer coarse scan.  Pass requires the completeness defect within
+    The grid is grid_n uniform points augmented with the _EXTRA_WORST worst
+    points of a 4x finer coarse scan.  Pass requires the completeness defect within
     DEFAULT_COMPLETENESS_TOL and min Q >= 1 - (tail_bound + DEFAULT_Q_SLACK).
     """
     if levels.level_count < 1:
         raise ValueError("no levels to verify")
     i = levels.level_count
-    base = np.linspace(-2.0, 2.0, grid_n)
-    if extra_worst > 0:
-        coarse = np.linspace(-2.0, 2.0, 4 * grid_n + 1)
-        q_coarse = _grid_pass(spec, levels, i, depth, coarse).q
-        worst = coarse[np.argsort(q_coarse, kind="stable")[:extra_worst]]
-        grid = np.unique(np.concatenate([base, worst]))
-    else:
-        grid = base
+    coarse = np.linspace(-2.0, 2.0, 4 * grid_n + 1)
+    q_coarse = _grid_pass(spec, levels, i, depth, coarse).q
+    worst = coarse[np.argsort(q_coarse, kind="stable")[:_EXTRA_WORST]]
+    grid = np.unique(np.concatenate([np.linspace(-2.0, 2.0, grid_n), worst]))
     q, bounds, comp = _grid_pass(spec, levels, i, depth, grid)
     tail_bound = float(np.max(bounds))
     min_q = float(np.min(q))

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolution import ConvolutionSpec, fourier_tail, mask
-from .triples import _integers
+from .convolution import DEFAULT_TAIL_DEPTH, ConvolutionSpec, fourier_tail, mask
+from .triples import _integers, _tolerance
 
 __all__ = [
     "ZeroEnclosure",
@@ -35,6 +35,7 @@ __all__ = [
 DEFAULT_RESIDUAL_TOL = 1e-10
 DEFAULT_PROBE_TOL = 1e-6
 DEFAULT_INTEGER_TOL = 1e-8
+DEFAULT_SHIFT_WINDOW = 8  # K of every shift search: the shifts -K..K of search_order
 _PRIME = 2**61 - 1  # modulus of the square-freeness test
 _CIRCLE_TOL = 1e-8  # largest ||z| - 1| of a polynomial root taken as a mask zero
 
@@ -206,6 +207,7 @@ def mask_zeros(
         raise ValueError("no zeros by definition: mask of a singleton never vanishes")
     if not -math.inf < lo < hi < math.inf:
         raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
+    _tolerance(residual_tol, "residual_tol")
     out = _translates(_zeros_in_unit_period(B, residual_tol), lo, hi)
     out.sort(key=lambda z: z.root)
     return ZeroSetReport(
@@ -317,8 +319,8 @@ class ZeroProbeVerdict:
 def integral_periodic_zero_probe(
     spec: ConvolutionSpec,
     xi: float,
-    K: int = 8,
-    depth: int = 40,
+    K: int = DEFAULT_SHIFT_WINDOW,
+    depth: int = DEFAULT_TAIL_DEPTH,
     tol: float = DEFAULT_PROBE_TOL,
 ) -> ZeroProbeVerdict:
     """Search k in [-K, K] for |mu^(xi+k)| > tol.
@@ -329,6 +331,7 @@ def integral_periodic_zero_probe(
     """
     if not math.isfinite(xi):
         raise ValueError(f"xi must be finite, got {xi}")
+    _tolerance(tol)
     ks = search_order(K)
     vals = np.abs(fourier_tail(spec, xi + np.array(ks), depth).value)
     above = np.flatnonzero(vals > tol)

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from convspec import EquiPositivityCertificate, QReport, ZeroSetReport
 from convspec.cli import main
 
 
@@ -251,6 +252,16 @@ def test_invalid_parameters_exit_3(capsys):
     assert main(["zeros", "--mask", "0,2", "--range", "nan,1"]) == 3
     assert main(["zeros", "--preset", "jp", "--probe-xi", "nan"]) == 3
     assert main(["zeros", "--preset", "jp", "--probe-xi", "inf"]) == 3
+    assert main(["zeros", "--preset", "jp", "--probe-xi", "0.5", "--tol", "nan"]) == 3
+    assert main(["zeros", "--preset", "example14", "--word", ":2",
+                 "--probe-xi", "0.3333333333333333", "--tol", "-1"]) == 3
+    assert main(["zeros", "--mask", "0,2", "--tol", "-1"]) == 3
+    assert main(["zeros", "--mask", "0,2", "--tol", "nan"]) == 3
+    assert main(["equipos", "--preset", "example14", "--word", ":2", "--skips", "0,1,2",
+                 "--grid", "192", "--threshold", "-1"]) == 3
+    assert main(["equipos", "--preset", "jp", "--threshold", "nan"]) == 3
+    assert main(["check", "--preset", "jp", "--tol", "nan"]) == 3
+    assert main(["spectrum", "--preset", "jp", "--epsilon", "inf"]) == 3
 
 
 def test_equipos_jp_certificate(capsys):
@@ -278,6 +289,91 @@ def test_equipos_csv_output(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "x,skip,k,value"
     assert len(lines) == 9
+
+
+def run_both(capsys, *argv):
+    """The JSON payload and the CSV lines of one command, which exit alike."""
+    code, payload = run_json(capsys, *argv)
+    code_csv, out = run(capsys, *argv, "--output", "csv")
+    assert code_csv == code
+    return code, payload, out.splitlines()
+
+
+def test_check_csv_output(capsys):
+    for preset in ("jp", "example14"):
+        code, payload, lines = run_both(capsys, "check", "--preset", preset)
+        assert code == 0
+        assert lines[0] == "index,N,ok,deviation"
+        assert len(lines) == 1 + len(payload["triples"])
+        first = payload["triples"][0]
+        assert lines[1] == f"1,{first['N']},True,{first['deviation']!r}"
+
+
+def test_spectrum_csv_output(capsys):
+    code, payload, lines = run_both(capsys, "spectrum", "--preset", "jp", "--levels", "4")
+    assert code == 0
+    assert lines[0] == "level,lambda"
+    assert len(lines) == 1 + sum(len(lv) for lv in payload["levels"])
+    assert lines[-1] == f"4,{payload['levels'][-1][-1]}"
+    code, payload, lines = run_both(
+        capsys, "spectrum", "--preset", "example14", "--word", ":2"
+    )
+    assert code == 2
+    err = payload["error"]
+    assert lines == [f"error,equi-positivity-violation,{err['lambda']},{err['m']}"]
+
+
+def test_verify_csv_output(capsys, tmp_path):
+    levels_path = tmp_path / "levels.json"
+    main(["spectrum", "--preset", "jp", "--levels", "3", "--out", str(levels_path)])
+    code, payload, lines = run_both(
+        capsys, "verify", "--preset", "jp", "--levels-file", str(levels_path), "--grid", "16"
+    )
+    assert code == 0
+    assert lines[0] == "xi,q,bound"
+    assert len(lines) == 1 + len(payload["xi_grid"])
+    failed = tmp_path / "failed.json"
+    main(["spectrum", "--preset", "example14", "--word", ":2", "--out", str(failed)])
+    code, payload, lines = run_both(
+        capsys, "verify", "--preset", "example14", "--word", ":2", "--levels-file", str(failed)
+    )
+    assert code == 3
+    assert payload["status"] == "not-applicable"
+    assert lines == ["status", "not-applicable"]
+
+
+def test_zeros_csv_output(capsys):
+    for argv in (["--mask", "0,2", "--range", "0,2"], ["--preset", "jp", "--products-h", "2"]):
+        code, payload, lines = run_both(capsys, "zeros", *argv)
+        assert code == 0
+        assert lines[0] == "root,radius"
+        assert len(lines) == 1 + len(payload["zeros"])
+        assert lines[1] == f"{payload['zeros'][0]['root']},{payload['zeros'][0]['radius']}"
+    code, payload, lines = run_both(capsys, "zeros", "--preset", "jp", "--probe-xi", "0.5")
+    assert code == 0
+    assert lines[0] == "xi,verdict,witness_k,witness_value,max_value,max_k"
+    assert lines[1:] == [",".join(repr(payload[k]) if isinstance(payload[k], float)
+                                  else str(payload[k]) for k in lines[0].split(","))]
+
+
+def test_json_reports_render_no_csv(capsys, tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("a JSON run rendered the CSV report")
+
+    for cls in (EquiPositivityCertificate, QReport, ZeroSetReport):
+        monkeypatch.setattr(cls, "to_csv", refuse)
+    levels_path = tmp_path / "levels.json"
+    code = main(["spectrum", "--preset", "jp", "--levels", "3", "--out", str(levels_path)])
+    assert code == 0
+    for argv in (
+        ["verify", "--preset", "jp", "--levels-file", str(levels_path), "--grid", "16"],
+        ["zeros", "--mask", "0,2"],
+        ["zeros", "--preset", "jp", "--products-h", "2"],
+        ["equipos", "--preset", "jp", "--skips", "0", "--grid", "8"],
+    ):
+        code, payload = run_json(capsys, *argv)
+        assert code == 0
+        assert payload["command"] == argv[0]
 
 
 def test_byte_identical_output(capsys):

@@ -144,6 +144,13 @@ def test_probe_validates_inputs(jp_spec):
         probe_family(jp_spec, (0,), grid_n=1)
 
 
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -1.0])
+def test_probe_needs_a_finite_nonnegative_threshold(e14_tail_spec, threshold):
+    # a negative threshold certified the uniform word, whose eps-hat is ~0
+    with pytest.raises(ValueError, match="failure_threshold must be finite and >= 0"):
+        probe_family(e14_tail_spec, (0,), grid_n=6, failure_threshold=threshold)
+
+
 def test_certificate_csv_shape(jp_spec):
     cert = probe_family(jp_spec, (0,), grid_n=8, K=2, depth=10)
     lines = cert.to_csv().strip().splitlines()

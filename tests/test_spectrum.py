@@ -249,3 +249,10 @@ def test_build_params_need_a_finite_positive_delta(delta):
     with pytest.raises(ValueError, match="delta"):
         BuildParams(delta=delta)
 
+
+@pytest.mark.parametrize("epsilon", [math.inf, math.nan, 0.0, -1.0])
+def test_build_params_need_a_finite_positive_epsilon(epsilon):
+    # an infinite epsilon used to print "epsilon": Infinity, which is not JSON
+    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+        BuildParams(epsilon=epsilon)
+

@@ -60,6 +60,17 @@ def test_verify_invalid_scale_raises():
         verify_triple(0, [0, 1], [0, 1])
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, -math.inf])
+def test_verify_triple_needs_a_finite_nonnegative_tol(tol):
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        verify_triple(4, [0, 2], [0, 1], tol=tol)
+
+
+def test_verify_triple_accepts_zero_tol():
+    r = verify_triple(4, [0, 2], [0, 1], tol=0.0)
+    assert r.ok is (r.deviation == 0.0)
+
+
 def test_triple_constructor_rejects_duplicates():
     with pytest.raises(ValueError, match="duplicate digits"):
         HadamardTriple(4, (0, 0), (0, 1))

@@ -50,6 +50,17 @@ def test_gram_is_hermitian_with_unit_diagonal(mixed_spec):
     assert np.allclose(np.diag(g), 1.0, atol=1e-14)
 
 
+def test_gram_deviation_is_the_identity_subtraction(jp_spec, mixed_spec):
+    # the in-place diagonal update gives the same bits as g - eye
+    for spec, depth_i, extra in ((mixed_spec, 3, 7), (jp_spec, 4, 2)):
+        levels = build_quiet(spec, depth_i)
+        mu = finite_level(spec, levels.m(depth_i))
+        for lam in (levels.level(depth_i), levels.level(depth_i) + (extra,)):
+            e = np.exp(-2j * np.pi * np.outer(np.asarray(lam, float), mu.positions()))
+            g = (e * mu.weights()) @ e.conj().T
+            assert orthonormality_gram(mu, lam) == np.max(np.abs(g - np.eye(len(lam))))
+
+
 def test_level_completeness_jp_level1_trig_identity(jp_spec):
     levels = build_quiet(jp_spec, 1)
     # cos^2 + sin^2 = 1 pointwise
@@ -159,7 +170,7 @@ def test_spectral_report_empty_levels_rejected(jp_spec):
 
 def test_report_csv_and_json(jp_spec):
     levels = build_quiet(jp_spec, 2)
-    rep = spectral_report(jp_spec, levels, grid_n=16, depth=20, extra_worst=4)
+    rep = spectral_report(jp_spec, levels, grid_n=16, depth=20)
     js = rep.to_json()
     assert len(js["xi_grid"]) == len(js["q_values"]) == len(js["q_bounds"])
     lines = rep.to_csv().strip().splitlines()

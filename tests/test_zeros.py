@@ -251,6 +251,21 @@ def test_non_finite_inputs_are_rejected(jp_spec):
             integral_periodic_zero_probe(jp_spec, xi)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_tolerances_must_be_finite_and_nonnegative(jp_spec, tol):
+    # NaN and negative tolerances gave false verdicts: a NaN probe tolerance
+    # made |mu^(1/2)| = 0.69 a candidate zero, a negative one a witness of 0
+    with pytest.raises(ValueError, match="residual_tol must be finite and >= 0"):
+        mask_zeros((0, 2), 0.0, 1.0, residual_tol=tol)
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        integral_periodic_zero_probe(jp_spec, 0.5, tol=tol)
+
+
+def test_zero_tolerances_are_accepted(jp_spec):
+    assert len(mask_zeros((0, 2), 0.0, 1.0, residual_tol=0.0)) <= 2
+    assert integral_periodic_zero_probe(jp_spec, 0.5, tol=0.0).is_witness
+
+
 def test_probe_jp_witness_at_one(jp_spec):
     v = integral_periodic_zero_probe(jp_spec, 1.0, K=3, depth=40, tol=1e-6)
     assert v.is_witness
