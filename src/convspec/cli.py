@@ -184,6 +184,8 @@ def cmd_verify(args) -> Report:
         raise ValueError(f"cannot read levels file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed levels file: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValueError(f"invalid levels file: a {type(obj).__name__}, not a JSON object")
     if "error" in obj:
         payload = {"status": "not-applicable", "reason": "construction failed upstream",
                    "upstream_error": obj["error"]}

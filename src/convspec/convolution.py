@@ -46,6 +46,8 @@ __all__ = [
 ArrayLike = Union[float, Sequence[float], np.ndarray]
 
 DEFAULT_DENOMINATOR_BITS = 1 << 16
+MAX_LEVEL_ATOMS = 1 << 22  # atoms a finite level may form before merging
+_INT64_LIMIT = 1 << 63
 
 
 class DepthTooLargeError(ValueError):
@@ -215,7 +217,8 @@ class DiscreteMeasure:
     """Finite atomic probability measure with exact rational atoms.
 
     Atoms are stored sorted by position; weights are positive Fractions
-    summing to exactly 1.  Construct through :meth:`from_dict`.
+    summing to exactly 1.  Construct through :meth:`from_dict`, which checks
+    both; :func:`finite_level` builds its atoms in that form directly.
     """
 
     atoms: tuple[tuple[Fraction, Fraction], ...]
@@ -324,19 +327,48 @@ def finite_level(
     n: int,
     max_denominator_bits: int = DEFAULT_DENOMINATOR_BITS,
 ) -> DiscreteMeasure:
-    """Exact n-factor truncation of the infinite convolution."""
+    """Exact n-factor truncation of the infinite convolution.
+
+    The atoms live on the lattice Z / |P_k|: after factor k an atom is
+    num / |P_k| with weight count / prod_{j<=k} #B_j, and factor k + 1 sends
+    num to num * |N^e| + sign(P_{k+1}) * b for each digit b.  Numerators are
+    int64 while their bound fits and Python ints past it; equal numerators
+    merge with their counts added, and the sorted measure is built once at
+    the end.  The budgets on the bits of P_k and on the prod_{j<=k} #B_j
+    atoms formed before merging are checked for every level before any is
+    built.
+    """
     if n < 1:
         raise ValueError(f"level must be >= 1, got {n}")
-    mu = DiscreteMeasure.point_mass(0)
     # P_k has more than k bits, so a budget of b bits runs out by level max(b, 1)
-    last = min(n, max(max_denominator_bits, 1))
-    for k, (t, _, p) in enumerate(spec.factors(last), start=1):
+    table = spec.factors(min(n, max(max_denominator_bits, 1)))
+    total = 1
+    for k, (t, _, p) in enumerate(table, start=1):
         if p.bit_length() > max_denominator_bits:
             raise DepthTooLargeError(
                 f"denominator exceeds {max_denominator_bits} bits at level {k}"
             )
-        mu = convolve(mu, DiscreteMeasure.digit_measure(t.B, Fraction(1, p)))
-    return mu
+        total *= len(t.B)
+        if total > MAX_LEVEL_ATOMS:
+            raise DepthTooLargeError(f"atoms exceed {MAX_LEVEL_ATOMS} at level {k}")
+    num = np.zeros(1, dtype=np.int64)
+    count = np.ones(1)  # integers up to MAX_LEVEL_ATOMS, exact in doubles
+    reach = 1  # bound on max|num|, which also bounds each |N^e|
+    for t, scale, p in table:
+        reach = reach * abs(scale) + max(abs(b) for b in t.B)
+        if reach >= _INT64_LIMIT and num.dtype != object:
+            num = num.astype(object)
+        digits = np.array([b if p > 0 else -b for b in t.B], dtype=num.dtype)
+        num, inverse = np.unique(
+            (num[:, None] * abs(scale) + digits).ravel(), return_inverse=True
+        )
+        count = np.bincount(inverse, weights=np.repeat(count, len(t.B)))
+    den = abs(table[-1].product)
+    counts = count.astype(np.int64).tolist()
+    weight = {c: Fraction(c, total) for c in set(counts)}
+    return DiscreteMeasure(tuple(
+        (Fraction(a, den), weight[c]) for a, c in zip(num.tolist(), counts)
+    ))
 
 
 @functools.lru_cache(maxsize=64)

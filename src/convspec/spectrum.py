@@ -49,6 +49,8 @@ __all__ = [
     "certify_gcd_condition",
 ]
 
+MAX_BLOCK_FREQUENCIES = 1 << 20  # frequencies one construction step may compose
+
 
 class GcdNotCertifiedWarning(UserWarning):
     """The family misses the gcd condition; spectrality is not guaranteed."""
@@ -209,6 +211,11 @@ def next_level(
             f"no admissible index after m={m_prev} within the subsequence horizon"
         )
 
+    if math.prod(len(f.triple.L) for f in table[m_prev:m_i]) > MAX_BLOCK_FREQUENCIES:
+        raise ValueError(
+            f"the block over factors {m_prev + 1}..{m_i} has more than "
+            f"{MAX_BLOCK_FREQUENCIES} frequencies"
+        )
     blocks = block_frequencies(spec, m_prev, m_i)
     n0_prev = spec.scale_product(m_prev)
 

@@ -15,6 +15,7 @@ comes from the exact level completeness identity: since the level sums
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -24,6 +25,7 @@ from .convolution import (
     ConvolutionSpec,
     DiscreteMeasure,
     TailSpec,
+    _INT64_LIMIT,
     _inv_float,
     _tail_series_coefficient,
     fourier_finite,
@@ -31,6 +33,7 @@ from .convolution import (
     tail_truncation_bound,
 )
 from .spectrum import SpectrumLevels
+from .triples import _integers
 
 __all__ = [
     "QReport",
@@ -44,22 +47,47 @@ __all__ = [
 DEFAULT_COMPLETENESS_TOL = 1e-9
 DEFAULT_Q_SLACK = 1e-3
 _EXTRA_WORST = 10  # worst points of the coarse scan added to the report grid
+_RESIDUE_CHUNK_BYTES = 8 << 20  # int64 difference residues per Gram chunk
 
 
 def orthonormality_gram(measure: DiscreteMeasure, Lambda: Sequence[int]) -> float:
     """Max entrywise deviation of the exponential Gram matrix from identity.
 
-    Entry (a, b) is the measure transform at lambda_a - lambda_b, so the
-    matrix is Hermitian with unit diagonal by construction.
+    Entry (a, b) is the measure transform at lambda_a - lambda_b.  With D the
+    lcm of the atom denominators every atom is u / D for an integer u, so the
+    entry is c[r] = sum_u w_u exp(-2*pi*i*r*u/D) at r = (lambda_a - lambda_b)
+    mod D, and every phase is reduced exactly in integers before it becomes a
+    float.  When D <= |Lambda| * #atoms, one FFT of the weights folded into D
+    bins gives every c[r]: the deviation is the larger of |c[0] - 1| on the
+    diagonal, c[0] being the exact total mass, and max |c[r]| over the
+    residues of distinct pairs, which include r = 0 only when two lambdas
+    agree mod D.  Otherwise it is the matrix product of the exponentials at
+    (lambda * u mod D) / D, in int64 while D^2 fits and Python ints past it.
     """
-    lam = np.asarray(tuple(Lambda), dtype=float)
-    if lam.size == 0:
+    lam = _integers(tuple(Lambda), "Lambda")
+    if not lam:
         raise ValueError("Lambda must be nonempty")
-    pos = measure.positions()
+    d = math.lcm(*(p.denominator for p, _ in measure.atoms))
+    u = [p.numerator * (d // p.denominator) % d for p, _ in measure.atoms]
+    lam_r = [x % d for x in lam]
     w = measure.weights()
-    e = np.exp(-2j * np.pi * np.outer(lam, pos))
+    if d <= len(lam) * len(measure):
+        mass = measure.total_mass()
+        c = np.abs(np.fft.fft(np.bincount(u, weights=w, minlength=d)))
+        c[0] = 0.0  # r = 0 is the diagonal unless two lambdas agree mod D
+        res = np.asarray(lam_r, dtype=np.int64)
+        off = float(mass) if np.unique(res).size < res.size else 0.0
+        rows = max(1, _RESIDUE_CHUNK_BYTES // (8 * res.size))
+        for i in range(0, res.size, rows):
+            r = res[i : i + rows, None] - res
+            r %= d
+            off = max(off, float(c[r].max()))
+        return max(abs(float(mass - 1)), off)
+    dtype = np.int64 if d * d < _INT64_LIMIT else object
+    r = np.outer(np.array(lam_r, dtype=dtype), np.array(u, dtype=dtype)) % d
+    e = np.exp(-2j * np.pi * np.asarray(r / d, dtype=float))
     g = (e * w) @ np.conj(e, out=e).T  # e * w is formed before e is conjugated
-    g.flat[:: lam.size + 1] -= 1.0  # minus the identity
+    g.flat[:: len(lam) + 1] -= 1.0  # minus the identity
     return float(np.max(np.abs(g)))
 
 

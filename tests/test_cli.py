@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -237,7 +238,7 @@ def test_zeros_singleton_mask_exits_3(capsys):
     assert main(["zeros", "--mask", "5", "--range", "0,1"]) == 3
 
 
-def test_invalid_parameters_exit_3(capsys):
+def test_invalid_parameters_exit_3(capsys, tmp_path):
     assert main(["spectrum", "--preset", "jp", "--delta", "-1"]) == 3
     assert main(["zeros", "--preset", "jp", "--probe-xi", "1.0", "--kmax", "0"]) == 3
     assert main(["zeros", "--preset", "jp", "--products-h", "-2"]) == 3
@@ -262,6 +263,19 @@ def test_invalid_parameters_exit_3(capsys):
     assert main(["equipos", "--preset", "jp", "--threshold", "nan"]) == 3
     assert main(["check", "--preset", "jp", "--tol", "nan"]) == 3
     assert main(["spectrum", "--preset", "jp", "--epsilon", "inf"]) == 3
+    for name, text in (("number.json", "5"), ("string.json", '"error: x"')):
+        (tmp_path / name).write_text(text)
+        capsys.readouterr()
+        assert main(["verify", "--preset", "jp", "--levels-file", str(tmp_path / name)]) == 3
+        assert "invalid levels file" in capsys.readouterr().err
+
+
+def test_spectrum_block_past_frequency_budget_exits_3(capsys):
+    # delta 1e-300 puts m_2 at 499: a block of 2^498 frequencies
+    start = time.perf_counter()
+    assert main(["spectrum", "--preset", "jp", "--levels", "2", "--delta", "1e-300"]) == 3
+    assert "more than 1048576 frequencies" in capsys.readouterr().err
+    assert time.perf_counter() - start < 5.0
 
 
 def test_equipos_jp_certificate(capsys):

@@ -1,5 +1,6 @@
 """Gram orthonormality, level completeness, Q function, spectral reports."""
 
+import math
 import warnings
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 
 from convspec import (
     BuildParams,
+    ConvolutionSpec,
     GcdNotCertifiedWarning,
+    SelectionWord,
     SpectrumLevels,
     build_spectrum,
     finite_level,
@@ -50,15 +53,54 @@ def test_gram_is_hermitian_with_unit_diagonal(mixed_spec):
     assert np.allclose(np.diag(g), 1.0, atol=1e-14)
 
 
+def exact_phase_gram_deviation(mu, lam):
+    """max |G - I| with every entry sum_j w_j exp(-2 pi i frac(delta x_j)), frac exact."""
+    pos = [p for p, _ in mu.atoms]
+    w = mu.weights()
+    entry = {}
+    for delta in {a - b for a in lam for b in lam}:
+        phase = np.array([float(delta * p % 1) for p in pos])
+        entry[delta] = w @ np.exp(-2j * np.pi * phase)
+    g = np.array([[entry[a - b] for b in lam] for a in lam])
+    return float(np.max(np.abs(g - np.eye(len(lam)))))
+
+
 def test_gram_deviation_is_the_identity_subtraction(jp_spec, mixed_spec):
-    # the in-place diagonal update gives the same bits as g - eye
-    for spec, depth_i, extra in ((mixed_spec, 3, 7), (jp_spec, 4, 2)):
+    # both sides of the FFT / matrix choice, D <= |Lambda| * #atoms, and
+    # int64 and Python-int phases on the matrix side
+    jp3 = ConvolutionSpec(jp_spec.family, SelectionWord(exp_period=(3,)))
+    jp5 = ConvolutionSpec(jp_spec.family, SelectionWord(exp_period=(5,)))
+    sides = set()
+    for spec, depth_i, extra in ((mixed_spec, 3, 7), (jp_spec, 4, 2), (jp3, 3, 5), (jp5, 4, 3)):
         levels = build_quiet(spec, depth_i)
         mu = finite_level(spec, levels.m(depth_i))
+        d = math.lcm(*(p.denominator for p, _ in mu.atoms))
         for lam in (levels.level(depth_i), levels.level(depth_i) + (extra,)):
-            e = np.exp(-2j * np.pi * np.outer(np.asarray(lam, float), mu.positions()))
-            g = (e * mu.weights()) @ e.conj().T
-            assert orthonormality_gram(mu, lam) == np.max(np.abs(g - np.eye(len(lam))))
+            sides.add((d <= len(lam) * len(mu), d * d < 2**63))
+            dev = orthonormality_gram(mu, lam)
+            assert dev == pytest.approx(exact_phase_gram_deviation(mu, lam), rel=0, abs=1e-14)
+    assert sides == {(True, True), (False, True), (False, False)}
+
+
+def test_gram_jp_higher_exponents_up_to_level_8(jp_spec):
+    # float phases lambda * x read 5e-4 at jp exponent 3 level 8, 1.0 at exponent 5
+    for e in (3, 5):
+        spec = ConvolutionSpec(jp_spec.family, SelectionWord(exp_period=(e,)))
+        levels = build_quiet(spec, 8)
+        for i in range(1, 9):
+            mu = finite_level(spec, levels.m(i))
+            assert orthonormality_gram(mu, levels.level(i)) <= 1e-10
+
+
+def test_gram_lambda_colliding_mod_d_gives_exactly_one(jp_spec, mixed_spec):
+    # lambda + k D has the same exponential as lambda under a measure on Z / D,
+    # however large k D is
+    for spec, depth_i in ((mixed_spec, 3), (jp_spec, 4)):
+        levels = build_quiet(spec, depth_i)
+        mu = finite_level(spec, levels.m(depth_i))
+        d = abs(spec.scale_product(levels.m(depth_i)))
+        lam = levels.level(depth_i)
+        assert orthonormality_gram(mu, lam + (lam[1] + 2**40 * d,)) == 1.0
 
 
 def test_level_completeness_jp_level1_trig_identity(jp_spec):
