@@ -25,7 +25,6 @@ from .convolution import (
     ConvolutionSpec,
     DiscreteMeasure,
     TailSpec,
-    _INT64_LIMIT,
     _inv_float,
     _tail_series_coefficient,
     fourier_finite,
@@ -47,7 +46,8 @@ __all__ = [
 DEFAULT_COMPLETENESS_TOL = 1e-9
 DEFAULT_Q_SLACK = 1e-3
 _EXTRA_WORST = 10  # worst points of the coarse scan added to the report grid
-_RESIDUE_CHUNK_BYTES = 8 << 20  # int64 difference residues per Gram chunk
+_RESIDUE_CHUNK_BYTES = 8 << 20  # bytes of residues per Gram chunk
+_BOXED_INT_BYTES = 64  # an object-array pointer and the Python int it points to
 
 
 def orthonormality_gram(measure: DiscreteMeasure, Lambda: Sequence[int]) -> float:
@@ -62,7 +62,7 @@ def orthonormality_gram(measure: DiscreteMeasure, Lambda: Sequence[int]) -> floa
     diagonal, c[0] being the exact total mass, and max |c[r]| over the
     residues of distinct pairs, which include r = 0 only when two lambdas
     agree mod D.  Otherwise it is the matrix product of the exponentials at
-    (lambda * u mod D) / D, in int64 while D^2 fits and Python ints past it.
+    (lambda * u mod D) / D, reduced in Python ints a chunk of rows at a time.
     """
     lam = _integers(tuple(Lambda), "Lambda")
     if not lam:
@@ -83,9 +83,13 @@ def orthonormality_gram(measure: DiscreteMeasure, Lambda: Sequence[int]) -> floa
             r %= d
             off = max(off, float(c[r].max()))
         return max(abs(float(mass - 1)), off)
-    dtype = np.int64 if d * d < _INT64_LIMIT else object
-    r = np.outer(np.array(lam_r, dtype=dtype), np.array(u, dtype=dtype)) % d
-    e = np.exp(-2j * np.pi * np.asarray(r / d, dtype=float))
+    uo = np.array(u, dtype=object)
+    e = np.empty((len(lam), len(u)), dtype=complex)
+    rows = max(1, _RESIDUE_CHUNK_BYTES // (_BOXED_INT_BYTES * len(u)))
+    for i in range(0, len(lam), rows):
+        r = np.outer(np.array(lam_r[i : i + rows], dtype=object), uo)
+        r %= d
+        np.exp(np.asarray(r / d, dtype=float) * (-2j * np.pi), out=e[i : i + rows])
     g = (e * w) @ np.conj(e, out=e).T  # e * w is formed before e is conjugated
     g.flat[:: len(lam) + 1] -= 1.0  # minus the identity
     return float(np.max(np.abs(g)))

@@ -2,10 +2,10 @@
 
 import hashlib
 import json
-import time
 
 import pytest
 
+import convspec.spectrum
 from convspec import EquiPositivityCertificate, QReport, ZeroSetReport
 from convspec.cli import main
 
@@ -270,12 +270,18 @@ def test_invalid_parameters_exit_3(capsys, tmp_path):
         assert "invalid levels file" in capsys.readouterr().err
 
 
-def test_spectrum_block_past_frequency_budget_exits_3(capsys):
-    # delta 1e-300 puts m_2 at 499: a block of 2^498 frequencies
-    start = time.perf_counter()
+def test_spectrum_block_past_frequency_budget_exits_3(capsys, monkeypatch):
+    # delta 1e-300 puts m_2 at 499: a block of 2^498 frequencies.  jp has two
+    # digits per position, so a block within 2^20 frequencies spans <= 20
+    compose = convspec.spectrum.block_frequencies
+
+    def guarded(spec, p, q):
+        assert q - p <= 20, "next_level composed a block past its budget"
+        return compose(spec, p, q)
+
+    monkeypatch.setattr(convspec.spectrum, "block_frequencies", guarded)
     assert main(["spectrum", "--preset", "jp", "--levels", "2", "--delta", "1e-300"]) == 3
     assert "more than 1048576 frequencies" in capsys.readouterr().err
-    assert time.perf_counter() - start < 5.0
 
 
 def test_equipos_jp_certificate(capsys):

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import convspec.verify as verify
 from convspec import (
     BuildParams,
     ConvolutionSpec,
@@ -65,9 +66,10 @@ def exact_phase_gram_deviation(mu, lam):
     return float(np.max(np.abs(g - np.eye(len(lam)))))
 
 
-def test_gram_deviation_is_the_identity_subtraction(jp_spec, mixed_spec):
-    # both sides of the FFT / matrix choice, D <= |Lambda| * #atoms, and
-    # int64 and Python-int phases on the matrix side
+def test_gram_deviation_is_the_identity_subtraction(jp_spec, mixed_spec, monkeypatch):
+    # both sides of the FFT / matrix choice, D <= |Lambda| * #atoms, with
+    # D^2 below and past 2^63 on the matrix side, in one chunk of rows and
+    # in one row per chunk
     jp3 = ConvolutionSpec(jp_spec.family, SelectionWord(exp_period=(3,)))
     jp5 = ConvolutionSpec(jp_spec.family, SelectionWord(exp_period=(5,)))
     sides = set()
@@ -77,8 +79,12 @@ def test_gram_deviation_is_the_identity_subtraction(jp_spec, mixed_spec):
         d = math.lcm(*(p.denominator for p, _ in mu.atoms))
         for lam in (levels.level(depth_i), levels.level(depth_i) + (extra,)):
             sides.add((d <= len(lam) * len(mu), d * d < 2**63))
-            dev = orthonormality_gram(mu, lam)
-            assert dev == pytest.approx(exact_phase_gram_deviation(mu, lam), rel=0, abs=1e-14)
+            want = exact_phase_gram_deviation(mu, lam)
+            for chunk_bytes in (verify._RESIDUE_CHUNK_BYTES, 1):
+                with monkeypatch.context() as m:
+                    m.setattr(verify, "_RESIDUE_CHUNK_BYTES", chunk_bytes)
+                    dev = orthonormality_gram(mu, lam)
+                assert dev == pytest.approx(want, rel=0, abs=1e-14)
     assert sides == {(True, True), (False, True), (False, False)}
 
 
