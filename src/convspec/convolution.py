@@ -16,10 +16,11 @@ measure of index n, whose transform is again a mask product.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -172,16 +173,18 @@ class ConvolutionSpec:
     def exponent_at(self, k: int) -> int:
         return self.word.exponent(k)
 
-    def factors(self, n: int) -> list[Factor]:
-        """Positions 1..n as (triple, scale N^e, signed running product P_k)."""
-        table = []
+    def _walk(self) -> Iterator[Factor]:
+        """Positions 1, 2, ... as (triple, scale N^e, signed running product P_k)."""
         p = 1
-        for k in range(1, n + 1):
+        for k in itertools.count(1):
             t = self.triple_at(k)
             scale = t.N ** self.exponent_at(k)
             p *= scale
-            table.append(Factor(t, scale, p))
-        return table
+            yield Factor(t, scale, p)
+
+    def factors(self, n: int) -> list[Factor]:
+        """Positions 1..n as (triple, scale N^e, signed running product P_k)."""
+        return list(itertools.islice(self._walk(), n))
 
     def scale_product(self, n: int) -> int:
         """Signed exact product P_n of the first n factor scales N^e (1 for n = 0)."""
@@ -335,22 +338,23 @@ def finite_level(
     int64 while their bound fits and Python ints past it; equal numerators
     merge with their counts added, and the sorted measure is built once at
     the end.  The budgets on the bits of P_k and on the prod_{j<=k} #B_j
-    atoms formed before merging are checked for every level before any is
-    built.
+    atoms formed before merging are checked level by level as the factors
+    are walked, so a level past either budget raises before any level is
+    built and before any later factor is formed.
     """
     if n < 1:
         raise ValueError(f"level must be >= 1, got {n}")
-    # P_k has more than k bits, so a budget of b bits runs out by level max(b, 1)
-    table = spec.factors(min(n, max(max_denominator_bits, 1)))
+    table = []
     total = 1
-    for k, (t, _, p) in enumerate(table, start=1):
-        if p.bit_length() > max_denominator_bits:
+    for k, f in enumerate(itertools.islice(spec._walk(), n), start=1):
+        if f.product.bit_length() > max_denominator_bits:
             raise DepthTooLargeError(
                 f"denominator exceeds {max_denominator_bits} bits at level {k}"
             )
-        total *= len(t.B)
+        total *= len(f.triple.B)
         if total > MAX_LEVEL_ATOMS:
             raise DepthTooLargeError(f"atoms exceed {MAX_LEVEL_ATOMS} at level {k}")
+        table.append(f)
     num = np.zeros(1, dtype=np.int64)
     count = np.ones(1)  # integers up to MAX_LEVEL_ATOMS, exact in doubles
     reach = 1  # bound on max|num|, which also bounds each |N^e|
@@ -409,21 +413,61 @@ def mask(B: Sequence[int], xi: ArrayLike) -> complex | np.ndarray:
     return complex(out) if x.ndim == 0 else out
 
 
-def _mask_product(spec: ConvolutionSpec, n: int, x: np.ndarray) -> np.ndarray:
-    """prod_{k<=n} M_{B_k}(x / P_k) over the first n factors of spec."""
-    out = np.ones(x.shape, dtype=complex)
+def _mask_product(
+    spec: ConvolutionSpec, n: int, x: np.ndarray, offsets: np.ndarray
+) -> np.ndarray:
+    """prod_{k<=n} M_{B_k}((x + o) / P_k) for every x and offset o.
+
+    The result has shape x.shape + offsets.shape.  With d = B_k - min B_k,
+    factor k is exp(-2*pi*i*min B_k*(x + o)/P_k) times the rank-#B matrix
+    product sum_d exp(-2*pi*i*d*x/P_k) * exp(-2*pi*i*d*o/P_k) / #B.  The
+    min B_k phases add up to exp(-2*pi*i*(x + o)*s), s = sum_k min B_k / P_k,
+    and are applied once.
+    """
+    xs = x.reshape(-1)
+    o = offsets.reshape(-1)
+    out = np.ones((xs.size, o.size), dtype=complex)
+    term = np.empty_like(out)
+    s = 0.0
     for f in spec.factors(n):
-        out *= mask(f.triple.B, x * _inv_float(f.product))
-    return out
+        lo = min(f.triple.B)
+        inv = _inv_float(f.product)
+        s += lo * inv
+        d = np.array([b - lo for b in f.triple.B], dtype=float) * (-2j * np.pi * inv)
+        u = np.exp(np.multiply.outer(xs, d))
+        u /= len(f.triple.B)
+        np.matmul(u, np.exp(np.multiply.outer(d, o)), out=term)
+        out *= term
+    if s:
+        phase = -2j * np.pi * s
+        np.multiply.outer(np.exp(xs * phase), np.exp(o * phase), out=term)
+        out *= term
+    return out.reshape(x.shape + offsets.shape)
 
 
-def fourier_finite(spec: ConvolutionSpec, n: int, xi: ArrayLike) -> complex | np.ndarray:
-    """Transform of the n-factor truncation as a product of n masks."""
+def _offsets(offsets: ArrayLike | None) -> np.ndarray:
+    """Offsets as a float array; omitted, the single offset 0 of shape ()."""
+    return np.zeros(()) if offsets is None else np.asarray(offsets, dtype=float)
+
+
+def fourier_finite(
+    spec: ConvolutionSpec, n: int, xi: ArrayLike, offsets: ArrayLike | None = None
+) -> complex | np.ndarray:
+    """Transform of the n-factor truncation as a product of n masks.
+
+    Without offsets the transform is taken at each xi.  With offsets it is
+    taken at xi + o for every pair, with shape xi.shape + offsets.shape.
+    The sum xi + o is never formed: each mask factor splits into a phase
+    of xi and a phase of o for every digit relative to min B, which
+    costs (|xi| + |offsets|) * #B exponentials per factor, and the phases
+    of the min B digits are applied once, as a unit-modulus product of an
+    xi and an o term.  Values agree with the pointwise call on xi + o to
+    rounding; moduli do not see a translation of the digits.
+    """
     if n < 1:
         raise ValueError(f"level must be >= 1, got {n}")
-    x = np.asarray(xi, dtype=float)
-    out = _mask_product(spec, n, x)
-    return complex(out) if x.ndim == 0 else out
+    out = _mask_product(spec, n, np.asarray(xi, dtype=float), _offsets(offsets))
+    return complex(out) if out.ndim == 0 else out
 
 
 def _tail_series_coefficient(tail: ConvolutionSpec, depth: int) -> float:
@@ -476,15 +520,26 @@ def tail_truncation_bound(
 
 
 def fourier_tail(
-    tail: ConvolutionSpec, xi: ArrayLike, depth: int = DEFAULT_TAIL_DEPTH
+    tail: ConvolutionSpec,
+    xi: ArrayLike,
+    depth: int = DEFAULT_TAIL_DEPTH,
+    offsets: ArrayLike | None = None,
 ) -> TailValue:
-    """Truncated tail transform (depth factors) with its truncation bound."""
+    """Truncated tail transform (depth factors) with its truncation bound.
+
+    Offsets work as in :func:`fourier_finite`: with them, value and bound
+    are taken at xi + o for every pair and have shape xi.shape + offsets.shape.
+    A shift search over x + k passes the centred split (x - 1/2, k + 1/2),
+    so at x = 1/2 the shifts k and -1 - k are exact negatives and their
+    moduli tie exactly.
+    """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     x = np.asarray(xi, dtype=float)
-    out = _mask_product(tail, depth, x)
-    bound = tail_truncation_bound(tail, x, depth)
-    if x.ndim == 0:
+    o = _offsets(offsets)
+    out = _mask_product(tail, depth, x, o)
+    bound = tail_truncation_bound(tail, np.add.outer(x, o), depth)
+    if out.ndim == 0:
         return TailValue(complex(out), float(bound))
     return TailValue(out, bound)
 

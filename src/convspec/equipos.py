@@ -101,7 +101,8 @@ def choose_k(
     if not np.all((0.0 <= xs) & (xs < 1.0)):
         raise ValueError(f"x must lie in [0, 1), got {x}")
     ks = np.array(search_order(K))
-    vals = np.abs(fourier_tail(tail, xs[..., None] + ks, depth).value)
+    # centred at 1/2: at x = 1/2 the shifts k and -1 - k are exact negatives
+    vals = np.abs(fourier_tail(tail, xs - 0.5, depth, offsets=ks + 0.5).value)
     at_origin = xs == 0.0
     k = np.where(at_origin, 0, ks[np.argmax(vals, axis=-1)])  # first maximum: the tie order
     value = np.where(at_origin, 1.0, vals.max(axis=-1))

@@ -103,12 +103,11 @@ def _check_level(levels: SpectrumLevels, i: int) -> None:
 def _finite_part(
     spec: ConvolutionSpec, levels: SpectrumLevels, i: int, xi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Points lambda + xi over level i and |mu^_{m_i}|^2 there (rows: lambda)."""
+    """Level i as floats and |mu^_{m_i}(lambda + xi)|^2 (rows: lambda)."""
     lam = np.asarray(levels.level(i), dtype=float)
-    pts = lam[:, None] + xi[None, :]
-    f2 = np.abs(fourier_finite(spec, levels.m(i), pts))
+    f2 = np.abs(fourier_finite(spec, levels.m(i), lam, xi))
     f2 *= f2
-    return pts, f2
+    return lam, f2
 
 
 def _completeness_defect(f2: np.ndarray) -> float:
@@ -142,8 +141,9 @@ def _grid_pass(
 ) -> _GridPass:
     """Q over the grid, its per-point truncation bounds and the level completeness.
 
-    One mask product per point: F = mu^_{m_i}(lambda + xi) over the first
-    m_i factors and T = the tail transform over the next depth - m_i, so
+    Two mask products over (lambda, xi), each with separable phases:
+    F = mu^_{m_i}(lambda + xi) over the first m_i factors and T = the tail
+    transform at (lambda + xi) / P_{m_i} over the next depth - m_i, so
     Q = sum |F|^2 |T|^2 is the depth-factor truncation.  Bound = level part
     (worst 1 - |tail|^2 over the level, tail evaluated with its own
     truncation margin) + depth part (transform truncation, summed over the
@@ -152,18 +152,19 @@ def _grid_pass(
     m_i = levels.m(i)
     if depth < m_i:
         raise ValueError(f"depth {depth} must be >= m_i = {m_i}")
-    pts, f2 = _finite_part(spec, levels, i, xi)
+    lam, f2 = _finite_part(spec, levels, i, xi)
+    pts = np.add.outer(lam, xi)
     tail = TailSpec(spec, m_i)
-    z = pts * _inv_float(spec.scale_product(m_i))
+    inv = _inv_float(spec.scale_product(m_i))
     if depth > m_i:
-        tv = fourier_tail(tail, z, depth - m_i)
+        tv = fourier_tail(tail, lam * inv, depth - m_i, offsets=xi * inv)
         t_abs = np.abs(tv.value)
         low = np.clip(t_abs - tv.bound, 0.0, 1.0)
         t_abs *= t_abs
         t_abs *= f2
         q = t_abs.sum(axis=0)
     else:
-        low = np.clip(1.0 - tail_truncation_bound(tail, z, 0), 0.0, 1.0)
+        low = np.clip(1.0 - tail_truncation_bound(tail, pts * inv, 0), 0.0, 1.0)
         q = f2.sum(axis=0)
     level_part = np.max(1.0 - low**2, axis=0)
     coef0 = _tail_series_coefficient(spec, depth)

@@ -333,7 +333,7 @@ def integral_periodic_zero_probe(
         raise ValueError(f"xi must be finite, got {xi}")
     _tolerance(tol)
     ks = search_order(K)
-    vals = np.abs(fourier_tail(spec, xi + np.array(ks), depth).value)
+    vals = np.abs(fourier_tail(spec, xi - 0.5, depth, offsets=np.array(ks) + 0.5).value)
     above = np.flatnonzero(vals > tol)
     witness = above.size > 0
     j = int(above[0]) if witness else int(np.argmax(vals))  # else the first maximum

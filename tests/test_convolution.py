@@ -162,6 +162,22 @@ def test_finite_level_atom_budget_fails_before_building(mixed_spec, monkeypatch)
             finite_level(mixed_spec, n)
 
 
+def test_finite_level_budget_walks_no_factor_past_it(jp_spec, mixed_spec, monkeypatch):
+    # both budgets run out by level 23, so no long factor table may be formed
+    factors = ConvolutionSpec.factors
+
+    def short_factors(self, n):
+        if n > 64:
+            raise AssertionError(f"finite_level asked for {n} factor positions")
+        return factors(self, n)
+
+    monkeypatch.setattr(ConvolutionSpec, "factors", short_factors)
+    with pytest.raises(DepthTooLargeError, match="atoms exceed 4194304 at level 18$"):
+        finite_level(mixed_spec, 10**6)
+    with pytest.raises(DepthTooLargeError, match="atoms exceed 4194304 at level 23$"):
+        finite_level(jp_spec, 10**6, max_denominator_bits=10**6)
+
+
 def test_weight_sums_exactly_one_random():
     rng = random.Random(23)
     for _ in range(20):
@@ -310,6 +326,36 @@ def test_fourier_finite_normalization_and_bound():
         assert fourier_finite(spec, n, 0.0) == pytest.approx(1.0, abs=0)
         xs = np.array([rng.uniform(-20, 20) for _ in range(25)])
         assert np.all(np.abs(fourier_finite(spec, n, xs)) <= 1.0 + 1e-12)
+
+
+def test_offsets_form_matches_pointwise_random():
+    rng = random.Random(47)
+    signed = ConvolutionSpec(
+        (HadamardTriple(4, (-5, -3), (0, 1)), HadamardTriple(-3, (-2, 2, 3), (0, 1, 2))),
+        SelectionWord(period=(1, 2)),
+    )
+    specs = [signed] + [random_spec(rng) for _ in range(20)]
+    assert sum(min(t.B) != 0 for s in specs for t in s.family) > 10
+    off = np.array([-2.5, -1.0, 0.0, 0.5, 3.25])
+    for spec in specs:
+        n = rng.randint(1, 6)
+        a = np.array([rng.uniform(-3, 3) for _ in range(6)])
+        pts = a[:, None] + off
+        got = fourier_finite(spec, n, a, off)
+        assert got.shape == (6, 5)
+        assert np.max(np.abs(got - fourier_finite(spec, n, pts))) < 1e-13
+        tv = fourier_tail(spec, a, 20, offsets=off)
+        tp = fourier_tail(spec, pts, 20)
+        assert tv.value.shape == tv.bound.shape == (6, 5)
+        assert np.max(np.abs(tv.value - tp.value)) < 1e-13
+        assert np.array_equal(tv.bound, tp.bound)
+        # a 0-d point takes the offsets' shape; 0-d with 0-d stays a scalar
+        row = fourier_finite(spec, n, a[0], off)
+        assert row.shape == (5,) and np.max(np.abs(row - got[0])) < 1e-13
+        one = fourier_tail(spec, a[0], 20, offsets=off[0])
+        assert isinstance(one.value, complex) and isinstance(one.bound, float)
+        assert abs(one.value - tp.value[0, 0]) < 1e-13
+        assert fourier_tail(spec, a, 20, offsets=off.reshape(5, 1)).value.shape == (6, 5, 1)
 
 
 # --- tails ------------------------------------------------------------------

@@ -6,7 +6,16 @@ import math
 import numpy as np
 import pytest
 
-from convspec import TailSpec, choose_k, integral_periodic_zero_probe, probe_family
+from convspec import (
+    ConvolutionSpec,
+    TailSpec,
+    choose_k,
+    fourier_tail,
+    integral_periodic_zero_probe,
+    probe_family,
+    translate_triple,
+)
+from convspec.zeros import search_order
 
 
 def cos_product_oracle(depth=40):
@@ -51,6 +60,35 @@ def test_choose_k_array_matches_scalar_calls(jp_spec, mixed_spec, e14_tail_spec)
             k1, v1 = choose_k(tail, float(xs[idx]), K=4, depth=30)
             assert int(k[idx]) == k1
             assert abs(v[idx] - v1) <= 1e-15
+
+
+def test_choose_k_ties_at_one_half_are_exact(jp_spec, mixed_spec, e14_spec):
+    # at x = 1/2, choose_k takes the point x - 1/2 = 0 and the offsets k + 1/2,
+    # so the shifts k and -1 - k are exact negatives
+    k = np.arange(9)
+    for spec in (jp_spec, mixed_spec, e14_spec):
+        for skip in (0, 1, 2):
+            tail = TailSpec(spec, skip)
+            up = np.abs(fourier_tail(tail, 0.0, offsets=k + 0.5).value)
+            down = np.abs(fourier_tail(tail, 0.0, offsets=-1 - k + 0.5).value)
+            assert np.array_equal(up, down)
+            # of each tied pair, the search order meets k >= 0 first
+            best, value = choose_k(tail, 0.5)
+            assert 0 <= best <= 8 and value == up[best] == up.max()
+
+
+def test_tail_moduli_ignore_digit_translation(e14_tail_spec):
+    # example14 :2, whose limit is uniform on [0, 3] and vanishes on 1/3 + Z
+    x = np.array([1 / 3, 2 / 3])
+    ks = np.array(search_order(8), dtype=float)
+    base = np.abs(fourier_tail(e14_tail_spec, x, offsets=ks).value)
+    one, two = e14_tail_spec.family
+    for b in range(-3, 4):
+        spec = ConvolutionSpec((one, translate_triple(two, b, 0)), e14_tail_spec.word)
+        moved = np.abs(fourier_tail(spec, x, offsets=ks).value)
+        assert np.all(np.abs(moved - base) <= 1e-14 * base)
+        worst = probe_family(spec, [0, 1, 2], grid_n=192).worst
+        assert abs(worst.x - 1 / 3) <= 1 / 192
 
 
 def test_choose_k_window_must_be_positive(jp_spec):
