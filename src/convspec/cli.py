@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import itertools
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -257,6 +259,55 @@ def _parse_range(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _dumps(obj, newline: str = "\n") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` for str-keyed payloads.
+
+    With an indent, CPython's json falls back to its pure-Python encoder,
+    one generator frame per item.  This writes a list of exact ints and
+    finite floats, or a list of nonempty lists of them, with one repr and
+    recurses only into the other containers.
+    """
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True or obj is False:
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return float.__repr__(obj)
+        return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        types = {*map(type, obj)}
+        table = types == {list} and all(obj)  # rows, none of them empty
+        if table:
+            types = {*map(type, itertools.chain.from_iterable(obj))}
+        # repr writes exact ints and finite floats as json does; "n" marks nan, inf
+        if types <= {int, float} and "n" not in (text := repr(list(obj))):
+            if not table:
+                return "[" + inner + text[1:-1].replace(", ", "," + inner) + newline + "]"
+            deep = inner + "  "
+            rows = text[2:-2].replace(", ", "," + deep)
+            rows = rows.replace("]," + deep + "[", inner + "]," + inner + "[" + deep)
+            return "[" + inner + "[" + deep + rows + inner + "]" + newline + "]"
+        body = [_dumps(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(body) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        body = [_encode_str(k) + ": " + _dumps(v, inner) for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(body) + newline + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _default(func, name: str):
     """The library's default for one parameter of ``func``."""
     return inspect.signature(func).parameters[name].default
@@ -329,7 +380,7 @@ def main(argv: list[str] | None = None) -> int:
             text = csv()
         else:
             payload["command"] = args.command
-            text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+            text = _dumps(payload) + "\n"
         if args.out:
             Path(args.out).write_text(text)
         else:

@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 DEFAULT_FAILURE_THRESHOLD = 1e-4
+_SHIFT_CHUNK = 1 << 13  # points per tail evaluation; bounds the (point, shift) arrays
 
 
 @dataclass(frozen=True)
@@ -101,11 +102,22 @@ def choose_k(
     if not np.all((0.0 <= xs) & (xs < 1.0)):
         raise ValueError(f"x must lie in [0, 1), got {x}")
     ks = np.array(search_order(K))
-    # centred at 1/2: at x = 1/2 the shifts k and -1 - k are exact negatives
-    vals = np.abs(fourier_tail(tail, xs - 0.5, depth, offsets=ks + 0.5).value)
+    flat = xs.reshape(-1)
+    best = np.empty(flat.shape, dtype=ks.dtype)
+    peak = np.empty(flat.shape)
+    start = 0
+    # parts of equal size, so that none is a single point: a one-row matrix
+    # product takes another BLAS path and can round differently
+    for part in np.array_split(flat, -(-flat.size // _SHIFT_CHUNK) or 1):
+        stop = start + part.size
+        # centred at 1/2: at x = 1/2 the shifts k and -1 - k are exact negatives
+        vals = np.abs(fourier_tail(tail, part - 0.5, depth, offsets=ks + 0.5).value)
+        best[start:stop] = ks[np.argmax(vals, axis=-1)]  # first maximum: the tie order
+        peak[start:stop] = vals.max(axis=-1)
+        start = stop
     at_origin = xs == 0.0
-    k = np.where(at_origin, 0, ks[np.argmax(vals, axis=-1)])  # first maximum: the tie order
-    value = np.where(at_origin, 1.0, vals.max(axis=-1))
+    k = np.where(at_origin, 0, best.reshape(xs.shape))
+    value = np.where(at_origin, 1.0, peak.reshape(xs.shape))
     if xs.ndim == 0:
         return int(k), float(value)
     return k, value
@@ -132,14 +144,20 @@ def probe_family(
         raise ValueError("grid_n must be >= 2")
     _tolerance(failure_threshold, "failure_threshold")
     xs = np.arange(grid_n) / grid_n
-    rows: list[ProbeRow] = []
-    for n in skips:
-        k, value = choose_k(TailSpec(spec, n), xs, K, depth)
-        rows.extend(
-            ProbeRow(x, n, kx, v) for x, kx, v in zip(xs.tolist(), k.tolist(), value.tolist())
-        )
-    rows.sort(key=lambda r: (r.x, r.skip))
-    worst = min(rows, key=lambda r: r.value)
+    # rows in (x, skip) order, equal skips in the order given: the grid
+    # ascends, so a stable sort of the skips orders each x's rows
+    order = np.argsort(skips, kind="stable")
+    ks, values = zip(*(choose_k(TailSpec(spec, n), xs, K, depth) for n in skips))
+    k = np.array(ks)[order].T.ravel()
+    value = np.array(values)[order].T.ravel()
+    rows = tuple(map(
+        ProbeRow,
+        np.repeat(xs, len(skips)).tolist(),
+        np.tile(np.array(skips)[order], grid_n).tolist(),
+        k.tolist(),
+        value.tolist(),
+    ))
+    worst = rows[int(np.argmin(value))]  # the first minimum in row order
     eps_hat = worst.value
     return EquiPositivityCertificate(
         ok=eps_hat > failure_threshold,
@@ -150,6 +168,6 @@ def probe_family(
         depth=depth,
         failure_threshold=failure_threshold,
         family_id=f"{spec.describe()} skips={list(skips)}",
-        rows=tuple(rows),
+        rows=rows,
         worst=worst,
     )

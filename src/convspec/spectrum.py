@@ -25,7 +25,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .convolution import DEFAULT_TAIL_DEPTH, ConvolutionSpec, TailSpec
+import numpy as np
+
+from .convolution import (
+    _INT64_LIMIT,
+    DEFAULT_TAIL_DEPTH,
+    MAX_LEVEL_ATOMS,
+    ConvolutionSpec,
+    TailSpec,
+)
 from .equipos import choose_k
 from .triples import (
     HadamardTriple,
@@ -194,7 +202,7 @@ def next_level(
     m_prev = state.indices[-1] if state.indices else 0
 
     # every |lambda| / |P_m| < delta/2 iff the largest one is
-    reach = max(abs(lam) for lam in prev)
+    reach = max(-min(prev), max(prev))
     half_delta = Fraction(params.delta) / 2
     table = spec.factors(params.max_m)
     m_i = None
@@ -211,10 +219,17 @@ def next_level(
             f"no admissible index after m={m_prev} within the subsequence horizon"
         )
 
-    if math.prod(len(f.triple.L) for f in table[m_prev:m_i]) > MAX_BLOCK_FREQUENCIES:
+    block_size = math.prod(len(f.triple.L) for f in table[m_prev:m_i])
+    if block_size > MAX_BLOCK_FREQUENCIES:
         raise ValueError(
             f"the block over factors {m_prev + 1}..{m_i} has more than "
             f"{MAX_BLOCK_FREQUENCIES} frequencies"
+        )
+    # Lambda_i spans the atoms of mu_{m_i}, which finite_level caps at this
+    if len(prev) * block_size > MAX_LEVEL_ATOMS:
+        raise ValueError(
+            f"level {len(state.levels)} would have {len(prev) * block_size} "
+            f"frequencies, more than {MAX_LEVEL_ATOMS}"
         )
     blocks = block_frequencies(spec, m_prev, m_i)
     n0_prev = spec.scale_product(m_prev)
@@ -230,15 +245,20 @@ def next_level(
             )
     shift_map = {lam: k - math.floor(r) for lam, k, r in zip(blocks.L, ks.tolist(), ratios)}
 
-    block_points = [lam + shift_map[lam] * blocks.N for lam in blocks.L]
-    new_level = sorted({a + n0_prev * b for a in prev for b in block_points})
-    if len(new_level) != len(prev) * len(blocks.L):
+    block_points = [n0_prev * (lam + shift_map[lam] * blocks.N) for lam in blocks.L]
+    bound = reach + max(abs(b) for b in block_points)
+    dtype = np.int64 if bound < _INT64_LIMIT else object
+    new_level = np.sort(
+        np.add.outer(np.array(prev, dtype=dtype), np.array(block_points, dtype=dtype)),
+        axis=None,
+    )
+    if np.any(new_level[1:] == new_level[:-1]):
         raise RuntimeError(
             "level cardinality collapsed; the input spec is not a valid "
             "Hadamard system"
         )
     return SpectrumLevels(
-        levels=state.levels + (tuple(new_level),),
+        levels=state.levels + (tuple(new_level.tolist()),),
         indices=state.indices + (m_i,),
         shifts=state.shifts + (tuple(sorted(shift_map.items())),),
         params=params,

@@ -2,12 +2,13 @@
 
 import hashlib
 import json
+import math
 
 import pytest
 
 import convspec.spectrum
 from convspec import EquiPositivityCertificate, QReport, ZeroSetReport
-from convspec.cli import main
+from convspec.cli import _dumps, build_parser, main
 
 
 def run(capsys, *argv):
@@ -284,6 +285,19 @@ def test_spectrum_block_past_frequency_budget_exits_3(capsys, monkeypatch):
     assert "more than 1048576 frequencies" in capsys.readouterr().err
 
 
+def test_spectrum_level_past_atom_budget_exits_3(capsys, monkeypatch):
+    # jp levels double: with a budget of 4, level 3 (8 frequencies) is refused
+    # before its shift search runs
+    calls = []
+    search = convspec.spectrum.choose_k
+    monkeypatch.setattr(convspec.spectrum, "MAX_LEVEL_ATOMS", 4)
+    monkeypatch.setattr(convspec.spectrum, "choose_k",
+                        lambda *a, **kw: calls.append(1) or search(*a, **kw))
+    assert main(["spectrum", "--preset", "jp", "--levels", "3"]) == 3
+    assert "level 3 would have 8 frequencies, more than 4" in capsys.readouterr().err
+    assert len(calls) == 2
+
+
 def test_equipos_jp_certificate(capsys):
     code, payload = run_json(capsys, "equipos", "--preset", "jp")
     assert code == 0
@@ -486,3 +500,73 @@ def test_config_file_spec(capsys, tmp_path):
     code, payload = run_json(capsys, "check", "--config", str(cfg))
     assert code == 0
     assert payload["gcd"]["certified"] is True
+
+
+def stdlib_dumps(obj):
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("payload", [
+    [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-05, 1e16, 0.1, -2.5e-300],
+    [-1, 0, 7, 2**63, -(2**63) - 1, 3**90],
+    [1, True, 2, False],
+    [True, False],
+    [[0.0, 0, 0, 1.0], [0.5, 3, -1, 1e-05], [-0.0, 2**64, 7, 1e16]],
+    [[1, 2], [], [3]],
+    [[1, math.nan], [2, math.inf]],
+    [[1, True], [2, None]],
+    [[1, 2], (3, 4), [5]],
+    [[[1, 2], [3]], [[4]], 5],
+    [None, (1, 2), (), [], {}, {"a": {}, "b": [[]]}],
+    {"\u00e9t\u00e9 \u2603": "\u0001\t\n\"\\ \x7f \ud83d\ude00", "": [], "b": {"z": None, "a": (0.5, "x")}},
+    {"levels": [[0], [0, 1, -5]], "ok": True, "x": 1.0, "n": None},
+    [],
+    {},
+    "plain",
+    1.5,
+    -3,
+    None,
+])
+def test_dumps_matches_the_stdlib_encoder(payload):
+    assert _dumps(payload) == stdlib_dumps(payload)
+
+
+def test_dumps_raises_where_it_cannot_match():
+    for bad in ([object()], {"a": {1, 2}}):
+        with pytest.raises(TypeError):
+            _dumps(bad)
+        with pytest.raises(TypeError):
+            stdlib_dumps(bad)
+    with pytest.raises(TypeError):  # the stdlib writes the key 1 as "1"
+        _dumps({1: 2})
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--preset", "example14"],
+    ["check", "--config", "MIXED"],
+    ["spectrum", "--preset", "jp", "--exponents", ":3", "--levels", "6"],
+    ["spectrum", "--config", "MIXED", "--levels", "3"],
+    ["spectrum", "--config", "MIXED", "--epsilon", "1.5"],
+    ["spectrum", "--preset", "example14", "--word", ":2"],
+    ["verify", "--preset", "jp", "--levels-file", "LEVELS"],
+    ["verify", "--preset", "jp", "--levels-file", "FAILED"],
+    ["zeros", "--mask", "0,2", "--range", "0,2"],
+    ["zeros", "--preset", "example14", "--word", ":2", "--products-h", "3"],
+    ["zeros", "--preset", "jp", "--probe-xi", "1.37"],
+    ["equipos", "--preset", "example14", "--word", ":2", "--skips", "0,1,2", "--grid", "48"],
+    ["equipos", "--config", "MIXED", "--skips", "2,0,1,0", "--grid", "32"],
+])
+def test_report_rendering_matches_the_stdlib_encoder(tmp_path, argv):
+    cfg = tmp_path / "mixed.json"
+    cfg.write_text(json.dumps(MIXED_CONFIG))
+    files = {"MIXED": cfg, "LEVELS": tmp_path / "levels.json", "FAILED": tmp_path / "failed.json"}
+    assert main(["spectrum", "--preset", "jp", "--out", str(files["LEVELS"])]) == 0
+    assert main(["spectrum", "--preset", "jp", "--epsilon", "1.5",
+                 "--out", str(files["FAILED"])]) == 2
+    args = build_parser().parse_args([str(files.get(a, a)) for a in argv])
+    payload, _, _ = args.func(args)
+    payload["command"] = args.command
+    assert _dumps(payload) == stdlib_dumps(payload)
+    out = tmp_path / "report.json"
+    main([str(files.get(a, a)) for a in argv] + ["--out", str(out)])
+    assert out.read_text() == stdlib_dumps(payload) + "\n"

@@ -2,10 +2,12 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import convspec.equipos
 from convspec import (
     ConvolutionSpec,
     TailSpec,
@@ -60,6 +62,34 @@ def test_choose_k_array_matches_scalar_calls(jp_spec, mixed_spec, e14_tail_spec)
             k1, v1 = choose_k(tail, float(xs[idx]), K=4, depth=30)
             assert int(k[idx]) == k1
             assert abs(v[idx] - v1) <= 1e-15
+
+
+def test_choose_k_in_parts_is_bit_identical(monkeypatch, jp_spec, mixed_spec, e14_tail_spec):
+    xs = np.concatenate([np.arange(97) / 97, [0.5, 1 / 3, 2 / 3]])
+    for spec in (jp_spec, mixed_spec, e14_tail_spec):
+        tail = TailSpec(spec, 2)
+        k, v = choose_k(tail, xs, K=6, depth=30)
+        for chunk in (2, 3, 7, 64):
+            monkeypatch.setattr(convspec.equipos, "_SHIFT_CHUNK", chunk)
+            kc, vc = choose_k(tail, xs, K=6, depth=30)
+            assert np.array_equal(kc, k) and np.array_equal(vc, v)
+        monkeypatch.undo()
+
+
+def test_choose_k_memory_does_not_grow_with_the_points(mixed_spec):
+    # 2^18 points: the (point, shift) arrays of one evaluation would take
+    # ~300 MB; in parts the peak is the outputs plus one part's arrays
+    xs = (np.arange(1 << 18) + 0.5) / (1 << 18)
+    tail = TailSpec(mixed_spec, 1)
+    tracemalloc.start()
+    try:
+        k, v = choose_k(tail, xs, K=8, depth=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    per_point = 32  # k and value, and the two arrays they are selected from
+    assert peak - per_point * xs.size < 24 << 20  # 166 MB over this in one part
+    assert k.shape == v.shape == xs.shape
 
 
 def test_choose_k_ties_at_one_half_are_exact(jp_spec, mixed_spec, e14_spec):
@@ -140,6 +170,22 @@ def test_probe_e14_failure_at_one_third(e14_tail_spec):
     assert not cert.ok
     assert cert.epsilon_hat <= 1e-4
     assert abs(cert.worst.x - 1 / 3) < 1 / 128
+
+
+def test_probe_rows_and_worst_follow_the_sorted_table(mixed_spec, e14_tail_spec):
+    # reference: every (x, skip) row sorted by (x, skip), equal skips in the
+    # order given, and the first minimum of that table
+    for spec, skips in ((mixed_spec, (3, 0, 1, 0, 2)), (e14_tail_spec, (2, 1, 0, 1))):
+        cert = probe_family(spec, skips, grid_n=48, K=8, depth=40)
+        xs = np.arange(48) / 48
+        rows = []
+        for n in skips:
+            k, v = choose_k(TailSpec(spec, n), xs, 8, 40)
+            rows.extend(zip(xs.tolist(), [n] * 48, k.tolist(), v.tolist()))
+        rows.sort(key=lambda r: (r[0], r[1]))
+        assert [tuple(vars(r).values()) for r in cert.rows] == rows
+        assert tuple(vars(cert.worst).values()) == min(rows, key=lambda r: r[3])
+        assert cert.worst is cert.rows[rows.index(min(rows, key=lambda r: r[3]))]
 
 
 def test_probe_grid_refinement_never_raises_epsilon(jp_spec):

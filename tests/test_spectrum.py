@@ -85,6 +85,22 @@ def test_jp_levels_match_canonical_truncations(jp_spec):
     assert all(k == 0 for sh in levels.shifts for _, k in sh)
 
 
+def test_levels_past_int64_match_set_and_sort(jp_spec):
+    # with exponent 3 every lambda grows by 64 per level: L11 passes 2^63,
+    # so the composition switches to Python ints
+    spec = ConvolutionSpec(jp_spec.family, SelectionWord(exp_period=(3,)))
+    levels = build_quiet(spec, 12)
+    assert levels.level(10)[-1] < 2**63 <= levels.level(11)[-1]
+    for i in range(1, 13):
+        m_prev = levels.m(i - 1) if i > 1 else 0
+        n = block_frequencies(spec, m_prev, levels.m(i)).N
+        n0 = spec.scale_product(m_prev)
+        points = [lam + k * n for lam, k in levels.shifts[i - 1]]
+        want = sorted({a + n0 * b for a in levels.level(i - 1) for b in points})
+        assert levels.level(i) == tuple(want)
+        assert all(type(lam) is int for lam in levels.level(i))
+
+
 def test_first_level_is_block_frequencies(mixed_spec):
     levels = build_quiet(mixed_spec, 1)
     m1 = levels.indices[0]
