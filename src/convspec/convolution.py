@@ -15,12 +15,12 @@ measure of index n, whose transform is again a mask product.
 
 from __future__ import annotations
 
-import functools
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -217,35 +217,54 @@ def TailSpec(spec: ConvolutionSpec, skip: int = 0) -> ConvolutionSpec:
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """Finite atomic probability measure with exact rational atoms.
+    """Finite atomic probability measure on the lattice Z / denominator.
 
-    Atoms are stored sorted by position; weights are positive Fractions
-    summing to exactly 1.  Construct through :meth:`from_dict`, which checks
-    both; :func:`finite_level` builds its atoms in that form directly.
+    Atom j sits at numerators[j] / denominator with weight
+    counts[j] / sum(counts); numerators strictly increase and counts are
+    positive.  The form is kept reduced, gcd(denominator, numerators) = 1
+    and gcd(counts) = 1, so two measures are equal exactly when their
+    fields are.  Construct through :meth:`from_dict`, which checks the
+    atoms; :func:`finite_level` builds its lattice in that form directly.
     """
 
-    atoms: tuple[tuple[Fraction, Fraction], ...]
+    numerators: tuple[int, ...]
+    denominator: int
+    counts: tuple[int, ...]
+
+    def __post_init__(self):
+        num, counts = tuple(self.numerators), tuple(self.counts)
+        g, h = math.gcd(self.denominator, *num), math.gcd(*counts)
+        object.__setattr__(self, "numerators", num if g == 1 else tuple(u // g for u in num))
+        object.__setattr__(self, "denominator", self.denominator // g)
+        object.__setattr__(self, "counts", counts if h == 1 else tuple(c // h for c in counts))
 
     @classmethod
     def from_dict(cls, d: dict[Fraction, Fraction]) -> "DiscreteMeasure":
-        items = []
-        total = Fraction(0)
+        acc: dict[Fraction, Fraction] = {}
         for pos, w in d.items():
             pos = Fraction(pos)
             w = Fraction(w)
             if w <= 0:
                 raise ValueError(f"weight at {pos} must be positive, got {w}")
-            items.append((pos, w))
-            total += w
+            acc[pos] = acc.get(pos, Fraction(0)) + w
+        total = sum(acc.values(), start=Fraction(0))
         if total != 1:
             raise ValueError(f"weights must sum to exactly 1, got {total}")
-        if not items:
+        if not acc:
             raise ValueError("measure needs at least one atom")
-        return cls(tuple(sorted(items)))
+        atoms = sorted(acc.items())
+        den = math.lcm(*(p.denominator for p, _ in atoms))
+        wden = math.lcm(*(w.denominator for _, w in atoms))
+        return cls(
+            tuple(p.numerator * (den // p.denominator) for p, _ in atoms),
+            den,
+            tuple(w.numerator * (wden // w.denominator) for _, w in atoms),
+        )
 
     @classmethod
     def point_mass(cls, pos: Fraction | int = 0) -> "DiscreteMeasure":
-        return cls(((Fraction(pos), Fraction(1)),))
+        pos = Fraction(pos)
+        return cls((pos.numerator,), pos.denominator, (1,))
 
     @classmethod
     def digit_measure(cls, B: Sequence[int], scale: Fraction) -> "DiscreteMeasure":
@@ -256,20 +275,29 @@ class DiscreteMeasure:
         w = Fraction(1, len(B))
         return cls.from_dict({b * scale: w for b in B})
 
+    @property
+    def atoms(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """The (position, weight) pairs as Fractions, sorted by position."""
+        den, total = self.denominator, sum(self.counts)
+        return tuple(
+            (Fraction(u, den), Fraction(c, total))
+            for u, c in zip(self.numerators, self.counts)
+        )
+
     def as_dict(self) -> dict[Fraction, Fraction]:
         return dict(self.atoms)
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return len(self.numerators)
 
     def positions(self) -> np.ndarray:
-        return np.array([float(p) for p, _ in self.atoms])
+        """Atom positions, each correctly rounded (int division is)."""
+        den = self.denominator
+        return np.array([u / den for u in self.numerators])
 
     def weights(self) -> np.ndarray:
-        return np.array([float(w) for _, w in self.atoms])
-
-    def total_mass(self) -> Fraction:
-        return sum((w for _, w in self.atoms), start=Fraction(0))
+        total = sum(self.counts)
+        return np.array([c / total for c in self.counts])
 
     def to_csv(self) -> str:
         lines = ["position,weight"]
@@ -312,7 +340,7 @@ def _inv_float(p: int) -> float:
     try:
         return 1.0 / float(p)
     except OverflowError:
-        return math.copysign(0.0, p)
+        return 0.0 if p > 0 else -0.0
 
 
 def convolve(a: DiscreteMeasure, b: DiscreteMeasure) -> DiscreteMeasure:
@@ -336,8 +364,8 @@ def finite_level(
     num / |P_k| with weight count / prod_{j<=k} #B_j, and factor k + 1 sends
     num to num * |N^e| + sign(P_{k+1}) * b for each digit b.  Numerators are
     int64 while their bound fits and Python ints past it; equal numerators
-    merge with their counts added, and the sorted measure is built once at
-    the end.  The budgets on the bits of P_k and on the prod_{j<=k} #B_j
+    merge with their counts added, and the lattice measure is built once at
+    the end, with no Fraction formed.  The budgets on the bits of P_k and on the prod_{j<=k} #B_j
     atoms formed before merging are checked level by level as the factors
     are walked, so a level past either budget raises before any level is
     built and before any later factor is formed.
@@ -367,56 +395,28 @@ def finite_level(
             (num[:, None] * abs(scale) + digits).ravel(), return_inverse=True
         )
         count = np.bincount(inverse, weights=np.repeat(count, len(t.B)))
-    den = abs(table[-1].product)
-    counts = count.astype(np.int64).tolist()
-    weight = {c: Fraction(c, total) for c in set(counts)}
-    return DiscreteMeasure(tuple(
-        (Fraction(a, den), weight[c]) for a, c in zip(num.tolist(), counts)
-    ))
-
-
-@functools.lru_cache(maxsize=64)
-def _digit_polynomial(digits: tuple[int, ...]) -> tuple[int, tuple[float, ...]]:
-    """(min B, c) with c_d = #{b in B : b - min B = d} / #B."""
-    if not digits:
-        raise ValueError("digit set must be nonempty")
-    lo = min(digits)
-    counts = [0] * (max(digits) - lo + 1)
-    for b in digits:
-        counts[b - lo] += 1
-    return lo, tuple(k / len(digits) for k in counts)
+    return DiscreteMeasure(
+        num.tolist(), abs(table[-1].product), count.astype(np.int64).tolist()
+    )
 
 
 def mask(B: Sequence[int], xi: ArrayLike) -> complex | np.ndarray:
     """Mask polynomial M_B(xi) = mean_b exp(-2*pi*i*b*xi); period 1, |M| <= 1.
 
-    One exp gives z = exp(-2*pi*i*xi); then M_B = z^min(B) * sum_d c_d z^d
-    by Horner, with conj(z) standing in for 1/z when min B < 0.  The cost is
-    one exp plus max|B - min B| + |min B| complex multiplications per point,
-    and M_B(-xi) == conj(M_B(xi)) holds exactly.
+    The one-factor mask product: #B exponentials per point at any digit
+    span, and M_B(-xi) == conj(M_B(xi)) holds exactly.
     """
-    # digits are checked before the cache, where 2.0 and 2 are one key
-    lo, coef = _digit_polynomial(_integers(B))
-    x = np.asarray(xi, dtype=float)
-    z = np.asarray(x * (-2j * np.pi))  # a 0-d input takes the same array steps
-    np.exp(z, out=z)
-    out = np.full(x.shape, coef[-1], dtype=complex)
-    for c in coef[-2::-1]:
-        out *= z
-        if c:
-            out += c
-    if lo < 0:
-        # in place: the memory a call takes must not depend on the digits
-        np.conjugate(z, out=z)
-    for _ in range(abs(lo)):
-        out *= z
-    return complex(out) if x.ndim == 0 else out
+    B = _integers(B)
+    if not B:
+        raise ValueError("digit set must be nonempty")
+    out = _mask_product([(B, 1)], np.asarray(xi, dtype=float), np.zeros(()))
+    return complex(out) if out.ndim == 0 else out
 
 
 def _mask_product(
-    spec: ConvolutionSpec, n: int, x: np.ndarray, offsets: np.ndarray
+    factors: Iterable[tuple[Sequence[int], int]], x: np.ndarray, offsets: np.ndarray
 ) -> np.ndarray:
-    """prod_{k<=n} M_{B_k}((x + o) / P_k) for every x and offset o.
+    """prod_k M_{B_k}((x + o) / P_k) over the factors (B_k, P_k), for every x and o.
 
     The result has shape x.shape + offsets.shape.  With d = B_k - min B_k,
     factor k is exp(-2*pi*i*min B_k*(x + o)/P_k) times the rank-#B matrix
@@ -429,13 +429,13 @@ def _mask_product(
     out = np.ones((xs.size, o.size), dtype=complex)
     term = np.empty_like(out)
     s = 0.0
-    for f in spec.factors(n):
-        lo = min(f.triple.B)
-        inv = _inv_float(f.product)
+    for B, p in factors:
+        lo = min(B)
+        inv = _inv_float(p)
         s += lo * inv
-        d = np.array([b - lo for b in f.triple.B], dtype=float) * (-2j * np.pi * inv)
+        d = np.array([b - lo for b in B], dtype=float) * (-2j * np.pi * inv)
         u = np.exp(np.multiply.outer(xs, d))
-        u /= len(f.triple.B)
+        u /= len(B)
         np.matmul(u, np.exp(np.multiply.outer(d, o)), out=term)
         out *= term
     if s:
@@ -466,7 +466,8 @@ def fourier_finite(
     """
     if n < 1:
         raise ValueError(f"level must be >= 1, got {n}")
-    out = _mask_product(spec, n, np.asarray(xi, dtype=float), _offsets(offsets))
+    factors = [(f.triple.B, f.product) for f in spec.factors(n)]
+    out = _mask_product(factors, np.asarray(xi, dtype=float), _offsets(offsets))
     return complex(out) if out.ndim == 0 else out
 
 
@@ -537,7 +538,7 @@ def fourier_tail(
         raise ValueError(f"depth must be >= 1, got {depth}")
     x = np.asarray(xi, dtype=float)
     o = _offsets(offsets)
-    out = _mask_product(tail, depth, x, o)
+    out = _mask_product([(f.triple.B, f.product) for f in tail.factors(depth)], x, o)
     bound = tail_truncation_bound(tail, np.add.outer(x, o), depth)
     if out.ndim == 0:
         return TailValue(complex(out), float(bound))
@@ -545,11 +546,8 @@ def fourier_tail(
 
 
 def cdf(measure: DiscreteMeasure, x: Fraction | int | float) -> Fraction:
-    """Exact weight of (-inf, x]."""
-    x = Fraction(x)
-    total = Fraction(0)
-    for pos, w in measure.atoms:
-        if pos > x:
-            break
-        total += w
-    return total
+    """Exact weight of (-inf, x]: the atoms u / D with u <= floor(x * D)."""
+    i = bisect.bisect_right(
+        measure.numerators, math.floor(Fraction(x) * measure.denominator)
+    )
+    return Fraction(sum(measure.counts[:i]), sum(measure.counts))

@@ -12,6 +12,7 @@ reported as half the grid spacing and labeled as such.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +32,7 @@ DEFAULT_FAILURE_THRESHOLD = 1e-4
 _SHIFT_CHUNK = 1 << 13  # points per tail evaluation; bounds the (point, shift) arrays
 
 
-@dataclass(frozen=True)
-class ProbeRow:
+class ProbeRow(NamedTuple):
     """Best shift found for one grid point and one tail index."""
 
     x: float

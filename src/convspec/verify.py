@@ -15,7 +15,6 @@ comes from the exact level completeness identity: since the level sums
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -53,36 +52,35 @@ _BOXED_INT_BYTES = 64  # an object-array pointer and the Python int it points to
 def orthonormality_gram(measure: DiscreteMeasure, Lambda: Sequence[int]) -> float:
     """Max entrywise deviation of the exponential Gram matrix from identity.
 
-    Entry (a, b) is the measure transform at lambda_a - lambda_b.  With D the
-    lcm of the atom denominators every atom is u / D for an integer u, so the
-    entry is c[r] = sum_u w_u exp(-2*pi*i*r*u/D) at r = (lambda_a - lambda_b)
-    mod D, and every phase is reduced exactly in integers before it becomes a
+    Entry (a, b) is the measure transform at lambda_a - lambda_b.  Every atom
+    is u / D on the measure's lattice, so the entry is
+    c[r] = sum_u w_u exp(-2*pi*i*r*u/D) at r = (lambda_a - lambda_b) mod D,
+    and every phase is reduced exactly in integers before it becomes a
     float.  When D <= |Lambda| * #atoms, one FFT of the weights folded into D
-    bins gives every c[r]: the deviation is the larger of |c[0] - 1| on the
-    diagonal, c[0] being the exact total mass, and max |c[r]| over the
-    residues of distinct pairs, which include r = 0 only when two lambdas
-    agree mod D.  Otherwise it is the matrix product of the exponentials at
+    bins gives every c[r]: the diagonal c[0] is the total mass, exactly 1,
+    and the deviation is max |c[r]| over the residues of distinct pairs,
+    which include r = 0 (deviation 1) only when two lambdas agree mod D.
+    Otherwise it is the matrix product of the exponentials at
     (lambda * u mod D) / D, reduced in Python ints a chunk of rows at a time.
     """
     lam = _integers(tuple(Lambda), "Lambda")
     if not lam:
         raise ValueError("Lambda must be nonempty")
-    d = math.lcm(*(p.denominator for p, _ in measure.atoms))
-    u = [p.numerator * (d // p.denominator) % d for p, _ in measure.atoms]
+    d = measure.denominator
+    u = [x % d for x in measure.numerators]
     lam_r = [x % d for x in lam]
     w = measure.weights()
     if d <= len(lam) * len(measure):
-        mass = measure.total_mass()
         c = np.abs(np.fft.fft(np.bincount(u, weights=w, minlength=d)))
         c[0] = 0.0  # r = 0 is the diagonal unless two lambdas agree mod D
         res = np.asarray(lam_r, dtype=np.int64)
-        off = float(mass) if np.unique(res).size < res.size else 0.0
+        off = 1.0 if np.unique(res).size < res.size else 0.0
         rows = max(1, _RESIDUE_CHUNK_BYTES // (8 * res.size))
         for i in range(0, res.size, rows):
             r = res[i : i + rows, None] - res
             r %= d
             off = max(off, float(c[r].max()))
-        return max(abs(float(mass - 1)), off)
+        return off
     uo = np.array(u, dtype=object)
     e = np.empty((len(lam), len(u)), dtype=complex)
     rows = max(1, _RESIDUE_CHUNK_BYTES // (_BOXED_INT_BYTES * len(u)))

@@ -316,6 +316,16 @@ def test_equipos_example14_uniform_word_fails(capsys):
     assert payload["worst"]["value"] <= 1e-4
 
 
+def test_equipos_prefix_past_the_double_range_exits_0(capsys):
+    # 520 factors of 4 take |P_k| to 2^1040, past the largest double
+    code, payload = run_json(
+        capsys, "equipos", "--preset", "jp", "--word", "1" * 520 + ":1",
+        "--skips", "0", "--grid", "8",
+    )
+    assert code == 0
+    assert payload["ok"] is True
+
+
 def test_equipos_csv_output(capsys):
     code, out = run(capsys, "equipos", "--preset", "jp", "--skips", "0",
                     "--grid", "8", "--output", "csv")

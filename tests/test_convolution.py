@@ -30,6 +30,7 @@ from convspec import (
     tail_truncation_bound,
     zero_propagation,
 )
+from convspec.convolution import _inv_float
 from conftest import random_spec
 
 F = Fraction
@@ -183,7 +184,49 @@ def test_weight_sums_exactly_one_random():
     for _ in range(20):
         spec = random_spec(rng)
         mu = finite_level(spec, rng.randint(1, 5))
-        assert mu.total_mass() == 1
+        assert sum(w for _, w in mu.atoms) == 1
+
+
+def test_finite_level_is_the_reduced_lattice_of_the_oracle(jp_spec, e14_spec, mixed_spec):
+    # dataclass equality is measure equality only in reduced form: jp's raw
+    # numerators over 4^n are all even, so its lattice divides down to
+    # 2 * 4^(n-1); a non-Hadamard digit set {0, 1, 2} merges atoms into counts
+    rng = random.Random(29)
+    collide = ConvolutionSpec((HadamardTriple(2, (0, 1, 2), (0, 1, 2)),), SelectionWord())
+    specs = [jp_spec, e14_spec, mixed_spec, collide] + [random_spec(rng) for _ in range(10)]
+    for spec in specs:
+        for n in (1, 2, 4):
+            mu = finite_level(spec, n)
+            assert mu == DiscreteMeasure.from_dict(enumerate_level_oracle(spec, n))
+            assert math.gcd(mu.denominator, *mu.numerators) == 1
+            assert math.gcd(*mu.counts) == 1
+            assert list(mu.numerators) == sorted(set(mu.numerators))
+    assert finite_level(jp_spec, 4).denominator == 2 * 4**3
+    assert finite_level(collide, 2).counts == (1, 1, 2, 1, 2, 1, 1)
+
+
+def test_lattice_fields_reduce_on_construction():
+    # raw numerators and raw counts that share a factor
+    raw = DiscreteMeasure((0, 2, 4), 8, (2, 4, 2))
+    assert (raw.numerators, raw.denominator, raw.counts) == ((0, 1, 2), 4, (1, 2, 1))
+    assert raw == DiscreteMeasure.from_dict({F(0): F(1, 4), F(1, 4): F(1, 2), F(1, 2): F(1, 4)})
+    assert raw.atoms == ((F(0), F(1, 4)), (F(1, 4), F(1, 2)), (F(1, 2), F(1, 4)))
+    assert DiscreteMeasure.point_mass(F(-6, 4)) == DiscreteMeasure((-3,), 2, (1,))
+
+
+def test_positions_are_correctly_rounded_past_2_72(jp_spec):
+    jp3 = ConvolutionSpec(jp_spec.family, SelectionWord(exp_period=(3,)))
+    mu = finite_level(jp3, 12)
+    assert mu.denominator.bit_length() == 72
+    assert mu.positions().tolist() == [float(p) for p, _ in mu.atoms]
+    assert mu.weights().tolist() == [float(w) for _, w in mu.atoms]
+
+
+def test_weights_sum_exactly_one_past_the_double_range():
+    # the counts are past the double range; each weight is their rounded quotient
+    mu = DiscreteMeasure((0, 1), 1, (2**1100 - 1, 1))
+    assert sum(w for _, w in mu.atoms) == 1
+    assert mu.weights().tolist() == [1.0, 0.0]
 
 
 # --- convolution ----------------------------------------------------------
@@ -507,6 +550,28 @@ def test_cdf_basics(jp_spec):
     assert values == sorted(values)
 
 
+def cdf_reference(measure, x):
+    """Weight of (-inf, x] by a loop over the Fraction atoms."""
+    x = F(x)
+    return sum((w for p, w in measure.atoms if p <= x), F(0))
+
+
+def test_cdf_matches_fraction_loop(e14_spec, mixed_spec):
+    rng = random.Random(37)
+    specs = [e14_spec, mixed_spec] + [random_spec(rng) for _ in range(8)]
+    for spec in specs:
+        mu = finite_level(spec, 3)
+        pos = [p for p, _ in mu.atoms]
+        between = [(a + b) / 2 for a, b in zip(pos, pos[1:])]
+        outside = [pos[0] - 1, pos[-1] + F(1, 3)]
+        floats = [float(p) for p in pos] + [rng.uniform(float(pos[0]) - 1, float(pos[-1]) + 1)
+                                            for _ in range(20)]
+        for x in pos + between + outside + floats:
+            assert cdf(mu, x) == cdf_reference(mu, x)
+    assert cdf(finite_level(mixed_spec, 3), -0.5) == 0
+    assert cdf(finite_level(mixed_spec, 3), 2) == 1
+
+
 def e14_cdf_oracle(x):
     """Exact piecewise-linear limit CDF: density 1/3, 2/3, 1/3 on the pieces."""
     x = F(x)
@@ -532,6 +597,13 @@ def test_e14_level12_cdf_matches_density(e14_spec):
 
 
 # --- serialization -----------------------------------------------------------
+
+def test_inv_float_past_double_range():
+    # float(p) overflows here, and so would math.copysign(0.0, p)
+    assert _inv_float(4) == 0.25
+    assert _inv_float(2**1100) == 0.0 and math.copysign(1.0, _inv_float(2**1100)) == 1.0
+    assert _inv_float(-(2**1100)) == 0.0 and math.copysign(1.0, _inv_float(-(2**1100))) == -1.0
+
 
 def test_fraction_str():
     assert fraction_str(F(5, 8)) == "0.625"

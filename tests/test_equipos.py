@@ -183,8 +183,8 @@ def test_probe_rows_and_worst_follow_the_sorted_table(mixed_spec, e14_tail_spec)
             k, v = choose_k(TailSpec(spec, n), xs, 8, 40)
             rows.extend(zip(xs.tolist(), [n] * 48, k.tolist(), v.tolist()))
         rows.sort(key=lambda r: (r[0], r[1]))
-        assert [tuple(vars(r).values()) for r in cert.rows] == rows
-        assert tuple(vars(cert.worst).values()) == min(rows, key=lambda r: r[3])
+        assert [tuple(r) for r in cert.rows] == rows
+        assert tuple(cert.worst) == min(rows, key=lambda r: r[3])
         assert cert.worst is cert.rows[rows.index(min(rows, key=lambda r: r[3]))]
 
 

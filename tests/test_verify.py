@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import convspec.convolution
 import convspec.verify as verify
 from convspec import (
     BuildParams,
@@ -96,6 +97,18 @@ def test_gram_jp_higher_exponents_up_to_level_8(jp_spec):
         for i in range(1, 9):
             mu = finite_level(spec, levels.m(i))
             assert orthonormality_gram(mu, levels.level(i)) <= 1e-10
+
+
+def test_finite_level_and_gram_form_no_fraction(mixed_spec, monkeypatch):
+    # the level stays on its integer lattice from finite_level through the check
+    levels = build_quiet(mixed_spec, 3)
+
+    def no_fraction(*args, **kwargs):
+        raise AssertionError("Fraction formed")
+
+    monkeypatch.setattr(convspec.convolution, "Fraction", no_fraction)
+    mu = finite_level(mixed_spec, levels.m(3))
+    assert orthonormality_gram(mu, levels.level(3)) <= 1e-10
 
 
 def test_gram_lambda_colliding_mod_d_gives_exactly_one(jp_spec, mixed_spec):
