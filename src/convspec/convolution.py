@@ -546,7 +546,12 @@ def fourier_tail(
 
 
 def cdf(measure: DiscreteMeasure, x: Fraction | int | float) -> Fraction:
-    """Exact weight of (-inf, x]: the atoms u / D with u <= floor(x * D)."""
+    """Exact weight of (-inf, x]: the atoms u / D with u <= floor(x * D).
+
+    x = +inf gives 1 and x = -inf gives 0; NaN raises ValueError.
+    """
+    if x in (math.inf, -math.inf):
+        return Fraction(int(x > 0))
     i = bisect.bisect_right(
         measure.numerators, math.floor(Fraction(x) * measure.denominator)
     )

@@ -133,9 +133,10 @@ def probe_family(
 ) -> EquiPositivityCertificate:
     """Probe the tails of ``spec`` with the given skip indices on a uniform grid.
 
-    Runs :func:`choose_k` over the grid for every tail; eps-hat is the
-    minimum achieved value.  The result fails when eps-hat does not exceed
-    the failure threshold, naming the worst (x, skip) pair.
+    Runs :func:`choose_k` over the grid once per distinct tail, that is per
+    distinct (B, P_k) sequence up to depth; eps-hat is the minimum achieved
+    value.  The result fails when eps-hat does not exceed the failure
+    threshold, naming the worst (x, skip) pair.
     """
     skips = _integers(skips, "skips")
     if not skips or min(skips) < 0:
@@ -147,7 +148,18 @@ def probe_family(
     # rows in (x, skip) order, equal skips in the order given: the grid
     # ascends, so a stable sort of the skips orders each x's rows
     order = np.argsort(skips, kind="stable")
-    ks, values = zip(*(choose_k(TailSpec(spec, n), xs, K, depth) for n in skips))
+    # the search reads only the (B, P_k) sequence up to depth, so tails that
+    # share it share (k, value) bit for bit: an eventually periodic word has
+    # at most preperiod + period of them, however many skips are asked for
+    searches: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+    found = []
+    for n in skips:
+        tail = TailSpec(spec, n)
+        key = tuple((f.triple.B, f.product) for f in tail.factors(depth))
+        if key not in searches:
+            searches[key] = choose_k(tail, xs, K, depth)
+        found.append(searches[key])
+    ks, values = zip(*found)
     k = np.array(ks)[order].T.ravel()
     value = np.array(values)[order].T.ravel()
     rows = tuple(map(

@@ -371,6 +371,22 @@ class PropagationTrace:
         }
 
 
+def _merge_close(xs: np.ndarray) -> np.ndarray:
+    """Sorted xs without each element within 1e-12 of the last one kept.
+
+    The merge is greedy along a chain of close values, so only the indices
+    where np.diff falls below 1e-12 are visited, in order.
+    """
+    keep = np.ones(xs.size, dtype=bool)
+    last = 0
+    for i in (np.flatnonzero(np.diff(xs) < 1e-12) + 1).tolist():
+        if keep[i - 1]:
+            last = i - 1
+        if xs[i] - xs[last] < 1e-12:
+            keep[i] = False
+    return xs[keep]
+
+
 def zero_propagation(
     spec: ConvolutionSpec,
     xi0: float,
@@ -386,21 +402,19 @@ def zero_propagation(
     within integer_tol of an integer raises the step's integer flag (a
     nonempty periodic zero set cannot contain integers).
     """
+    if not math.isfinite(xi0):
+        raise ValueError(f"xi0 must be finite, got {xi0}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    y = np.array([float(xi0)])
     ys = [(float(xi0),)]
     flags = [abs(xi0 - round(xi0)) <= integer_tol]
     for t, scale, _ in spec.factors(steps):
         l_eff = [float(scale // t.N * (l % abs(t.N))) for l in t.L]
-        tau = np.add.outer(ys[-1], l_eff).ravel() / float(scale)
-        nxt = np.sort(tau[np.abs(mask(t.B, tau)) > tol], kind="stable")
-        dedup: list[float] = []
-        for v in nxt.tolist():
-            if dedup and abs(v - dedup[-1]) < 1e-12:
-                continue
-            dedup.append(v)
-        ys.append(tuple(dedup))
-        flags.append(any(abs(v - round(v)) <= integer_tol for v in dedup))
+        tau = np.add.outer(y, l_eff).ravel() / float(scale)
+        y = _merge_close(np.sort(tau[np.abs(mask(t.B, tau)) > tol], kind="stable"))
+        ys.append(tuple(y.tolist()))
+        flags.append(bool(np.any(np.abs(y - np.round(y)) <= integer_tol)))
     counts = tuple(len(s) for s in ys)
     return PropagationTrace(
         xi0=float(xi0),

@@ -550,6 +550,15 @@ def test_cdf_basics(jp_spec):
     assert values == sorted(values)
 
 
+def test_cdf_at_infinity(e14_spec):
+    # the weight of (-inf, x] is 1 at +inf and 0 at -inf; NaN has none
+    mu = finite_level(e14_spec, 4)
+    assert cdf(mu, math.inf) == 1
+    assert cdf(mu, -math.inf) == 0
+    with pytest.raises(ValueError):
+        cdf(mu, math.nan)
+
+
 def cdf_reference(measure, x):
     """Weight of (-inf, x] by a loop over the Fraction atoms."""
     x = F(x)

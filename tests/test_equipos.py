@@ -10,6 +10,7 @@ import pytest
 import convspec.equipos
 from convspec import (
     ConvolutionSpec,
+    SelectionWord,
     TailSpec,
     choose_k,
     fourier_tail,
@@ -186,6 +187,48 @@ def test_probe_rows_and_worst_follow_the_sorted_table(mixed_spec, e14_tail_spec)
         assert [tuple(r) for r in cert.rows] == rows
         assert tuple(cert.worst) == min(rows, key=lambda r: r[3])
         assert cert.worst is cert.rows[rows.index(min(rows, key=lambda r: r[3]))]
+
+
+def distinct_tail_cases(jp_spec, e14_spec, mixed_spec):
+    """(spec, skips, number of distinct (B, P_k) sequences among the tails)."""
+    return [
+        (jp_spec, (0, 1, 2, 3, 4), 1),  # every tail of jp is jp itself
+        (e14_spec, (0, 1, 2), 2),  # word 1:2, then 2:2 from skip 1 on
+        (mixed_spec, (0, 1, 2, 3, 4), 2),  # word :12 alternates two tails
+        # exponents :13, so skips 0 and 1 share triples but not P_k
+        (ConvolutionSpec(jp_spec.family, SelectionWord(exp_period=(1, 3))), (0, 1), 2),
+        # word 2:2 shifts to :2, a different word spelling the same sequence
+        (ConvolutionSpec(e14_spec.family, SelectionWord((2,), (2,))), (0, 1), 1),
+    ]
+
+
+def test_probe_searches_each_distinct_tail_once(monkeypatch, jp_spec, e14_spec, mixed_spec):
+    searched = []
+
+    def counting_choose_k(tail, *args):
+        searched.append(tail)
+        return choose_k(tail, *args)
+
+    monkeypatch.setattr(convspec.equipos, "choose_k", counting_choose_k)
+    for spec, skips, distinct in distinct_tail_cases(jp_spec, e14_spec, mixed_spec):
+        searched.clear()
+        probe_family(spec, skips, grid_n=16, K=4, depth=30)
+        assert len(searched) == distinct, (spec.describe(), skips)
+
+
+def test_probe_shared_searches_match_separate_ones(jp_spec, e14_spec, mixed_spec):
+    # every row and the worst one, bit for bit, against one search per skip
+    xs = np.arange(40) / 40
+    for spec, given, _ in distinct_tail_cases(jp_spec, e14_spec, mixed_spec):
+        for skips in (given, (2, 0, 2)):
+            cert = probe_family(spec, skips, grid_n=40, K=6, depth=30)
+            rows = []
+            for n in skips:
+                k, v = choose_k(TailSpec(spec, n), xs, 6, 30)
+                rows.extend(zip(xs.tolist(), [n] * 40, k.tolist(), v.tolist()))
+            rows.sort(key=lambda r: (r[0], r[1]))
+            assert [tuple(r) for r in cert.rows] == rows
+            assert tuple(cert.worst) == min(rows, key=lambda r: r[3])
 
 
 def test_probe_grid_refinement_never_raises_epsilon(jp_spec):

@@ -17,6 +17,7 @@ from convspec import (
     zero_free_radius,
     zero_propagation,
 )
+from convspec.zeros import _merge_close
 from conftest import random_spec
 
 
@@ -335,6 +336,40 @@ def test_propagation_matches_scalar_loop_random():
         steps = rng.randint(2, 5)
         tr = zero_propagation(spec, xi0, steps=steps)
         assert tr.sets == propagation_sets_by_scalar_loop(spec, xi0, steps)
+
+
+def merge_by_loop(xs):
+    """Greedy merge of sorted values: drop each within 1e-12 of the last kept."""
+    kept = []
+    for v in xs.tolist():
+        if not kept or abs(v - kept[-1]) >= 1e-12:
+            kept.append(v)
+    return kept
+
+
+def test_merge_close_matches_the_greedy_loop_on_chains():
+    # on a chain spaced 0.6e-12 the greedy merge keeps every second value,
+    # and spaced 0.4e-12 every third; np.diff alone would keep only the first
+    rng = random.Random(12)
+    for _ in range(20):
+        parts = [np.array([rng.uniform(-3.0, 3.0) for _ in range(rng.randint(0, 30))])]
+        for step in (0.6e-12, 0.4e-12):
+            for _ in range(rng.randint(1, 4)):
+                parts.append(rng.uniform(-3.0, 3.0) + step * np.arange(rng.randint(2, 12)))
+        xs = np.sort(np.concatenate(parts))
+        assert _merge_close(xs).tolist() == merge_by_loop(xs)
+    chain = 0.5 + 0.6e-12 * np.arange(7)
+    assert _merge_close(chain).tolist() == chain[::2].tolist()
+    assert np.sum(np.diff(chain) >= 1e-12) == 0  # np.diff alone keeps 1, not 4
+    assert _merge_close(np.array([])).size == 0
+
+
+def test_propagation_needs_a_finite_start(jp_spec):
+    # NaN raised from round and inf overflowed; a vectorized integer flag
+    # would turn NaN into an empty orbit
+    for xi0 in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="xi0 must be finite"):
+            zero_propagation(jp_spec, xi0, steps=3)
 
 
 def test_propagation_trace_shape(e14_tail_spec):
