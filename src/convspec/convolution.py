@@ -223,8 +223,8 @@ class DiscreteMeasure:
     counts[j] / sum(counts); numerators strictly increase and counts are
     positive.  The form is kept reduced, gcd(denominator, numerators) = 1
     and gcd(counts) = 1, so two measures are equal exactly when their
-    fields are.  Construct through :meth:`from_dict`, which checks the
-    atoms; :func:`finite_level` builds its lattice in that form directly.
+    fields are.  Every construction checks and reduces the fields, which
+    may come as integer arrays (:func:`finite_level` passes them).
     """
 
     numerators: tuple[int, ...]
@@ -232,11 +232,21 @@ class DiscreteMeasure:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        num, counts = tuple(self.numerators), tuple(self.counts)
-        g, h = math.gcd(self.denominator, *num), math.gcd(*counts)
-        object.__setattr__(self, "numerators", num if g == 1 else tuple(u // g for u in num))
+        u, c = (v if isinstance(v, np.ndarray) else np.array(v, dtype=object)
+                for v in (self.numerators, self.counts))
+        if u.ndim != 1 or not u.size or u.shape != c.shape:
+            raise ValueError(f"need equal nonzero lengths, got {u.shape} and {c.shape}")
+        if self.denominator < 1:
+            raise ValueError(f"denominator must be >= 1, got {self.denominator}")
+        if np.any(u[1:] <= u[:-1]):
+            raise ValueError("numerators must strictly increase")
+        if np.any(c < 1):
+            raise ValueError("counts must be positive")
+        g = math.gcd(self.denominator, int(np.gcd.reduce(u)))
+        h = int(np.gcd.reduce(c))
+        object.__setattr__(self, "numerators", tuple((u // g if g > 1 else u).tolist()))
         object.__setattr__(self, "denominator", self.denominator // g)
-        object.__setattr__(self, "counts", counts if h == 1 else tuple(c // h for c in counts))
+        object.__setattr__(self, "counts", tuple((c // h if h > 1 else c).tolist()))
 
     @classmethod
     def from_dict(cls, d: dict[Fraction, Fraction]) -> "DiscreteMeasure":
@@ -250,8 +260,6 @@ class DiscreteMeasure:
         total = sum(acc.values(), start=Fraction(0))
         if total != 1:
             raise ValueError(f"weights must sum to exactly 1, got {total}")
-        if not acc:
-            raise ValueError("measure needs at least one atom")
         atoms = sorted(acc.items())
         den = math.lcm(*(p.denominator for p, _ in atoms))
         wden = math.lcm(*(w.denominator for _, w in atoms))
@@ -395,9 +403,7 @@ def finite_level(
             (num[:, None] * abs(scale) + digits).ravel(), return_inverse=True
         )
         count = np.bincount(inverse, weights=np.repeat(count, len(t.B)))
-    return DiscreteMeasure(
-        num.tolist(), abs(table[-1].product), count.astype(np.int64).tolist()
-    )
+    return DiscreteMeasure(num, abs(table[-1].product), count.astype(np.int64))
 
 
 def mask(B: Sequence[int], xi: ArrayLike) -> complex | np.ndarray:
@@ -409,20 +415,20 @@ def mask(B: Sequence[int], xi: ArrayLike) -> complex | np.ndarray:
     B = _integers(B)
     if not B:
         raise ValueError("digit set must be nonempty")
-    out = _mask_product([(B, 1)], np.asarray(xi, dtype=float), np.zeros(()))
-    return complex(out) if out.ndim == 0 else out
+    return _mask_product([(B, 1)], np.asarray(xi, dtype=float), np.zeros(()))
 
 
 def _mask_product(
     factors: Iterable[tuple[Sequence[int], int]], x: np.ndarray, offsets: np.ndarray
-) -> np.ndarray:
+) -> complex | np.ndarray:
     """prod_k M_{B_k}((x + o) / P_k) over the factors (B_k, P_k), for every x and o.
 
-    The result has shape x.shape + offsets.shape.  With d = B_k - min B_k,
-    factor k is exp(-2*pi*i*min B_k*(x + o)/P_k) times the rank-#B matrix
-    product sum_d exp(-2*pi*i*d*x/P_k) * exp(-2*pi*i*d*o/P_k) / #B.  The
-    min B_k phases add up to exp(-2*pi*i*(x + o)*s), s = sum_k min B_k / P_k,
-    and are applied once.
+    The result has shape x.shape + offsets.shape, and is a complex for
+    shape ().  With d = B_k - min B_k, factor k is
+    exp(-2*pi*i*min B_k*(x + o)/P_k) times the rank-#B matrix product
+    sum_d exp(-2*pi*i*d*x/P_k) * exp(-2*pi*i*d*o/P_k) / #B.  The min B_k
+    phases add up to exp(-2*pi*i*(x + o)*s), s = sum_k min B_k / P_k, and
+    are applied once.
     """
     xs = x.reshape(-1)
     o = offsets.reshape(-1)
@@ -442,12 +448,20 @@ def _mask_product(
         phase = -2j * np.pi * s
         np.multiply.outer(np.exp(xs * phase), np.exp(o * phase), out=term)
         out *= term
-    return out.reshape(x.shape + offsets.shape)
+    out = out.reshape(x.shape + offsets.shape)
+    return complex(out) if out.ndim == 0 else out
 
 
 def _offsets(offsets: ArrayLike | None) -> np.ndarray:
     """Offsets as a float array; omitted, the single offset 0 of shape ()."""
     return np.zeros(()) if offsets is None else np.asarray(offsets, dtype=float)
+
+
+def _first_factors(
+    spec: ConvolutionSpec, n: int, x: np.ndarray, o: np.ndarray
+) -> complex | np.ndarray:
+    """Product of the first n >= 0 masks of spec at x + o."""
+    return _mask_product([(f.triple.B, f.product) for f in spec.factors(n)], x, o)
 
 
 def fourier_finite(
@@ -466,9 +480,7 @@ def fourier_finite(
     """
     if n < 1:
         raise ValueError(f"level must be >= 1, got {n}")
-    factors = [(f.triple.B, f.product) for f in spec.factors(n)]
-    out = _mask_product(factors, np.asarray(xi, dtype=float), _offsets(offsets))
-    return complex(out) if out.ndim == 0 else out
+    return _first_factors(spec, n, np.asarray(xi, dtype=float), _offsets(offsets))
 
 
 def _tail_series_coefficient(tail: ConvolutionSpec, depth: int) -> float:
@@ -513,7 +525,7 @@ def tail_truncation_bound(
     series sum; the bound is monotone decreasing in depth.
     """
     if depth < 0:
-        raise ValueError("depth must be >= 0")
+        raise ValueError(f"depth must be >= 0, got {depth}")
     coef = _tail_series_coefficient(tail, depth)
     x = np.asarray(xi, dtype=float)
     out = coef * np.abs(x)
@@ -532,17 +544,13 @@ def fourier_tail(
     are taken at xi + o for every pair and have shape xi.shape + offsets.shape.
     A shift search over x + k passes the centred split (x - 1/2, k + 1/2),
     so at x = 1/2 the shifts k and -1 - k are exact negatives and their
-    moduli tie exactly.
+    moduli tie exactly.  Depth 0 is the empty product: value 1, and the
+    bound is the whole tail series.
     """
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
     x = np.asarray(xi, dtype=float)
     o = _offsets(offsets)
-    out = _mask_product([(f.triple.B, f.product) for f in tail.factors(depth)], x, o)
     bound = tail_truncation_bound(tail, np.add.outer(x, o), depth)
-    if out.ndim == 0:
-        return TailValue(complex(out), float(bound))
-    return TailValue(out, bound)
+    return TailValue(_first_factors(tail, depth, x, o), bound)
 
 
 def cdf(measure: DiscreteMeasure, x: Fraction | int | float) -> Fraction:

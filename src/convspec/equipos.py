@@ -102,6 +102,8 @@ def choose_k(
     if not np.all((0.0 <= xs) & (xs < 1.0)):
         raise ValueError(f"x must lie in [0, 1), got {x}")
     ks = np.array(search_order(K))
+    if depth < 1:  # over the empty product every shift ties at 1
+        raise ValueError(f"depth must be >= 1, got {depth}")
     flat = xs.reshape(-1)
     best = np.empty(flat.shape, dtype=ks.dtype)
     peak = np.empty(flat.shape)

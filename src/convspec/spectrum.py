@@ -124,6 +124,13 @@ class SpectrumLevels:
     shifts: tuple[tuple[tuple[int, int], ...], ...]
     params: BuildParams
 
+    def __post_init__(self):
+        n = len(self.indices)
+        if not len(self.levels) == n + 1 == len(self.shifts) + 1:
+            raise ValueError(f"{len(self.levels)} levels, {n} indices, {len(self.shifts)} shifts")
+        if not all(self.levels):
+            raise ValueError("every level must be nonempty")
+
     @property
     def level_count(self) -> int:
         return len(self.indices)
@@ -147,7 +154,8 @@ class SpectrumLevels:
     @classmethod
     def from_json(cls, obj: dict) -> "SpectrumLevels":
         """Inverse of to_json; a missing field, parameters included, raises
-        KeyError, and a non-integer entry or invalid parameter ValueError."""
+        KeyError, and a non-integer entry, invalid parameter or level count
+        ValueError."""
         p = obj["parameters"]
         return cls(
             levels=tuple(_integers(lv, "levels") for lv in obj["levels"]),

@@ -25,10 +25,8 @@ from .convolution import (
     DiscreteMeasure,
     TailSpec,
     _inv_float,
-    _tail_series_coefficient,
     fourier_finite,
     fourier_tail,
-    tail_truncation_bound,
 )
 from .spectrum import SpectrumLevels
 from .triples import _integers
@@ -141,33 +139,25 @@ def _grid_pass(
 
     Two mask products over (lambda, xi), each with separable phases:
     F = mu^_{m_i}(lambda + xi) over the first m_i factors and T = the tail
-    transform at (lambda + xi) / P_{m_i} over the next depth - m_i, so
-    Q = sum |F|^2 |T|^2 is the depth-factor truncation.  Bound = level part
-    (worst 1 - |tail|^2 over the level, tail evaluated with its own
-    truncation margin) + depth part (transform truncation, summed over the
-    level).  The completeness defect is the same as level_completeness.
+    transform at (lambda + xi) / P_{m_i} over the next depth - m_i (1 when
+    depth = m_i), so Q = sum |F|^2 |T|^2 is the depth-factor truncation.
+    Both parts of the bound come from T's bound t = c(depth) * |lambda + xi|:
+    level part = worst 1 - (|T| - t)^2, depth part = 2 * sum t, over the
+    level.  The completeness defect is the same as level_completeness.
     """
     m_i = levels.m(i)
     if depth < m_i:
         raise ValueError(f"depth {depth} must be >= m_i = {m_i}")
     lam, f2 = _finite_part(spec, levels, i, xi)
-    pts = np.add.outer(lam, xi)
-    tail = TailSpec(spec, m_i)
     inv = _inv_float(spec.scale_product(m_i))
-    if depth > m_i:
-        tv = fourier_tail(tail, lam * inv, depth - m_i, offsets=xi * inv)
-        t_abs = np.abs(tv.value)
-        low = np.clip(t_abs - tv.bound, 0.0, 1.0)
-        t_abs *= t_abs
-        t_abs *= f2
-        q = t_abs.sum(axis=0)
-    else:
-        low = np.clip(1.0 - tail_truncation_bound(tail, pts * inv, 0), 0.0, 1.0)
-        q = f2.sum(axis=0)
+    tv = fourier_tail(TailSpec(spec, m_i), lam * inv, depth - m_i, offsets=xi * inv)
+    t_abs = np.abs(tv.value)
+    low = np.clip(t_abs - tv.bound, 0.0, 1.0)
+    t_abs *= t_abs
+    t_abs *= f2
     level_part = np.max(1.0 - low**2, axis=0)
-    coef0 = _tail_series_coefficient(spec, depth)
-    depth_part = 2.0 * coef0 * np.abs(pts).sum(axis=0)
-    return _GridPass(q, level_part + depth_part, _completeness_defect(f2))
+    depth_part = 2.0 * tv.bound.sum(axis=0)
+    return _GridPass(t_abs.sum(axis=0), level_part + depth_part, _completeness_defect(f2))
 
 
 class QValue(NamedTuple):

@@ -333,6 +333,8 @@ def integral_periodic_zero_probe(
         raise ValueError(f"xi must be finite, got {xi}")
     _tolerance(tol)
     ks = search_order(K)
+    if depth < 1:  # the empty product would witness every xi
+        raise ValueError(f"depth must be >= 1, got {depth}")
     vals = np.abs(fourier_tail(spec, xi - 0.5, depth, offsets=np.array(ks) + 0.5).value)
     above = np.flatnonzero(vals > tol)
     witness = above.size > 0

@@ -192,6 +192,22 @@ def test_verify_invalid_parameters_exits_3(capsys, tmp_path):
     assert "delta must be positive" in capsys.readouterr().err
 
 
+def test_verify_levels_file_with_a_wrong_level_count_exits_3(capsys, tmp_path):
+    levels_path = tmp_path / "levels.json"
+    main(["spectrum", "--preset", "jp", "--levels", "2", "--out", str(levels_path)])
+    obj = json.loads(levels_path.read_text())
+    edits = {
+        "cut.json": {**obj, "levels": obj["levels"][:2]},
+        "indices.json": {**obj, "indices": [1, 3, 5]},
+        "empty.json": {**obj, "levels": obj["levels"][:-1] + [[]]},
+    }
+    for name, edited in edits.items():
+        (tmp_path / name).write_text(json.dumps(edited))
+        capsys.readouterr()
+        assert main(["verify", "--preset", "jp", "--levels-file", str(tmp_path / name)]) == 3
+        assert "invalid levels file" in capsys.readouterr().err
+
+
 def test_verify_not_applicable_after_failed_construction(capsys, tmp_path):
     levels_path = tmp_path / "failed.json"
     code = main(["spectrum", "--preset", "example14", "--word", ":2",
@@ -269,6 +285,15 @@ def test_invalid_parameters_exit_3(capsys, tmp_path):
         capsys.readouterr()
         assert main(["verify", "--preset", "jp", "--levels-file", str(tmp_path / name)]) == 3
         assert "invalid levels file" in capsys.readouterr().err
+
+
+def test_searches_over_the_empty_product_exit_3(capsys):
+    # at depth 0 every shift would reach 1: an ok certificate, a witness for any xi
+    for argv in (["equipos", "--preset", "jp", "--depth", "0"],
+                 ["zeros", "--preset", "jp", "--probe-xi", "0.5", "--depth", "0"]):
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert "depth must be >= 1, got 0" in capsys.readouterr().err
 
 
 def test_spectrum_block_past_frequency_budget_exits_3(capsys, monkeypatch):

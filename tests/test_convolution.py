@@ -229,6 +229,34 @@ def test_weights_sum_exactly_one_past_the_double_range():
     assert mu.weights().tolist() == [1.0, 0.0]
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (((0, 1), 2, (1,)), "equal nonzero lengths"),
+        (((), 1, ()), "equal nonzero lengths"),
+        (((0,), 0, (1,)), "denominator must be >= 1"),
+        (((0,), -2, (1,)), "denominator must be >= 1"),
+        (((1, 0), 1, (1, 1)), "strictly increase"),
+        (((0, 0), 2, (1, 1)), "strictly increase"),
+        (((2**70, 0), 1, (1, 1)), "strictly increase"),
+        (((0, 1), 2, (1, 0)), "counts must be positive"),
+        (((0, 1), 2, (1, -1)), "counts must be positive"),
+    ],
+)
+def test_lattice_fields_are_checked_on_construction(fields, message):
+    # (1, 0) over 1 once passed, and its cdf at 0 read 1 instead of 1/2
+    with pytest.raises(ValueError, match=message):
+        DiscreteMeasure(*fields)
+
+
+def test_lattice_fields_from_integer_arrays_match_tuples():
+    mu = DiscreteMeasure(np.array([-3, 1, 5]), 8, np.array([2, 4, 2]))
+    assert mu == DiscreteMeasure((-3, 1, 5), 8, (1, 2, 1))
+    assert all(type(v) is int for v in mu.numerators + mu.counts)
+    big = DiscreteMeasure(np.array([0, 2**70], dtype=object), 2**71 + 1, np.array([1, 1]))
+    assert big.numerators == (0, 2**70)
+
+
 # --- convolution ----------------------------------------------------------
 
 def test_convolve_identity(jp_spec):
@@ -409,6 +437,21 @@ def test_tail_at_zero_is_one(jp_spec, mixed_spec):
             v = fourier_tail(TailSpec(spec, skip), 0.0, 25)
             assert v.value == 1.0 + 0j
             assert v.bound == 0.0
+
+
+def test_tail_at_depth_zero_is_the_empty_product(jp_spec, mixed_spec):
+    # value 1 and, for its bound, the whole tail series
+    x, off = np.linspace(-2.0, 2.0, 7), np.array([-0.5, 0.25, 1.5])
+    for spec in (jp_spec, mixed_spec):
+        tail = TailSpec(spec, 3)
+        point = fourier_tail(tail, 0.3, 0)
+        assert point.value == 1.0 and isinstance(point.value, complex)
+        assert point.bound == tail_truncation_bound(tail, 0.3, 0)
+        grid = fourier_tail(tail, x, 0, offsets=off)
+        assert grid.value.shape == (7, 3) and np.all(grid.value == 1.0)
+        assert np.array_equal(grid.bound, tail_truncation_bound(tail, np.add.outer(x, off), 0))
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        fourier_tail(TailSpec(jp_spec, 1), 0.3, -1)
 
 
 def test_jp_tail_quarter_matches_cos_product_oracle(jp_spec):

@@ -129,6 +129,16 @@ def test_choose_k_window_must_be_positive(jp_spec):
         probe_family(jp_spec, (0,), grid_n=4, K=0)
 
 
+def test_searches_need_at_least_one_factor(jp_spec):
+    # the tail transform takes depth 0, but a search over the empty product proves nothing
+    with pytest.raises(ValueError, match="depth must be >= 1, got 0"):
+        choose_k(TailSpec(jp_spec, 0), 0.25, depth=0)
+    with pytest.raises(ValueError, match="depth must be >= 1, got 0"):
+        probe_family(jp_spec, (0,), grid_n=4, depth=0)
+    with pytest.raises(ValueError, match="depth must be >= 1, got 0"):
+        integral_periodic_zero_probe(jp_spec, 0.5, depth=0)
+
+
 def test_probe_rejects_non_integer_and_negative_skips(jp_spec):
     # int() used to turn skip 1.5 into skip 1 without a word
     for skips in ((1.5,), (0, 1.0), (0, -1)):

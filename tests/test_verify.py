@@ -14,9 +14,11 @@ from convspec import (
     GcdNotCertifiedWarning,
     SelectionWord,
     SpectrumLevels,
+    TailSpec,
     build_spectrum,
     finite_level,
     fourier_finite,
+    fourier_tail,
     level_completeness,
     orthonormality_gram,
     q_function,
@@ -156,6 +158,38 @@ def test_q_depth_equal_m_reproduces_completeness(jp_spec, mixed_spec):
             )
             assert qv.q == pytest.approx(direct, abs=1e-12)
             assert abs(qv.q - 1.0) <= 1e-9  # same formula as completeness
+
+
+coefficient = convspec.convolution._tail_series_coefficient
+
+
+def series_formula_bounds(spec, levels, i, depth, xi):
+    """Q bounds with the series coefficient c written out: tail bounds
+    c_tail(depth - m) * |(lambda + xi) / P_m| in the level part, and
+    2 * c(depth) * sum |lambda + xi| over the level as the depth part."""
+    m = levels.m(i)
+    lam = np.asarray(levels.level(i), dtype=float)
+    pts = np.add.outer(lam, xi)
+    tail = TailSpec(spec, m)
+    inv = convspec.convolution._inv_float(spec.scale_product(m))
+    t = coefficient(tail, depth - m) * np.abs(pts * inv)
+    t_abs = np.abs(fourier_tail(tail, lam * inv, depth - m, offsets=xi * inv).value)
+    low = np.clip(t_abs - t, 0.0, 1.0)
+    depth_part = 2.0 * coefficient(spec, depth) * np.abs(pts).sum(axis=0)
+    return np.max(1.0 - low**2, axis=0) + depth_part
+
+
+def test_q_bounds_match_the_series_formula(jp_spec, mixed_spec):
+    # the level part and the depth part both come from the tail's bound:
+    # c_tail(depth - m) / |P_m| = c(depth), which is exact in the reals
+    xi = np.linspace(-2.0, 2.0, 64)
+    for spec in (jp_spec, mixed_spec):
+        levels = build_quiet(spec, 3)
+        m = levels.m(3)
+        for depth in (m, m + 2, 30):
+            got = verify._grid_pass(spec, levels, 3, depth, xi).bound
+            want = series_formula_bounds(spec, levels, 3, depth, xi)
+            np.testing.assert_allclose(got, want, rtol=2e-15, atol=0)
 
 
 def test_q_bessel_and_monotone_in_level(jp_spec):
