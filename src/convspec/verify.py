@@ -44,6 +44,7 @@ DEFAULT_COMPLETENESS_TOL = 1e-9
 DEFAULT_Q_SLACK = 1e-3
 _EXTRA_WORST = 10  # worst points of the coarse scan added to the report grid
 _RESIDUE_CHUNK_BYTES = 8 << 20  # bytes of residues per Gram chunk
+_TILE_BYTES = 1 << 20  # bytes of complex (lambda, xi) pairs per Q tile
 _BOXED_INT_BYTES = 64  # an object-array pointer and the Python int it points to
 
 
@@ -96,18 +97,38 @@ def _check_level(levels: SpectrumLevels, i: int) -> None:
         raise ValueError(f"level index {i} out of range 1..{levels.level_count}")
 
 
-def _finite_part(
-    spec: ConvolutionSpec, levels: SpectrumLevels, i: int, xi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Level i as floats and |mu^_{m_i}(lambda + xi)|^2 (rows: lambda)."""
+def _tiles(levels: SpectrumLevels, i: int, xi: np.ndarray) -> list[np.ndarray]:
+    """Level i as floats, split into row tiles of at most _TILE_BYTES of pairs.
+
+    Tiles are equal parts of at least two rows (a one-row matrix product
+    takes another BLAS path).
+    """
     lam = np.asarray(levels.level(i), dtype=float)
-    f2 = np.abs(fourier_finite(spec, levels.m(i), lam, xi))
+    parts = -(-lam.size * xi.size * 16 // _TILE_BYTES)
+    return np.array_split(lam, max(1, min(parts, lam.size // 2)))
+
+
+def _carry_sum(rows: np.ndarray, acc: np.ndarray | float) -> np.ndarray:
+    """acc plus the column sums of rows, in the one-array summation order.
+
+    numpy sums axis 0 of a C-order array row by row when it has two or
+    more columns, so adding acc into the first row first gives the same
+    floats as a single sum over every tile's rows (one column is summed
+    pairwise, so there a split may move the last bits).  Overwrites rows[0].
+    """
+    rows[0] += acc
+    return rows.sum(axis=0)
+
+
+def _f2(spec: ConvolutionSpec, m: int, lam: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """|mu^_m(lambda + xi)|^2 (rows: lambda)."""
+    f2 = np.abs(fourier_finite(spec, m, lam, xi))
     f2 *= f2
-    return lam, f2
+    return f2
 
 
-def _completeness_defect(f2: np.ndarray) -> float:
-    return float(np.max(np.abs(f2.sum(axis=0) - 1.0)))
+def _completeness_defect(mass: np.ndarray) -> float:
+    return float(np.max(np.abs(mass - 1.0)))
 
 
 def level_completeness(
@@ -118,8 +139,11 @@ def level_completeness(
 ) -> float:
     """Max over the grid of |sum_Lambda_i |mu^_{m_i}(lambda+xi)|^2 - 1|."""
     _check_level(levels, i)
-    _, f2 = _finite_part(spec, levels, i, np.asarray(xi_grid, dtype=float))
-    return _completeness_defect(f2)
+    xi = np.asarray(xi_grid, dtype=float)
+    mass = 0.0
+    for lam in _tiles(levels, i, xi):
+        mass = _carry_sum(_f2(spec, levels.m(i), lam, xi), mass)
+    return _completeness_defect(mass)
 
 
 class _GridPass(NamedTuple):
@@ -144,20 +168,27 @@ def _grid_pass(
     Both parts of the bound come from T's bound t = c(depth) * |lambda + xi|:
     level part = worst 1 - (|T| - t)^2, depth part = 2 * sum t, over the
     level.  The completeness defect is the same as level_completeness.
+    Each row tile of the level is reduced into the per-xi sums and the
+    worst level part before the next is formed.
     """
     m_i = levels.m(i)
     if depth < m_i:
         raise ValueError(f"depth {depth} must be >= m_i = {m_i}")
-    lam, f2 = _finite_part(spec, levels, i, xi)
     inv = _inv_float(spec.scale_product(m_i))
-    tv = fourier_tail(TailSpec(spec, m_i), lam * inv, depth - m_i, offsets=xi * inv)
-    t_abs = np.abs(tv.value)
-    low = np.clip(t_abs - tv.bound, 0.0, 1.0)
-    t_abs *= t_abs
-    t_abs *= f2
-    level_part = np.max(1.0 - low**2, axis=0)
-    depth_part = 2.0 * tv.bound.sum(axis=0)
-    return _GridPass(t_abs.sum(axis=0), level_part + depth_part, _completeness_defect(f2))
+    tail = TailSpec(spec, m_i)
+    q = mass = t_sum = level_part = 0.0
+    for lam in _tiles(levels, i, xi):
+        f2 = _f2(spec, m_i, lam, xi)
+        tv = fourier_tail(tail, lam * inv, depth - m_i, offsets=xi * inv)
+        t_abs = np.abs(tv.value)
+        low = np.clip(t_abs - tv.bound, 0.0, 1.0)
+        level_part = np.maximum(level_part, np.max(1.0 - low**2, axis=0))
+        t_sum = _carry_sum(tv.bound, t_sum)
+        t_abs *= t_abs
+        t_abs *= f2
+        q = _carry_sum(t_abs, q)
+        mass = _carry_sum(f2, mass)
+    return _GridPass(q, level_part + 2.0 * t_sum, _completeness_defect(mass))
 
 
 class QValue(NamedTuple):
@@ -226,6 +257,10 @@ def spectral_report(
     points of a 4x finer coarse scan.  Pass requires the completeness defect within
     DEFAULT_COMPLETENESS_TOL and min Q >= 1 - (tail_bound + DEFAULT_Q_SLACK).
     """
+    (grid_n,) = _integers((grid_n,), "grid_n")
+    (depth,) = _integers((depth,), "depth")
+    if grid_n < 2:
+        raise ValueError(f"grid_n must be >= 2, got {grid_n}")
     if levels.level_count < 1:
         raise ValueError("no levels to verify")
     i = levels.level_count

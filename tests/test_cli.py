@@ -139,6 +139,19 @@ def test_verify_grid_override_same_verdict(capsys, tmp_path):
     assert p16["passed"] == p64["passed"] is True
 
 
+@pytest.mark.parametrize("grid, code", [("0", 3), ("1", 3), ("-3", 3), ("2.5", 1)])
+def test_verify_grid_below_two_points_is_refused(capsys, tmp_path, grid, code):
+    # a grid of one point (or none) gave a verdict on xi = -2 alone
+    levels_path = tmp_path / "levels.json"
+    main(["spectrum", "--preset", "jp", "--levels", "2", "--out", str(levels_path)])
+    capsys.readouterr()
+    argv = ["verify", "--preset", "jp", "--levels-file", str(levels_path), f"--grid={grid}"]
+    assert main(argv) == code
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert ("grid_n must be >= 2" if code == 3 else "--grid") in out.err
+
+
 def test_verify_detects_tampered_levels(capsys, tmp_path):
     levels_path = tmp_path / "levels.json"
     main(["spectrum", "--preset", "jp", "--levels", "3", "--out", str(levels_path)])

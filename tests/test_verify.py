@@ -1,6 +1,7 @@
 """Gram orthonormality, level completeness, Q function, spectral reports."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,6 +25,7 @@ from convspec import (
     q_function,
     spectral_report,
 )
+from conftest import JP_TRIPLE, MIXED_TRIPLES
 
 
 def build_quiet(spec, depth_i, **kw):
@@ -293,3 +295,61 @@ def test_report_q_matches_full_depth_product(jp_spec, mixed_spec):
         for xi in rep.xi_grid[::7]:
             qv = q_function(spec, levels, depth_i, 30, xi)
             assert qv.q == pytest.approx(rep.q_values[rep.xi_grid.index(xi)], abs=1e-15)
+
+
+@pytest.fixture(scope="module")
+def deep_levels():
+    """jp L9 (512 frequencies) and mixed :12 L5 (2592), built once."""
+    jp = ConvolutionSpec((JP_TRIPLE,), SelectionWord())
+    mixed = ConvolutionSpec(MIXED_TRIPLES, SelectionWord(period=(1, 2)))
+    return {"jp": (jp, build_quiet(jp, 9)), "mixed": (mixed, build_quiet(mixed, 5))}
+
+
+@pytest.mark.parametrize("name", ["jp", "mixed"])
+def test_report_in_row_tiles_is_bit_identical(deep_levels, name, monkeypatch):
+    # the first-row carry keeps numpy's row-by-row summation order, so tiles
+    # of any size >= 2 rows give the floats of one tile over the whole level
+    spec, levels = deep_levels[name]
+    m = levels.m(levels.level_count)
+    grid_n = 8
+    cols = 4 * grid_n + 1  # the coarse scan's columns
+    # a budget below two rows still gives tiles of two rows
+    budgets = {2: 1, 3: 16 * 3 * cols, 7: 16 * 7 * cols}
+    for depth in (m, m + 1, 30):
+        whole = spectral_report(spec, levels, grid_n=grid_n, depth=depth).to_json()
+        for rows, budget in budgets.items():
+            seen = []
+
+            def spy(spec_, n, lam, xi, seen=seen):
+                seen.append(len(lam))
+                return fourier_finite(spec_, n, lam, xi)
+
+            with monkeypatch.context() as mp:
+                mp.setattr(verify, "_TILE_BYTES", budget)
+                mp.setattr(verify, "fourier_finite", spy)
+                tiled = spectral_report(spec, levels, grid_n=grid_n, depth=depth).to_json()
+            assert rows in seen and min(seen) >= 2
+            assert tiled == whole, (depth, rows)
+
+
+def test_report_memory_does_not_grow_with_the_level(deep_levels):
+    # one (lambda, xi) array of the mixed L5 coarse scan is 10.6 MB, and a
+    # single-array pass holds about six; tiles hold one budget's worth each
+    spec, levels = deep_levels["mixed"]
+    tracemalloc.start()
+    try:
+        rep = spectral_report(spec, levels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < 12 << 20
+
+
+@pytest.mark.parametrize("kw", [
+    {"grid_n": 0}, {"grid_n": 1}, {"grid_n": -3}, {"grid_n": 16.0}, {"depth": 30.0},
+])
+def test_report_grid_and_depth_are_checked(jp_spec, kw):
+    levels = build_quiet(jp_spec, 2)
+    with pytest.raises(ValueError, match=next(iter(kw))):
+        spectral_report(jp_spec, levels, **kw)
