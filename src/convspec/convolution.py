@@ -174,17 +174,26 @@ class ConvolutionSpec:
         return self.word.exponent(k)
 
     def _walk(self) -> Iterator[Factor]:
-        """Positions 1, 2, ... as (triple, scale N^e, signed running product P_k)."""
-        p = 1
+        """Positions 1, 2, ... as (triple, scale N^e, signed running product P_k).
+
+        Each position is formed once per spec: the walk reads and extends a
+        table kept in the instance __dict__, outside the dataclass fields,
+        so == and hash do not see it.
+        """
+        table = self.__dict__.setdefault("_factor_table", [])
         for k in itertools.count(1):
-            t = self.triple_at(k)
-            scale = t.N ** self.exponent_at(k)
-            p *= scale
-            yield Factor(t, scale, p)
+            if k > len(table):
+                t = self.triple_at(k)
+                scale = t.N ** self.exponent_at(k)
+                table.append(Factor(t, scale, scale * (table[-1].product if table else 1)))
+            yield table[k - 1]
 
     def factors(self, n: int) -> list[Factor]:
-        """Positions 1..n as (triple, scale N^e, signed running product P_k)."""
-        return list(itertools.islice(self._walk(), n))
+        """Positions 1..n as (triple, scale N^e, signed running product P_k), a new list."""
+        table = self.__dict__.get("_factor_table", [])
+        if not 0 <= n <= len(table):
+            table = list(itertools.islice(self._walk(), n))
+        return table[:n]
 
     def scale_product(self, n: int) -> int:
         """Signed exact product P_n of the first n factor scales N^e (1 for n = 0)."""

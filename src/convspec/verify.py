@@ -24,6 +24,7 @@ from .convolution import (
     ConvolutionSpec,
     DiscreteMeasure,
     TailSpec,
+    _INT64_LIMIT,
     _inv_float,
     fourier_finite,
     fourier_tail,
@@ -46,6 +47,24 @@ _EXTRA_WORST = 10  # worst points of the coarse scan added to the report grid
 _RESIDUE_CHUNK_BYTES = 8 << 20  # bytes of residues per Gram chunk
 _TILE_BYTES = 1 << 20  # bytes of complex (lambda, xi) pairs per Q tile
 _BOXED_INT_BYTES = 64  # an object-array pointer and the Python int it points to
+_GRAM_BYTES = 1 << 30  # bytes the Gram check may allocate
+_FFT_BYTES = 64  # peak bytes per residue bin or lambda on the Gram check's FFT path
+
+
+def _residues(values: Sequence[int] | np.ndarray, d: int, name: str) -> np.ndarray:
+    """values mod d, as int64 when d fits in int64 and as Python ints past it.
+
+    A 1-d integer array reduces in numpy; anything else goes through
+    _integers, which rejects non-integers, and reduces in Python ints.
+    """
+    a = np.asarray(values)
+    if a.ndim != 1 or a.dtype.kind != "i":
+        a = np.array(_integers(values, name), dtype=object)
+    elif a.dtype != np.int64:  # a narrower array cannot hold d
+        a = a.astype(np.int64)
+    if d >= _INT64_LIMIT:
+        return a.astype(object) % d
+    return (a % d).astype(np.int64, copy=False)
 
 
 def orthonormality_gram(measure: DiscreteMeasure, Lambda: Sequence[int]) -> float:
@@ -59,36 +78,49 @@ def orthonormality_gram(measure: DiscreteMeasure, Lambda: Sequence[int]) -> floa
     bins gives every c[r]: the diagonal c[0] is the total mass, exactly 1,
     and the deviation is max |c[r]| over the residues of distinct pairs,
     which include r = 0 (deviation 1) only when two lambdas agree mod D.
-    Otherwise it is the matrix product of the exponentials at
-    (lambda * u mod D) / D, reduced in Python ints a chunk of rows at a time.
+    Those residues are the support of the pair counts, the autocorrelation
+    of the lambdas' histogram mod D, by a second FFT.  Otherwise the
+    deviation comes from the matrix product of the exponentials at
+    (lambda * u mod D) / D, reduced in Python ints a chunk of rows at a
+    time.  A check that would allocate more than _GRAM_BYTES
+    raises ValueError before it starts.
     """
-    lam = _integers(tuple(Lambda), "Lambda")
-    if not lam:
-        raise ValueError("Lambda must be nonempty")
     d = measure.denominator
-    u = [x % d for x in measure.numerators]
-    lam_r = [x % d for x in lam]
+    lam = _residues(Lambda if isinstance(Lambda, np.ndarray) else tuple(Lambda), d, "Lambda")
+    if not lam.size:
+        raise ValueError("Lambda must be nonempty")
+    n, k = lam.size, len(measure)
+    fft = d <= n * k
+    need = _FFT_BYTES * (d + n) if fft else 2 * _RESIDUE_CHUNK_BYTES + 16 * n * (2 * k + n)
+    if need > _GRAM_BYTES:
+        raise ValueError(
+            f"Gram check of {n} lambdas on {k} atoms over D = {d} needs about "
+            f"{need} bytes, over its budget of {_GRAM_BYTES}"
+        )
+    u = _residues(measure.numerators, d, "numerators")
     w = measure.weights()
-    if d <= len(lam) * len(measure):
+    if fft:
         c = np.abs(np.fft.fft(np.bincount(u, weights=w, minlength=d)))
         c[0] = 0.0  # r = 0 is the diagonal unless two lambdas agree mod D
-        res = np.asarray(lam_r, dtype=np.int64)
-        off = 1.0 if np.unique(res).size < res.size else 0.0
-        rows = max(1, _RESIDUE_CHUNK_BYTES // (8 * res.size))
-        for i in range(0, res.size, rows):
-            r = res[i : i + rows, None] - res
-            r %= d
-            off = max(off, float(c[r].max()))
-        return off
-    uo = np.array(u, dtype=object)
-    e = np.empty((len(lam), len(u)), dtype=complex)
-    rows = max(1, _RESIDUE_CHUNK_BYTES // (_BOXED_INT_BYTES * len(u)))
-    for i in range(0, len(lam), rows):
-        r = np.outer(np.array(lam_r[i : i + rows], dtype=object), uo)
+        h = np.bincount(lam, minlength=d)
+        pairs = np.abs(np.fft.rfft(h))
+        pairs *= pairs
+        pairs = np.fft.irfft(pairs, n=d)
+        counts = np.rint(pairs)
+        pairs -= counts
+        if np.abs(pairs, out=pairs).max() >= 0.25:
+            raise RuntimeError(f"pair counts of {n} lambdas mod {d} are not integers")
+        off = 1.0 if h.max() > 1 else 0.0
+        return max(off, float(c[counts > 0].max(initial=0.0)))
+    uo = u.astype(object)
+    e = np.empty((n, k), dtype=complex)
+    rows = max(1, _RESIDUE_CHUNK_BYTES // (_BOXED_INT_BYTES * k))
+    for i in range(0, n, rows):
+        r = np.outer(lam[i : i + rows].astype(object), uo)
         r %= d
         np.exp(np.asarray(r / d, dtype=float) * (-2j * np.pi), out=e[i : i + rows])
     g = (e * w) @ np.conj(e, out=e).T  # e * w is formed before e is conjugated
-    g.flat[:: len(lam) + 1] -= 1.0  # minus the identity
+    g.flat[:: n + 1] -= 1.0  # minus the identity
     return float(np.max(np.abs(g)))
 
 

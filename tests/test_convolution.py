@@ -525,6 +525,35 @@ def test_factor_table_matches_word_random():
         assert TailSpec(spec, skip) == ConvolutionSpec(spec.family, spec.word.shifted(skip))
 
 
+def fresh_factors(spec, n):
+    """Positions 1..n walked from position 1, with no table."""
+    out, p = [], 1
+    for k in range(1, n + 1):
+        t = spec.triple_at(k)
+        p *= t.N ** spec.exponent_at(k)
+        out.append((t, t.N ** spec.exponent_at(k), p))
+    return out
+
+
+def test_factor_table_is_memoised_per_spec(jp_spec, mixed_spec):
+    prefix = ConvolutionSpec(mixed_spec.family, SelectionWord((2, 2, 1), (1, 2), (1, 3), (2,)))
+    for spec in (jp_spec, mixed_spec, prefix):
+        for order in (range(0, 40, 3), range(40, -1, -7)):
+            fresh = ConvolutionSpec(spec.family, spec.word)
+            for n in order:
+                assert fresh.factors(n) == fresh_factors(spec, n)
+        # each call returns its own list
+        table = spec.factors(9)
+        table.clear()
+        spec.factors(5).append(None)
+        assert spec.factors(9) == fresh_factors(spec, 9)
+        # the table is not a field: equality and hashing do not see it
+        other = ConvolutionSpec(spec.family, spec.word)
+        assert spec == other and hash(spec) == hash(other)
+    with pytest.raises(ValueError):
+        jp_spec.factors(-1)
+
+
 def test_tail_bound_matches_fraction_series_random():
     rng = random.Random(67)
     for _ in range(25):

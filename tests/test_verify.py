@@ -25,7 +25,7 @@ from convspec import (
     q_function,
     spectral_report,
 )
-from conftest import JP_TRIPLE, MIXED_TRIPLES
+from conftest import E14_TRIPLES, JP_TRIPLE, MIXED_TRIPLES
 
 
 def build_quiet(spec, depth_i, **kw):
@@ -115,7 +115,7 @@ def test_finite_level_and_gram_form_no_fraction(mixed_spec, monkeypatch):
     assert orthonormality_gram(mu, levels.level(3)) <= 1e-10
 
 
-def test_gram_lambda_colliding_mod_d_gives_exactly_one(jp_spec, mixed_spec):
+def test_gram_lambda_colliding_mod_d_gives_exactly_one(jp_spec, mixed_spec, gram_levels):
     # lambda + k D has the same exponential as lambda under a measure on Z / D,
     # however large k D is
     for spec, depth_i in ((mixed_spec, 3), (jp_spec, 4)):
@@ -124,6 +124,144 @@ def test_gram_lambda_colliding_mod_d_gives_exactly_one(jp_spec, mixed_spec):
         d = abs(spec.scale_product(levels.m(depth_i)))
         lam = levels.level(depth_i)
         assert orthonormality_gram(mu, lam + (lam[1] + 2**40 * d,)) == 1.0
+    for name, mu, lam in gram_levels:
+        assert orthonormality_gram(mu, lam + (lam[0] + 2**40 * mu.denominator,)) == 1.0, name
+
+
+def pairwise_gram_deviation(mu, lam):
+    """max |c[(lambda_a - lambda_b) mod D]| over pairs a != b, c the weights' FFT."""
+    d = mu.denominator
+    u = [x % d for x in mu.numerators]
+    c = np.abs(np.fft.fft(np.bincount(u, weights=mu.weights(), minlength=d)))
+    c[0] = 0.0
+    res = np.array([x % d for x in lam], dtype=np.int64)
+    r = np.subtract.outer(res, res) % d
+    # r = 0 off the diagonal: the entry is the total mass, exactly 1 on a lattice
+    off = 1.0 if np.count_nonzero(r == 0) > len(lam) else 0.0
+    return max(off, float(c[r].max()))
+
+
+@pytest.fixture(scope="module")
+def gram_levels():
+    """(name, measure, level) of mixed L3 and L5, jp L4 and L9, and the 1:1 example14 word L4."""
+    jp = ConvolutionSpec((JP_TRIPLE,), SelectionWord())
+    mixed = ConvolutionSpec(MIXED_TRIPLES, SelectionWord(period=(1, 2)))
+    e14 = ConvolutionSpec(E14_TRIPLES, SelectionWord(prefix=(1,), period=(1,)))
+    out = []
+    for name, spec, depth_i in (
+        ("mixed", mixed, 3), ("mixed", mixed, 5), ("jp", jp, 4), ("jp", jp, 9), ("e14 1:1", e14, 4),
+    ):
+        levels = build_quiet(spec, depth_i)
+        mu = finite_level(spec, levels.m(depth_i))
+        out.append((f"{name} L{depth_i}", mu, levels.level(depth_i)))
+    return out
+
+
+def test_gram_deviation_is_the_pairwise_maximum(gram_levels):
+    # the pair counts find the same residues as every pair written out, so
+    # the floats are the same, with D = |Lambda| (mixed, example14) and
+    # D = |Lambda|^2 / 2 (jp)
+    for name, mu, lam in gram_levels:
+        assert mu.denominator <= len(lam) * len(mu), name  # the FFT side of the matrix choice
+        j = len(lam) // 2
+        moved = [lam[:j] + (lam[j] + s,) + lam[j + 1:] for s in range(1, 6)]
+        for case in [lam, *moved]:
+            assert orthonormality_gram(mu, case) == pairwise_gram_deviation(mu, case), name
+        assert orthonormality_gram(mu, lam) <= 1e-10, name
+    assert orthonormality_gram(gram_levels[0][1], [0]) == 0.0
+
+
+def test_gram_pair_counts_must_round_to_integers(mixed_spec, monkeypatch):
+    levels = build_quiet(mixed_spec, 3)
+    mu = finite_level(mixed_spec, levels.m(3))
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + 0.3)
+    with pytest.raises(RuntimeError, match="pair counts of 72 lambdas mod 72"):
+        orthonormality_gram(mu, levels.level(3))
+
+
+def test_gram_lambda_as_integer_arrays(gram_levels, jp_spec, monkeypatch):
+    # int64, int32, int8, uint64 and Python-int object arrays give the tuple's floats
+    _, mu, lam = gram_levels[1]
+    d = mu.denominator
+    want = orthonormality_gram(mu, lam)
+    for case in (
+        np.array(lam),
+        np.array(lam, dtype=np.int32),
+        np.array([x % d for x in lam], dtype=np.uint64),
+        np.array([x + 2**70 * d for x in lam], dtype=object),
+    ):
+        assert orthonormality_gram(mu, case) == want, case.dtype
+    assert orthonormality_gram(mu, list(lam)) == want
+    # narrow arrays against a D they cannot hold: jp exponent 3 L8 (D = 2^47,
+    # the matrix path) and, under a budget of 1 byte, jp L16 (D = 2^31)
+    jp3 = ConvolutionSpec(jp_spec.family, SelectionWord(exp_period=(3,)))
+    levels = build_quiet(jp3, 8)
+    mu = finite_level(jp3, levels.m(8))
+    assert mu.denominator == 2**47
+    for lam, dtype in (([x for x in levels.level(8) if abs(x) < 2**31], np.int32), ([0, 1, -7], np.int8)):
+        assert orthonormality_gram(mu, np.array(lam, dtype=dtype)) == orthonormality_gram(mu, lam)
+    mu = finite_level(jp_spec, 16)
+    assert mu.denominator == 2**31
+    monkeypatch.setattr(verify, "_GRAM_BYTES", 1)
+    for dtype in (np.int8, np.int32):
+        with pytest.raises(ValueError, match="over its budget of 1$"):
+            orthonormality_gram(mu, np.arange(100, dtype=dtype))
+
+
+@pytest.mark.parametrize("lam", [[0, 1.5], [0, 2.0], np.array([0.0, 1.0]), [[0, 1]], ["0"]])
+def test_gram_rejects_non_integer_lambda(jp_spec, lam):
+    with pytest.raises(ValueError, match="Lambda must be integers"):
+        orthonormality_gram(finite_level(jp_spec, 2), lam)
+
+
+def gram_bytes(mu, lam, monkeypatch):
+    """The bytes the Gram check asks for, read from its error under a 1-byte budget."""
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_GRAM_BYTES", 1)
+        for name in ("bincount", "empty"):  # no array of the check's size is formed
+            m.setattr(np, name, lambda *a, **k: pytest.fail("allocated before the budget check"))
+        with pytest.raises(ValueError, match="over its budget of 1$") as err:
+            orthonormality_gram(mu, lam)
+    return int(err.value.args[0].split("needs about ")[1].split()[0])
+
+
+def test_gram_memory_stays_within_its_estimate(gram_levels, jp_spec, monkeypatch):
+    # pair counts (mixed L5, jp L9) and the matrix path (jp exponent 3 L8)
+    jp3 = ConvolutionSpec(jp_spec.family, SelectionWord(exp_period=(3,)))
+    levels = build_quiet(jp3, 8)
+    cases = [gram_levels[1][1:], gram_levels[3][1:], (finite_level(jp3, levels.m(8)), levels.level(8))]
+    for mu, lam in cases:
+        need = gram_bytes(mu, lam, monkeypatch)
+        tracemalloc.start()
+        try:
+            orthonormality_gram(mu, lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= need, (mu.denominator, peak, need)
+
+
+def test_gram_memory_budget(jp_spec, mixed_spec, monkeypatch):
+    jp3 = ConvolutionSpec(jp_spec.family, SelectionWord(exp_period=(3,)))
+    # the matrix path of jp exponent 3 at L12, 2^24 entries, fits the budget
+    mu = finite_level(jp3, 12)
+    assert gram_bytes(mu, range(4096), monkeypatch) <= verify._GRAM_BYTES
+    # the FFT paths at jp L16 (D = 2^31) and mixed L7 (D = 93,312)
+    mu = finite_level(jp_spec, 16)
+    assert mu.denominator == 2**31
+    assert gram_bytes(mu, range(len(mu)), monkeypatch) > verify._GRAM_BYTES
+    levels = build_quiet(mixed_spec, 7)
+    mu = finite_level(mixed_spec, levels.m(7))
+    need = gram_bytes(mu, levels.level(7), monkeypatch)
+    assert need <= verify._GRAM_BYTES
+    # the error names the sizes, and a budget of exactly the need runs
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_GRAM_BYTES", need - 1)
+        with pytest.raises(ValueError, match="of 93312 lambdas on 93312 atoms over D = 93312"):
+            orthonormality_gram(mu, levels.level(7))
+        m.setattr(verify, "_GRAM_BYTES", need)
+        assert orthonormality_gram(mu, levels.level(7)) == 0.0
 
 
 def test_level_completeness_jp_level1_trig_identity(jp_spec):
