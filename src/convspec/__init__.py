@@ -18,7 +18,6 @@ from .convolution import (
     finite_level,
     fourier_finite,
     fourier_tail,
-    fraction_str,
     mask,
     tail_truncation_bound,
 )
@@ -60,7 +59,6 @@ from .zeros import (
     enumerate_zero_products,
     integral_periodic_zero_probe,
     mask_zeros,
-    zero_free_radius,
     zero_propagation,
 )
 
@@ -100,7 +98,6 @@ __all__ = [
     "finite_level",
     "fourier_finite",
     "fourier_tail",
-    "fraction_str",
     "integral_periodic_zero_probe",
     "level_completeness",
     "mask",
@@ -115,6 +112,5 @@ __all__ = [
     "tail_truncation_bound",
     "translate_triple",
     "verify_triple",
-    "zero_free_radius",
     "zero_propagation",
 ]

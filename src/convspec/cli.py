@@ -28,7 +28,7 @@ from .spectrum import (
     build_spectrum,
     certify_gcd_condition,
 )
-from .triples import DEFAULT_UNITARITY_TOL, HadamardTriple, verify_triple
+from .triples import DEFAULT_UNITARITY_TOL, verify_triple
 from .verify import spectral_report
 from .zeros import (
     DEFAULT_PROBE_TOL,
@@ -116,12 +116,11 @@ def load_spec(args) -> ConvolutionSpec:
         except json.JSONDecodeError as exc:
             raise ValueError(f"malformed JSON in {args.config}: {exc}") from exc
     try:
-        triples = tuple(HadamardTriple.from_json(t) for t in obj["triples"])
-        word = SelectionWord.from_json(obj.get("word", {}))
+        spec = ConvolutionSpec.from_json(obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"invalid config: {exc}") from exc
     override = parse_word_arg(args.word, args.exponents)
-    return ConvolutionSpec(triples, word if override is None else override)
+    return spec if override is None else ConvolutionSpec(spec.family, override)
 
 
 def cmd_check(args) -> Report:

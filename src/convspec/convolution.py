@@ -41,18 +41,17 @@ __all__ = [
     "fourier_tail",
     "tail_truncation_bound",
     "cdf",
-    "fraction_str",
 ]
 
 ArrayLike = Union[float, Sequence[float], np.ndarray]
 
-DEFAULT_DENOMINATOR_BITS = 1 << 16
+MAX_DENOMINATOR_BITS = 1 << 16  # bits of |P_k| a finite level may reach
 MAX_LEVEL_ATOMS = 1 << 22  # atoms a finite level may form before merging
 _INT64_LIMIT = 1 << 63
 
 
 class DepthTooLargeError(ValueError):
-    """Raised when level denominators exceed the configured bit budget."""
+    """Raised when a finite level is past MAX_DENOMINATOR_BITS or MAX_LEVEL_ATOMS."""
 
 
 def _eventually_periodic(pre: tuple[int, ...], per: tuple[int, ...], k: int) -> int:
@@ -213,10 +212,12 @@ class ConvolutionSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ConvolutionSpec":
-        return cls(
-            tuple(HadamardTriple.from_json(t) for t in obj["triples"]),
-            SelectionWord.from_json(obj["word"]),
-        )
+        """Inverse of to_json; the word is optional and must be a JSON object."""
+        family = tuple(HadamardTriple.from_json(t) for t in obj["triples"])
+        word = obj.get("word", {})
+        if not isinstance(word, dict):
+            raise ValueError(f"word must be a JSON object, got {word!r}")
+        return cls(family, SelectionWord.from_json(word))
 
 
 def TailSpec(spec: ConvolutionSpec, skip: int = 0) -> ConvolutionSpec:
@@ -257,41 +258,6 @@ class DiscreteMeasure:
         object.__setattr__(self, "denominator", self.denominator // g)
         object.__setattr__(self, "counts", tuple((c // h if h > 1 else c).tolist()))
 
-    @classmethod
-    def from_dict(cls, d: dict[Fraction, Fraction]) -> "DiscreteMeasure":
-        acc: dict[Fraction, Fraction] = {}
-        for pos, w in d.items():
-            pos = Fraction(pos)
-            w = Fraction(w)
-            if w <= 0:
-                raise ValueError(f"weight at {pos} must be positive, got {w}")
-            acc[pos] = acc.get(pos, Fraction(0)) + w
-        total = sum(acc.values(), start=Fraction(0))
-        if total != 1:
-            raise ValueError(f"weights must sum to exactly 1, got {total}")
-        atoms = sorted(acc.items())
-        den = math.lcm(*(p.denominator for p, _ in atoms))
-        wden = math.lcm(*(w.denominator for _, w in atoms))
-        return cls(
-            tuple(p.numerator * (den // p.denominator) for p, _ in atoms),
-            den,
-            tuple(w.numerator * (wden // w.denominator) for _, w in atoms),
-        )
-
-    @classmethod
-    def point_mass(cls, pos: Fraction | int = 0) -> "DiscreteMeasure":
-        pos = Fraction(pos)
-        return cls((pos.numerator,), pos.denominator, (1,))
-
-    @classmethod
-    def digit_measure(cls, B: Sequence[int], scale: Fraction) -> "DiscreteMeasure":
-        """Uniform measure on B*scale."""
-        if not B:
-            raise ValueError("digit set must be nonempty")
-        scale = Fraction(scale)
-        w = Fraction(1, len(B))
-        return cls.from_dict({b * scale: w for b in B})
-
     @property
     def atoms(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """The (position, weight) pairs as Fractions, sorted by position."""
@@ -301,26 +267,12 @@ class DiscreteMeasure:
             for u, c in zip(self.numerators, self.counts)
         )
 
-    def as_dict(self) -> dict[Fraction, Fraction]:
-        return dict(self.atoms)
-
     def __len__(self) -> int:
         return len(self.numerators)
-
-    def positions(self) -> np.ndarray:
-        """Atom positions, each correctly rounded (int division is)."""
-        den = self.denominator
-        return np.array([u / den for u in self.numerators])
 
     def weights(self) -> np.ndarray:
         total = sum(self.counts)
         return np.array([c / total for c in self.counts])
-
-    def to_csv(self) -> str:
-        lines = ["position,weight"]
-        for pos, w in self.atoms:
-            lines.append(f"{fraction_str(pos)},{fraction_str(w)}")
-        return "\n".join(lines) + "\n"
 
 
 class TailValue(NamedTuple):
@@ -328,28 +280,6 @@ class TailValue(NamedTuple):
 
     value: complex | np.ndarray
     bound: float | np.ndarray
-
-
-def fraction_str(q: Fraction) -> str:
-    """Exact decimal string when the denominator is 2^a*5^b, else 'p/q'."""
-    den = q.denominator
-    a = b = 0
-    d = den
-    while d % 2 == 0:
-        d //= 2
-        a += 1
-    while d % 5 == 0:
-        d //= 5
-        b += 1
-    if d != 1:
-        return f"{q.numerator}/{q.denominator}"
-    k = max(a, b)
-    scaled = abs(q.numerator) * 10**k // den
-    sign = "-" if q < 0 else ""
-    if k == 0:
-        return f"{sign}{scaled}"
-    digits = str(scaled).rjust(k + 1, "0")
-    return f"{sign}{digits[:-k]}.{digits[-k:]}"
 
 
 def _inv_float(p: int) -> float:
@@ -361,20 +291,24 @@ def _inv_float(p: int) -> float:
 
 
 def convolve(a: DiscreteMeasure, b: DiscreteMeasure) -> DiscreteMeasure:
-    """Convolution: atoms at all pairwise sums, colliding atoms merged."""
-    acc: dict[Fraction, Fraction] = {}
-    for pa, wa in a.atoms:
-        for pb, wb in b.atoms:
-            p = pa + pb
-            acc[p] = acc.get(p, Fraction(0)) + wa * wb
-    return DiscreteMeasure.from_dict(acc)
+    """Convolution: atoms at all pairwise sums, colliding atoms merged.
+
+    Both lattices embed in Z / lcm of the denominators, where every pair
+    sum is an integer numerator and its count is the product of the two
+    counts, all exact Python ints.
+    """
+    den = math.lcm(a.denominator, b.denominator)
+    sa, sb = den // a.denominator, den // b.denominator
+    acc: dict[int, int] = {}
+    for ua, ca in zip(a.numerators, a.counts):
+        for ub, cb in zip(b.numerators, b.counts):
+            u = ua * sa + ub * sb
+            acc[u] = acc.get(u, 0) + ca * cb
+    nums = sorted(acc)
+    return DiscreteMeasure(tuple(nums), den, tuple(acc[u] for u in nums))
 
 
-def finite_level(
-    spec: ConvolutionSpec,
-    n: int,
-    max_denominator_bits: int = DEFAULT_DENOMINATOR_BITS,
-) -> DiscreteMeasure:
+def finite_level(spec: ConvolutionSpec, n: int) -> DiscreteMeasure:
     """Exact n-factor truncation of the infinite convolution.
 
     The atoms live on the lattice Z / |P_k|: after factor k an atom is
@@ -382,19 +316,20 @@ def finite_level(
     num to num * |N^e| + sign(P_{k+1}) * b for each digit b.  Numerators are
     int64 while their bound fits and Python ints past it; equal numerators
     merge with their counts added, and the lattice measure is built once at
-    the end, with no Fraction formed.  The budgets on the bits of P_k and on the prod_{j<=k} #B_j
-    atoms formed before merging are checked level by level as the factors
-    are walked, so a level past either budget raises before any level is
-    built and before any later factor is formed.
+    the end, with no Fraction formed.  The budgets MAX_DENOMINATOR_BITS on
+    the bits of P_k and MAX_LEVEL_ATOMS on the prod_{j<=k} #B_j atoms formed
+    before merging are checked level by level as the factors are walked, so
+    a level past either budget raises before any level is built and before
+    any later factor is formed.
     """
     if n < 1:
         raise ValueError(f"level must be >= 1, got {n}")
     table = []
     total = 1
     for k, f in enumerate(itertools.islice(spec._walk(), n), start=1):
-        if f.product.bit_length() > max_denominator_bits:
+        if f.product.bit_length() > MAX_DENOMINATOR_BITS:
             raise DepthTooLargeError(
-                f"denominator exceeds {max_denominator_bits} bits at level {k}"
+                f"denominator exceeds {MAX_DENOMINATOR_BITS} bits at level {k}"
             )
         total *= len(f.triple.B)
         if total > MAX_LEVEL_ATOMS:

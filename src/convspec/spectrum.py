@@ -23,7 +23,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -65,7 +65,7 @@ class GcdNotCertifiedWarning(UserWarning):
 
 
 class HorizonExhaustedError(RuntimeError):
-    """No admissible next index remained in the given subsequence."""
+    """No admissible next index remained up to max_m."""
 
 
 class EquiPositivityViolation(RuntimeError):
@@ -191,21 +191,15 @@ def block_frequencies(spec: ConvolutionSpec, p: int, q: int) -> HadamardTriple:
     ])
 
 
-def next_level(
-    spec: ConvolutionSpec,
-    state: SpectrumLevels,
-    subsequence: Iterable[int] | None = None,
-) -> SpectrumLevels:
+def next_level(spec: ConvolutionSpec, state: SpectrumLevels) -> SpectrumLevels:
     """Extend the construction by one level, with the parameters of ``state``.
 
-    m_i is the least element of ``subsequence`` past the current index whose
+    m_i is the least index past the current one, up to max_m, whose
     accumulated scale shrinks every current element below delta/2; the shift
     of each block frequency comes from the tail-transform search, with the
     achieved value required to reach epsilon.
     """
     params = state.params
-    if subsequence is None:
-        subsequence = range(1, params.max_m + 1)
     prev = state.levels[-1]
     m_prev = state.indices[-1] if state.indices else 0
 
@@ -213,18 +207,12 @@ def next_level(
     reach = max(-min(prev), max(prev))
     half_delta = Fraction(params.delta) / 2
     table = spec.factors(params.max_m)
-    m_i = None
-    for m in subsequence:
-        if m <= m_prev:
-            continue
-        if m > params.max_m:
+    for m_i in range(m_prev + 1, params.max_m + 1):
+        if Fraction(reach, abs(table[m_i - 1].product)) < half_delta:
             break
-        if Fraction(reach, abs(table[m - 1].product)) < half_delta:
-            m_i = m
-            break
-    if m_i is None:
+    else:
         raise HorizonExhaustedError(
-            f"no admissible index after m={m_prev} within the subsequence horizon"
+            f"no admissible index after m={m_prev} up to max_m={params.max_m}"
         )
 
     block_size = math.prod(len(f.triple.L) for f in table[m_prev:m_i])
@@ -276,7 +264,6 @@ def next_level(
 def build_spectrum(
     spec: ConvolutionSpec,
     depth_i: int,
-    subsequence: Iterable[int] | None = None,
     params: BuildParams | None = None,
 ) -> SpectrumLevels:
     """Run ``depth_i`` construction steps from Lambda_0 = {0}.
@@ -297,10 +284,9 @@ def build_spectrum(
             GcdNotCertifiedWarning,
             stacklevel=2,
         )
-    subsequence = list(subsequence) if subsequence is not None else None
     state = SpectrumLevels.initial(params)
     for _ in range(depth_i):
-        state = next_level(spec, state, subsequence=subsequence)
+        state = next_level(spec, state)
     return state
 
 

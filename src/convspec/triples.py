@@ -90,16 +90,9 @@ class HadamardTriple:
         if len(set(self.L)) != len(self.L):
             raise ValueError(f"duplicate frequencies in L={self.L}")
 
-    @property
-    def size(self) -> int:
-        return len(self.B)
-
     def unitarity_deviation(self) -> float:
         """Max entrywise deviation of the row Gram matrix from the identity."""
         return _unitarity_deviation(self.N, self.B, self.L)
-
-    def is_valid(self, tol: float = DEFAULT_UNITARITY_TOL) -> bool:
-        return self.unitarity_deviation() <= tol
 
     def to_json(self) -> dict:
         return {"N": self.N, "B": list(self.B), "L": list(self.L)}

@@ -152,32 +152,6 @@ def _carry_sum(rows: np.ndarray, acc: np.ndarray | float) -> np.ndarray:
     return rows.sum(axis=0)
 
 
-def _f2(spec: ConvolutionSpec, m: int, lam: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """|mu^_m(lambda + xi)|^2 (rows: lambda)."""
-    f2 = np.abs(fourier_finite(spec, m, lam, xi))
-    f2 *= f2
-    return f2
-
-
-def _completeness_defect(mass: np.ndarray) -> float:
-    return float(np.max(np.abs(mass - 1.0)))
-
-
-def level_completeness(
-    spec: ConvolutionSpec,
-    levels: SpectrumLevels,
-    i: int,
-    xi_grid: Sequence[float],
-) -> float:
-    """Max over the grid of |sum_Lambda_i |mu^_{m_i}(lambda+xi)|^2 - 1|."""
-    _check_level(levels, i)
-    xi = np.asarray(xi_grid, dtype=float)
-    mass = 0.0
-    for lam in _tiles(levels, i, xi):
-        mass = _carry_sum(_f2(spec, levels.m(i), lam, xi), mass)
-    return _completeness_defect(mass)
-
-
 class _GridPass(NamedTuple):
     q: np.ndarray
     bound: np.ndarray
@@ -199,7 +173,7 @@ def _grid_pass(
     depth = m_i), so Q = sum |F|^2 |T|^2 is the depth-factor truncation.
     Both parts of the bound come from T's bound t = c(depth) * |lambda + xi|:
     level part = worst 1 - (|T| - t)^2, depth part = 2 * sum t, over the
-    level.  The completeness defect is the same as level_completeness.
+    level.  The completeness defect is max |sum |F|^2 - 1| over the grid.
     Each row tile of the level is reduced into the per-xi sums and the
     worst level part before the next is formed.
     """
@@ -210,7 +184,8 @@ def _grid_pass(
     tail = TailSpec(spec, m_i)
     q = mass = t_sum = level_part = 0.0
     for lam in _tiles(levels, i, xi):
-        f2 = _f2(spec, m_i, lam, xi)
+        f2 = np.abs(fourier_finite(spec, m_i, lam, xi))
+        f2 *= f2
         tv = fourier_tail(tail, lam * inv, depth - m_i, offsets=xi * inv)
         t_abs = np.abs(tv.value)
         low = np.clip(t_abs - tv.bound, 0.0, 1.0)
@@ -220,7 +195,23 @@ def _grid_pass(
         t_abs *= f2
         q = _carry_sum(t_abs, q)
         mass = _carry_sum(f2, mass)
-    return _GridPass(q, level_part + 2.0 * t_sum, _completeness_defect(mass))
+    return _GridPass(q, level_part + 2.0 * t_sum, float(np.max(np.abs(mass - 1.0))))
+
+
+def level_completeness(
+    spec: ConvolutionSpec,
+    levels: SpectrumLevels,
+    i: int,
+    xi_grid: Sequence[float],
+) -> float:
+    """Max over the grid of |sum_Lambda_i |mu^_{m_i}(lambda+xi)|^2 - 1|.
+
+    The completeness defect of the grid pass at depth m_i, where the tail
+    is the empty product.
+    """
+    _check_level(levels, i)
+    xi = np.asarray(xi_grid, dtype=float)
+    return _grid_pass(spec, levels, i, levels.m(i), xi).completeness_defect
 
 
 class QValue(NamedTuple):

@@ -25,7 +25,6 @@ __all__ = [
     "ZeroProbeVerdict",
     "PropagationTrace",
     "mask_zeros",
-    "zero_free_radius",
     "enumerate_zero_products",
     "integral_periodic_zero_probe",
     "zero_propagation",
@@ -217,20 +216,6 @@ def mask_zeros(
     )
 
 
-def zero_free_radius(B) -> float:
-    """Radius delta with [-delta, delta] free of mask zeros.
-
-    Returned as half the smallest positive zero; inf when the mask has no
-    real zeros at all (then every radius qualifies).
-    """
-    B = _integers(B)
-    if not B:
-        raise ValueError("digit set must be nonempty")
-    if len(set(B)) == 1:
-        return math.inf
-    return _zero_free_radius(_zeros_in_unit_period(B, DEFAULT_RESIDUAL_TOL))
-
-
 def _sum_bounded_tuples(m: int, bound: int):
     """All m-tuples of nonnegative ints with coordinate sum <= bound."""
     if m == 0:
@@ -352,25 +337,10 @@ class PropagationTrace:
     """Forward orbit of a putative periodic zero under the inverse branches."""
 
     xi0: float
-    tol: float
-    integer_tol: float
     sets: tuple[tuple[float, ...], ...]
     counts: tuple[int, ...]
     integer_flags: tuple[bool, ...]
-    stabilized: bool
     envelope: float
-
-    def to_json(self) -> dict:
-        return {
-            "xi0": self.xi0,
-            "tol": self.tol,
-            "integer_tol": self.integer_tol,
-            "counts": list(self.counts),
-            "integer_flags": list(self.integer_flags),
-            "stabilized": self.stabilized,
-            "envelope": self.envelope,
-            "sets": [[f"{x:.15g}" for x in s] for s in self.sets],
-        }
 
 
 def _merge_close(xs: np.ndarray) -> np.ndarray:
@@ -389,20 +359,14 @@ def _merge_close(xs: np.ndarray) -> np.ndarray:
     return xs[keep]
 
 
-def zero_propagation(
-    spec: ConvolutionSpec,
-    xi0: float,
-    steps: int,
-    tol: float = DEFAULT_PROBE_TOL,
-    integer_tol: float = DEFAULT_INTEGER_TOL,
-) -> PropagationTrace:
+def zero_propagation(spec: ConvolutionSpec, xi0: float, steps: int) -> PropagationTrace:
     """Iterate Y_n = {(xi + l)/N : xi in Y_{n-1}, surviving mask values}.
 
     Each factor position uses its effective scale N^e and frequencies
-    N^(e-1) * (L reduced mod |N|); survivors keep |M_B| > tol.  With
-    frequencies reduced, every element stays within |xi0| + 2.  An element
-    within integer_tol of an integer raises the step's integer flag (a
-    nonempty periodic zero set cannot contain integers).
+    N^(e-1) * (L reduced mod |N|); survivors keep |M_B| > DEFAULT_PROBE_TOL.
+    With frequencies reduced, every element stays within |xi0| + 2.  An
+    element within DEFAULT_INTEGER_TOL of an integer raises the step's
+    integer flag (a nonempty periodic zero set cannot contain integers).
     """
     if not math.isfinite(xi0):
         raise ValueError(f"xi0 must be finite, got {xi0}")
@@ -410,21 +374,17 @@ def zero_propagation(
         raise ValueError("steps must be >= 1")
     y = np.array([float(xi0)])
     ys = [(float(xi0),)]
-    flags = [abs(xi0 - round(xi0)) <= integer_tol]
+    flags = [abs(xi0 - round(xi0)) <= DEFAULT_INTEGER_TOL]
     for t, scale, _ in spec.factors(steps):
         l_eff = [float(scale // t.N * (l % abs(t.N))) for l in t.L]
         tau = np.add.outer(y, l_eff).ravel() / float(scale)
-        y = _merge_close(np.sort(tau[np.abs(mask(t.B, tau)) > tol], kind="stable"))
+        y = _merge_close(np.sort(tau[np.abs(mask(t.B, tau)) > DEFAULT_PROBE_TOL], kind="stable"))
         ys.append(tuple(y.tolist()))
-        flags.append(bool(np.any(np.abs(y - np.round(y)) <= integer_tol)))
-    counts = tuple(len(s) for s in ys)
+        flags.append(bool(np.any(np.abs(y - np.round(y)) <= DEFAULT_INTEGER_TOL)))
     return PropagationTrace(
         xi0=float(xi0),
-        tol=tol,
-        integer_tol=integer_tol,
         sets=tuple(ys),
-        counts=counts,
+        counts=tuple(len(s) for s in ys),
         integer_flags=tuple(flags),
-        stabilized=len(counts) >= 2 and counts[-1] == counts[-2],
         envelope=abs(xi0) + 2.0,
     )

@@ -69,15 +69,18 @@ def test_check_non_integer_digits_exits_3(capsys, tmp_path):
 
 
 def test_check_non_integer_word_exits_3(capsys, tmp_path):
-    cfg = tmp_path / "fractional_word.json"
-    cfg.write_text(json.dumps({
-        "triples": [{"N": 4, "B": [0, 2], "L": [0, 1]}],
-        "word": {"period": [1.7]},
-    }))
-    for command in ("check", "spectrum"):
-        code, out = run(capsys, command, "--config", str(cfg))
-        assert code == 3
-        assert out == ""
+    # a word that is not a JSON object once ended in an AttributeError, exit 1
+    cfg = tmp_path / "bad_word.json"
+    for word in ({"period": [1.7]}, None, 5, [1, 2], "12"):
+        cfg.write_text(json.dumps({
+            "triples": [{"N": 4, "B": [0, 2], "L": [0, 1]}],
+            "word": word,
+        }))
+        for command in ("check", "spectrum"):
+            assert main([command, "--config", str(cfg)]) == 3, word
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("config error: invalid config:")
 
 
 def test_usage_errors_exit_1(capsys):

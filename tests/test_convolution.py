@@ -24,12 +24,12 @@ from convspec import (
     finite_level,
     fourier_finite,
     fourier_tail,
-    fraction_str,
     mask,
     normalize_frequencies,
     tail_truncation_bound,
     zero_propagation,
 )
+import convspec.convolution
 from convspec.convolution import _inv_float
 from conftest import random_spec
 
@@ -115,41 +115,44 @@ def test_word_shift_matches_offset_random():
 
 def test_finite_level_jp_examples(jp_spec):
     m1 = finite_level(jp_spec, 1)
-    assert m1.as_dict() == {F(0): F(1, 2), F(1, 2): F(1, 2)}
+    assert dict(m1.atoms) == {F(0): F(1, 2), F(1, 2): F(1, 2)}
     m2 = finite_level(jp_spec, 2)
-    assert m2.as_dict() == {F(0): F(1, 4), F(1, 8): F(1, 4), F(1, 2): F(1, 4), F(5, 8): F(1, 4)}
+    assert dict(m2.atoms) == {F(0): F(1, 4), F(1, 8): F(1, 4), F(1, 2): F(1, 4), F(5, 8): F(1, 4)}
 
 
 def test_finite_level_matches_enumeration_oracle(jp_spec, e14_spec, mixed_spec):
     for spec in (jp_spec, e14_spec, mixed_spec):
         for n in (1, 2, 4):
-            assert finite_level(spec, n).as_dict() == enumerate_level_oracle(spec, n)
+            assert dict(finite_level(spec, n).atoms) == enumerate_level_oracle(spec, n)
 
 
 def test_finite_level_recursion_exact(mixed_spec):
     for n in (1, 2, 3):
         t = mixed_spec.triple_at(n + 1)
         p = mixed_spec.scale_product(n + 1)
-        step = DiscreteMeasure.digit_measure(t.B, F(1, p))
+        step = DiscreteMeasure(tuple(sorted(t.B)), p, (1,) * len(t.B))  # uniform on B / p
         assert convolve(finite_level(mixed_spec, n), step) == finite_level(mixed_spec, n + 1)
 
 
-def test_finite_level_rejects_bad_depth(jp_spec):
+def test_finite_level_rejects_bad_depth(jp_spec, monkeypatch):
     with pytest.raises(ValueError):
         finite_level(jp_spec, 0)
+    monkeypatch.setattr(convspec.convolution, "MAX_DENOMINATOR_BITS", 16)
     with pytest.raises(DepthTooLargeError):
-        finite_level(jp_spec, 40, max_denominator_bits=16)
+        finite_level(jp_spec, 40)
 
 
-def test_finite_level_budget_names_first_level_past_it(jp_spec):
+def test_finite_level_budget_names_first_level_past_it(jp_spec, monkeypatch):
     # P_k = 4^k has 2k + 1 bits, so a 16-bit budget runs out at level 8
+    monkeypatch.setattr(convspec.convolution, "MAX_DENOMINATOR_BITS", 16)
     for n in (8, 40, 10**9):
-        with pytest.raises(DepthTooLargeError, match="at level 8$"):
-            finite_level(jp_spec, n, max_denominator_bits=16)
-    assert len(finite_level(jp_spec, 7, max_denominator_bits=16)) == 2**7
+        with pytest.raises(DepthTooLargeError, match="16 bits at level 8$"):
+            finite_level(jp_spec, n)
+    assert len(finite_level(jp_spec, 7)) == 2**7
     for bits in (0, 1, 2):
+        monkeypatch.setattr(convspec.convolution, "MAX_DENOMINATOR_BITS", bits)
         with pytest.raises(DepthTooLargeError, match="at level 1$"):
-            finite_level(jp_spec, 3, max_denominator_bits=bits)
+            finite_level(jp_spec, 3)
 
 
 def test_finite_level_atom_budget_fails_before_building(mixed_spec, monkeypatch):
@@ -176,7 +179,7 @@ def test_finite_level_budget_walks_no_factor_past_it(jp_spec, mixed_spec, monkey
     with pytest.raises(DepthTooLargeError, match="atoms exceed 4194304 at level 18$"):
         finite_level(mixed_spec, 10**6)
     with pytest.raises(DepthTooLargeError, match="atoms exceed 4194304 at level 23$"):
-        finite_level(jp_spec, 10**6, max_denominator_bits=10**6)
+        finite_level(jp_spec, 10**6)
 
 
 def test_weight_sums_exactly_one_random():
@@ -197,7 +200,7 @@ def test_finite_level_is_the_reduced_lattice_of_the_oracle(jp_spec, e14_spec, mi
     for spec in specs:
         for n in (1, 2, 4):
             mu = finite_level(spec, n)
-            assert mu == DiscreteMeasure.from_dict(enumerate_level_oracle(spec, n))
+            assert dict(mu.atoms) == enumerate_level_oracle(spec, n)
             assert math.gcd(mu.denominator, *mu.numerators) == 1
             assert math.gcd(*mu.counts) == 1
             assert list(mu.numerators) == sorted(set(mu.numerators))
@@ -209,16 +212,14 @@ def test_lattice_fields_reduce_on_construction():
     # raw numerators and raw counts that share a factor
     raw = DiscreteMeasure((0, 2, 4), 8, (2, 4, 2))
     assert (raw.numerators, raw.denominator, raw.counts) == ((0, 1, 2), 4, (1, 2, 1))
-    assert raw == DiscreteMeasure.from_dict({F(0): F(1, 4), F(1, 4): F(1, 2), F(1, 2): F(1, 4)})
     assert raw.atoms == ((F(0), F(1, 4)), (F(1, 4), F(1, 2)), (F(1, 2), F(1, 4)))
-    assert DiscreteMeasure.point_mass(F(-6, 4)) == DiscreteMeasure((-3,), 2, (1,))
+    assert DiscreteMeasure((-6,), 4, (3,)) == DiscreteMeasure((-3,), 2, (1,))
 
 
-def test_positions_are_correctly_rounded_past_2_72(jp_spec):
+def test_weights_are_correctly_rounded_past_2_72(jp_spec):
     jp3 = ConvolutionSpec(jp_spec.family, SelectionWord(exp_period=(3,)))
     mu = finite_level(jp3, 12)
     assert mu.denominator.bit_length() == 72
-    assert mu.positions().tolist() == [float(p) for p, _ in mu.atoms]
     assert mu.weights().tolist() == [float(w) for _, w in mu.atoms]
 
 
@@ -261,20 +262,43 @@ def test_lattice_fields_from_integer_arrays_match_tuples():
 
 def test_convolve_identity(jp_spec):
     mu = finite_level(jp_spec, 3)
-    assert convolve(DiscreteMeasure.point_mass(0), mu) == mu
+    assert convolve(DiscreteMeasure((0,), 1, (1,)), mu) == mu
 
 
 def test_convolve_example():
-    a = DiscreteMeasure.from_dict({F(0): F(1, 2), F(1, 2): F(1, 2)})
-    b = DiscreteMeasure.from_dict({F(0): F(1, 2), F(1, 8): F(1, 2)})
+    a = DiscreteMeasure((0, 1), 2, (1, 1))
+    b = DiscreteMeasure((0, 1), 8, (1, 1))
     c = convolve(a, b)
-    assert c.as_dict() == {F(0): F(1, 4), F(1, 8): F(1, 4), F(1, 2): F(1, 4), F(5, 8): F(1, 4)}
+    assert dict(c.atoms) == {F(0): F(1, 4), F(1, 8): F(1, 4), F(1, 2): F(1, 4), F(5, 8): F(1, 4)}
+
+
+def convolve_reference(a, b):
+    """Atoms of a * b by a Fraction sum over the pairs of atoms."""
+    acc = {}
+    for pa, wa in a.atoms:
+        for pb, wb in b.atoms:
+            acc[pa + pb] = acc.get(pa + pb, F(0)) + wa * wb
+    return acc
+
+
+def test_convolve_merges_exact_counts_on_the_common_lattice():
+    # the count products pass 2^53, so a float merge would round them; the
+    # lattices Z/4 and Z/6 meet on Z/12, where 0 + 6 and 6 + 0 collide
+    big = 2**40 + 1
+    a = DiscreteMeasure((-1, 0, 1, 2), 4, (big, 3, 2**41 + 7, 1))
+    b = DiscreteMeasure((0, 1, 3), 6, (big, 5, big + 2))
+    c = convolve(a, b)
+    assert c.denominator == 12
+    assert len(c) < len(a) * len(b)
+    assert max(c.counts) > 2**80
+    assert dict(c.atoms) == convolve_reference(a, b)
+    assert convolve(b, a) == c
 
 
 def test_convolve_transform_is_product_of_transforms():
     rng = random.Random(31)
-    a = DiscreteMeasure.from_dict({F(0): F(1, 3), F(1, 4): F(1, 3), F(-2, 3): F(1, 3)})
-    b = DiscreteMeasure.from_dict({F(1, 2): F(1, 2), F(5, 7): F(1, 2)})
+    a = DiscreteMeasure((-8, 0, 3), 12, (1, 1, 1))  # -2/3, 0, 1/4
+    b = DiscreteMeasure((7, 10), 14, (1, 1))  # 1/2, 5/7
     c = convolve(a, b)
     for _ in range(20):
         xi = rng.uniform(-10, 10)
@@ -284,9 +308,9 @@ def test_convolve_transform_is_product_of_transforms():
 
 
 def test_colliding_atoms_merge():
-    a = DiscreteMeasure.from_dict({F(0): F(1, 2), F(1): F(1, 2)})
+    a = DiscreteMeasure((0, 1), 1, (1, 1))
     c = convolve(a, a)
-    assert c.as_dict() == {F(0): F(1, 4), F(1): F(1, 2), F(2): F(1, 4)}
+    assert dict(c.atoms) == {F(0): F(1, 4), F(1): F(1, 2), F(2): F(1, 4)}
 
 
 # --- masks and transforms ---------------------------------------------------
@@ -600,7 +624,7 @@ def test_zero_propagation_first_step_random():
         e = spec.exponent_at(1)
         taus = [(xi0 + t.N ** (e - 1) * (l % abs(t.N))) / t.N**e for l in t.L]
         want = sorted(tau for tau in taus if abs(mask(t.B, tau)) > 1e-6)
-        trace = zero_propagation(spec, xi0, 1, tol=1e-6)
+        trace = zero_propagation(spec, xi0, 1)  # survivors keep |M_B| > 1e-6
         assert trace.sets[0] == (xi0,)
         assert list(trace.sets[1]) == pytest.approx(want, abs=1e-12)
 
@@ -684,22 +708,6 @@ def test_inv_float_past_double_range():
     assert _inv_float(4) == 0.25
     assert _inv_float(2**1100) == 0.0 and math.copysign(1.0, _inv_float(2**1100)) == 1.0
     assert _inv_float(-(2**1100)) == 0.0 and math.copysign(1.0, _inv_float(-(2**1100))) == -1.0
-
-
-def test_fraction_str():
-    assert fraction_str(F(5, 8)) == "0.625"
-    assert fraction_str(F(1, 2)) == "0.5"
-    assert fraction_str(F(-3, 4)) == "-0.75"
-    assert fraction_str(F(3)) == "3"
-    assert fraction_str(F(1, 3)) == "1/3"
-    assert fraction_str(F(7, 10)) == "0.7"
-    assert fraction_str(F(1, 20)) == "0.05"
-
-
-def test_measure_csv(jp_spec):
-    text = finite_level(jp_spec, 2).to_csv()
-    assert text.splitlines()[0] == "position,weight"
-    assert "0.125,0.25" in text
 
 
 def test_spec_json_round_trip(mixed_spec):

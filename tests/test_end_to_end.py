@@ -1,9 +1,12 @@
 """Cross-module flows beyond the preset families: negative scales, exponents."""
 
+import importlib
+import pkgutil
 import warnings
 
 import numpy as np
 
+import convspec
 from convspec import (
     ConvolutionSpec,
     GcdNotCertifiedWarning,
@@ -74,3 +77,17 @@ def test_translated_frequencies_are_normalized_in_construction():
     mu = finite_level(spec, levels.m(2))
     assert orthonormality_gram(mu, levels.level(2)) <= 1e-10
     assert 0 in levels.level(2)
+
+
+def test_every_exported_name_resolves():
+    # a stale __all__ entry makes `from convspec.<module> import *` raise
+    modules = [importlib.import_module(f"convspec.{m.name}")
+               for m in pkgutil.iter_modules(convspec.__path__)]
+    exported = set()
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.__all__ names {name}"
+            exported.add(name)
+    for name in convspec.__all__:
+        assert hasattr(convspec, name), name
+        assert name in exported, f"convspec.__all__ names {name}, which no module exports"

@@ -146,11 +146,15 @@ def test_smaller_delta_pushes_indices_up(jp_spec):
     assert orthonormality_gram(mu, tight.level(2)) <= 1e-10
 
 
-def test_custom_subsequence_and_horizon(jp_spec):
-    levels = build_quiet(jp_spec, 2, subsequence=[2, 4])
-    assert levels.indices == (2, 4)
+def test_index_search_stops_at_max_m(jp_spec):
+    # jp's indices are 1, 2, 3, 4: a horizon of 3 builds three levels, not four
+    params = BuildParams(max_m=3)
+    levels = build_quiet(jp_spec, 3, params=params)
+    assert levels.indices == (1, 2, 3)
+    with pytest.raises(HorizonExhaustedError, match="after m=3 up to max_m=3$"):
+        next_level(jp_spec, levels)
     with pytest.raises(HorizonExhaustedError):
-        build_quiet(jp_spec, 3, subsequence=[2, 4])
+        build_quiet(jp_spec, 4, params=params)
 
 
 def test_gcd_certificates():

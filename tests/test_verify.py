@@ -51,7 +51,7 @@ def test_gram_is_hermitian_with_unit_diagonal(mixed_spec):
     # deviation of the identity-sized set reflects only off-diagonal mass
     mu = finite_level(mixed_spec, 2)
     lam = np.array([0, 1, 2, 5])
-    pos = mu.positions()
+    pos = np.array([float(p) for p, _ in mu.atoms])
     w = mu.weights()
     e = np.exp(-2j * np.pi * np.outer(lam, pos))
     g = (e * w) @ e.conj().T

@@ -14,10 +14,14 @@ from convspec import (
     integral_periodic_zero_probe,
     mask,
     mask_zeros,
-    zero_free_radius,
     zero_propagation,
 )
-from convspec.zeros import _merge_close
+from convspec.zeros import (
+    DEFAULT_RESIDUAL_TOL,
+    _merge_close,
+    _zero_free_radius,
+    _zeros_in_unit_period,
+)
 from conftest import random_spec
 
 
@@ -176,12 +180,10 @@ def test_mask_zeros_rejects_non_integer_digits():
         mask_zeros([0, 2.5], 0.0, 1.0)
 
 
-def test_zero_free_radius_rejects_non_integer_digits():
-    with pytest.raises(ValueError, match="must be integers"):
-        zero_free_radius([0, 2.7])
-
-
 def test_zero_free_radius_examples():
+    def zero_free_radius(B):
+        return _zero_free_radius(_zeros_in_unit_period(B, DEFAULT_RESIDUAL_TOL))
+
     assert zero_free_radius([0, 2]) == pytest.approx(1 / 8, abs=1e-10)
     assert zero_free_radius([0, 1]) == pytest.approx(1 / 4, abs=1e-10)
     assert zero_free_radius([0, 3]) == pytest.approx(1 / 12, abs=1e-10)
