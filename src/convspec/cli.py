@@ -15,10 +15,10 @@ import math
 import sys
 import warnings
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .convolution import DEFAULT_TAIL_DEPTH, ConvolutionSpec, SelectionWord
-from .equipos import DEFAULT_FAILURE_THRESHOLD, probe_family
+from .equipos import DEFAULT_FAILURE_THRESHOLD, EquiPositivityCertificate, probe_family
 from .spectrum import (
     BuildParams,
     EquiPositivityViolation,
@@ -59,8 +59,19 @@ PRESETS = {
 }
 
 
-# payload (without "command"), its CSV rendering on demand, exit code
-Report = tuple[dict, Callable[[], str], int]
+class Renderers(NamedTuple):
+    """A report's CSV rendering, and JSON writers for some top-level payload keys.
+
+    A writer takes the newline its value starts after and returns the text
+    the encoder would write for the value there.
+    """
+
+    csv: Callable[[], str]
+    json: dict[str, Callable[[str], str]]
+
+
+# payload (without "command"), its CSV rendering (or Renderers) on demand, exit code
+Report = tuple[dict, "Callable[[], str] | Renderers", int]
 
 
 class UsageError(Exception):
@@ -240,7 +251,16 @@ def cmd_equipos(args) -> Report:
         depth=args.depth,
         failure_threshold=args.threshold,
     )
-    return cert.to_json(), cert.to_csv, EXIT_OK if cert.ok else EXIT_VERIFICATION
+    renderers = Renderers(cert.to_csv, {"table": lambda newline: _table_json(cert, newline)})
+    return cert.to_json(), renderers, EXIT_OK if cert.ok else EXIT_VERIFICATION
+
+
+def _table_json(cert: EquiPositivityCertificate, newline: str) -> str:
+    """``_dumps(cert.to_json()["table"], newline)`` from the certificate's columns."""
+    inner = newline + "  "
+    deep = inner + "  "
+    rows = cert.lines("," + deep, "[" + deep, inner + "]", _json_float)
+    return "[" + inner + ("," + inner).join(rows) + newline + "]"
 
 
 def _parse_symbols_signed(text: str) -> tuple[int, ...]:
@@ -261,13 +281,20 @@ def _parse_range(text: str) -> tuple[float, float]:
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _dumps(obj, newline: str = "\n") -> str:
+def _json_float(x: float) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def _dumps(obj, newline: str = "\n", written: dict[str, Callable[[str], str]] | None = None) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)`` for str-keyed payloads.
 
     With an indent, CPython's json falls back to its pure-Python encoder,
     one generator frame per item.  This writes a list of exact ints and
     finite floats, or a list of nonempty lists of them, with one repr and
-    recurses only into the other containers.
+    recurses only into the other containers.  The values of the keys of
+    obj in written come from those writers instead.
     """
     if isinstance(obj, str):
         return _encode_str(obj)
@@ -278,9 +305,7 @@ def _dumps(obj, newline: str = "\n") -> str:
     if isinstance(obj, int):
         return int.__repr__(obj)
     if isinstance(obj, float):
-        if math.isfinite(obj):
-            return float.__repr__(obj)
-        return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
+        return _json_float(obj)
     inner = newline + "  "
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -302,7 +327,11 @@ def _dumps(obj, newline: str = "\n") -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        body = [_encode_str(k) + ": " + _dumps(v, inner) for k, v in sorted(obj.items())]
+        written = written or {}
+        body = [
+            _encode_str(k) + ": " + (written[k](inner) if k in written else _dumps(v, inner))
+            for k, v in sorted(obj.items())
+        ]
         return "{" + inner + ("," + inner).join(body) + newline + "}"
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
@@ -375,11 +404,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         payload, csv, code = args.func(args)
+        csv, written = csv if isinstance(csv, Renderers) else (csv, None)
         if args.output == "csv":
             text = csv()
         else:
             payload["command"] = args.command
-            text = _dumps(payload) + "\n"
+            text = _dumps(payload, written=written) + "\n"
         if args.out:
             Path(args.out).write_text(text)
         else:

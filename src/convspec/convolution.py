@@ -271,7 +271,14 @@ class DiscreteMeasure:
         return len(self.numerators)
 
     def weights(self) -> np.ndarray:
+        """counts / sum(counts), each quotient correctly rounded.
+
+        Below 2^53 the counts and their total are exact doubles, so one
+        numpy division rounds each quotient as Python's int division does.
+        """
         total = sum(self.counts)
+        if total < 1 << 53:
+            return np.asarray(self.counts, dtype=float) / total
         return np.array([c / total for c in self.counts])
 
 

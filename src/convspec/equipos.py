@@ -12,7 +12,8 @@ reported as half the grid spacing and labeled as such.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,8 +46,12 @@ class ProbeRow(NamedTuple):
 class EquiPositivityCertificate:
     """Probe outcome: eps-hat over the grid, or a failure naming the worst pair.
 
-    For every row, the true tail transform at x + k is at least
-    value - truncation bound; eps-hat is the minimum value over all rows.
+    The table has a row per grid point and skip, in (x, skip) order, kept
+    by columns: the grid, the skips in row order and, for each skip, the
+    (k, value) columns of its search, one object for skips that share a
+    search.  For every row, the true tail transform at x + k is at least
+    value - truncation bound; eps-hat is the minimum value over all rows
+    and worst_index the first row that attains it.
     """
 
     ok: bool
@@ -57,8 +62,48 @@ class EquiPositivityCertificate:
     depth: int
     failure_threshold: float
     family_id: str
-    rows: tuple[ProbeRow, ...]
-    worst: ProbeRow
+    grid: tuple[float, ...]
+    skips: tuple[int, ...]
+    columns: tuple[tuple[tuple[int, ...], tuple[float, ...]], ...]
+    worst_index: int
+
+    @cached_property
+    def worst(self) -> ProbeRow:
+        i, j = divmod(self.worst_index, len(self.skips))
+        k, value = self.columns[j]
+        return ProbeRow(self.grid[i], self.skips[j], k[i], value[i])
+
+    @cached_property
+    def rows(self) -> tuple[ProbeRow, ...]:
+        rows = [
+            ProbeRow(x, s, k[i], value[i])
+            for i, x in enumerate(self.grid)
+            for s, (k, value) in zip(self.skips, self.columns)
+        ]
+        rows[self.worst_index] = self.worst
+        return tuple(rows)
+
+    def lines(
+        self,
+        sep: str = ",",
+        start: str = "",
+        end: str = "",
+        fmt: Callable[[float], str] = float.__repr__,
+    ) -> list[str]:
+        """The table as text, one line per row: start, x, skip, k, value, end.
+
+        The fields are joined by sep and the floats written by fmt.  Each
+        grid point is formatted once, and each search's (k, value) pairs
+        once, found by identity and never by float equality (0.0 == -0.0).
+        """
+        heads = [start + x + sep for x in map(fmt, self.grid)]
+        texts: dict[int, list[str]] = {}
+        for found in self.columns:
+            if id(found) not in texts:
+                k, value = found
+                texts[id(found)] = [f"{sep}{a}{sep}{b}{end}" for a, b in zip(k, map(fmt, value))]
+        cols = [(str(s), texts[id(found)]) for s, found in zip(self.skips, self.columns)]
+        return [head + s + tails[i] for i, head in enumerate(heads) for s, tails in cols]
 
     def to_json(self) -> dict:
         return {
@@ -70,20 +115,16 @@ class EquiPositivityCertificate:
             "depth": self.depth,
             "failure_threshold": self.failure_threshold,
             "family_id": self.family_id,
-            "worst": {
-                "x": self.worst.x,
-                "skip": self.worst.skip,
-                "k": self.worst.k,
-                "value": self.worst.value,
-            },
-            "table": [[r.x, r.skip, r.k, r.value] for r in self.rows],
+            "worst": self.worst._asdict(),
+            "table": [
+                [x, s, k[i], value[i]]
+                for i, x in enumerate(self.grid)
+                for s, (k, value) in zip(self.skips, self.columns)
+            ],
         }
 
     def to_csv(self) -> str:
-        lines = ["x,skip,k,value"]
-        for r in self.rows:
-            lines.append(f"{r.x!r},{r.skip},{r.k},{r.value!r}")
-        return "\n".join(lines) + "\n"
+        return "\n".join(["x,skip,k,value", *self.lines()]) + "\n"
 
 
 def choose_k(
@@ -154,25 +195,19 @@ def probe_family(
     # share it share (k, value) bit for bit: an eventually periodic word has
     # at most preperiod + period of them, however many skips are asked for
     searches: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-    found = []
+    keys = []
     for n in skips:
         tail = TailSpec(spec, n)
         key = tuple((f.triple.B, f.product) for f in tail.factors(depth))
         if key not in searches:
             searches[key] = choose_k(tail, xs, K, depth)
-        found.append(searches[key])
-    ks, values = zip(*found)
-    k = np.array(ks)[order].T.ravel()
-    value = np.array(values)[order].T.ravel()
-    rows = tuple(map(
-        ProbeRow,
-        np.repeat(xs, len(skips)).tolist(),
-        np.tile(np.array(skips)[order], grid_n).tolist(),
-        k.tolist(),
-        value.tolist(),
-    ))
-    worst = rows[int(np.argmin(value))]  # the first minimum in row order
-    eps_hat = worst.value
+        keys.append(key)
+    keys = [keys[j] for j in order]
+    # one pair of tuples per search, which its skips share
+    columns = {key: (tuple(k.tolist()), tuple(v.tolist())) for key, (k, v) in searches.items()}
+    value = np.array([searches[key][1] for key in keys]).T  # (x, skip)
+    worst_index = int(np.argmin(value))  # the first minimum in row order
+    eps_hat = float(value.flat[worst_index])
     return EquiPositivityCertificate(
         ok=eps_hat > failure_threshold,
         epsilon_hat=eps_hat,
@@ -182,6 +217,8 @@ def probe_family(
         depth=depth,
         failure_threshold=failure_threshold,
         family_id=f"{spec.describe()} skips={list(skips)}",
-        rows=rows,
-        worst=worst,
+        grid=tuple(xs.tolist()),
+        skips=tuple(skips[j] for j in order),
+        columns=tuple(columns[key] for key in keys),
+        worst_index=worst_index,
     )

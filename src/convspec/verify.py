@@ -172,8 +172,10 @@ def _grid_pass(
     transform at (lambda + xi) / P_{m_i} over the next depth - m_i (1 when
     depth = m_i), so Q = sum |F|^2 |T|^2 is the depth-factor truncation.
     Both parts of the bound come from T's bound t = c(depth) * |lambda + xi|:
-    level part = worst 1 - (|T| - t)^2, depth part = 2 * sum t, over the
-    level.  The completeness defect is max |sum |F|^2 - 1| over the grid.
+    level part = worst 1 - (|T| - t)^2, depth part = 2 * sum |F|^2 t, over
+    the level, since |T|, |T_depth| <= 1 give
+    |sum |F|^2 (|T|^2 - |T_depth|^2)| <= 2 * sum |F|^2 t.  The completeness
+    defect is max |sum |F|^2 - 1| over the grid.
     Each row tile of the level is reduced into the per-xi sums and the
     worst level part before the next is formed.
     """
@@ -190,6 +192,7 @@ def _grid_pass(
         t_abs = np.abs(tv.value)
         low = np.clip(t_abs - tv.bound, 0.0, 1.0)
         level_part = np.maximum(level_part, np.max(1.0 - low**2, axis=0))
+        np.multiply(tv.bound, f2, out=tv.bound)  # |F|^2 t, summed for the depth part
         t_sum = _carry_sum(tv.bound, t_sum)
         t_abs *= t_abs
         t_abs *= f2

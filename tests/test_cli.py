@@ -4,11 +4,19 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 import convspec.spectrum
-from convspec import EquiPositivityCertificate, QReport, ZeroSetReport
-from convspec.cli import _dumps, build_parser, main
+from convspec import (
+    EquiPositivityCertificate,
+    QReport,
+    TailSpec,
+    ZeroSetReport,
+    choose_k,
+    probe_family,
+)
+from convspec.cli import _dumps, build_parser, load_spec, main
 
 
 def run(capsys, *argv):
@@ -621,3 +629,51 @@ def test_report_rendering_matches_the_stdlib_encoder(tmp_path, argv):
     out = tmp_path / "report.json"
     main([str(files.get(a, a)) for a in argv] + ["--out", str(out)])
     assert out.read_text() == stdlib_dumps(payload) + "\n"
+
+
+@pytest.mark.parametrize("grid", [2, 48])  # both include the forced x = 0 row
+@pytest.mark.parametrize("argv, skips, codes", [
+    (["--preset", "jp"], (0, 1, 2, 3, 4), {2: 0, 48: 0}),  # five skips, one search
+    (["--config", "MIXED", "--skips", "2,0,1,0"], (2, 0, 1, 0), {2: 0, 48: 0}),
+    # the uniform tails vanish at 1/3, which the grid of 48 points passes close to
+    (["--preset", "example14", "--word", ":2", "--skips", "0,1,2"], (0, 1, 2), {2: 0, 48: 2}),
+])
+def test_equipos_writers_match_one_search_per_skip(tmp_path, grid, argv, skips, codes):
+    # the columnar JSON and CSV writers against the stdlib encoder over rows
+    # from one choose_k per skip, sorted by (x, skip), equal skips as given
+    cfg = tmp_path / "mixed.json"
+    cfg.write_text(json.dumps(MIXED_CONFIG))
+    argv = ["equipos", *(str(cfg) if a == "MIXED" else a for a in argv), "--grid", str(grid)]
+    spec = load_spec(build_parser().parse_args(argv))
+    xs = np.arange(grid) / grid
+    rows = []
+    for n in skips:
+        k, v = choose_k(TailSpec(spec, n), xs)
+        rows.extend(zip(xs.tolist(), [n] * grid, k.tolist(), v.tolist()))
+    rows.sort(key=lambda r: (r[0], r[1]))
+    worst = min(rows, key=lambda r: r[3])
+    payload = {
+        "command": "equipos",
+        "ok": worst[3] > 1e-4,
+        "epsilon_hat": worst[3],
+        "delta_hat": 1.0 / (2.0 * grid),
+        "grid_n": grid,
+        "K": 8,
+        "depth": 40,
+        "failure_threshold": 1e-4,
+        "family_id": f"{spec.describe()} skips={list(skips)}",
+        "worst": dict(zip(("x", "skip", "k", "value"), worst)),
+        "table": [list(r) for r in rows],
+    }
+    want_code = codes[grid]
+    assert want_code == (0 if payload["ok"] else 2)
+    csv = "".join(f"{x!r},{s},{k},{v!r}\n" for x, s, k, v in rows)
+    for output, want in (("json", stdlib_dumps(payload) + "\n"), ("csv", "x,skip,k,value\n" + csv)):
+        out = tmp_path / f"report.{output}"
+        assert main([*argv, "--output", output, "--out", str(out)]) == want_code
+        assert out.read_text() == want, output
+    cert = probe_family(spec, skips, grid_n=grid)
+    assert cert == probe_family(spec, skips, grid_n=grid)
+    assert hash(cert) == hash(probe_family(spec, skips, grid_n=grid))
+    assert cert != probe_family(spec, skips, grid_n=grid + 1)
+    assert [tuple(r) for r in cert.rows] == rows and tuple(cert.worst) == worst

@@ -223,6 +223,21 @@ def test_weights_are_correctly_rounded_past_2_72(jp_spec):
     assert mu.weights().tolist() == [float(w) for _, w in mu.atoms]
 
 
+def test_weights_divide_in_numpy_bit_for_bit(jp_spec, mixed_spec):
+    # mixed L5 and jp exponent 3 L8 (m = 9 and 8), and counts just under
+    # 2^53 in all: one numpy division against a Python division per count
+    jp3 = ConvolutionSpec(jp_spec.family, SelectionWord(exp_period=(3,)))
+    rng = random.Random(53)
+    counts = [rng.randrange(1, 2**50) for _ in range(7)]
+    counts.append(2**53 - 1 - sum(counts))
+    wide = DiscreteMeasure(tuple(range(8)), 8, tuple(counts))
+    for mu in (finite_level(mixed_spec, 9), finite_level(jp3, 8), wide):
+        total = sum(mu.counts)
+        assert 1 < total < 2**53
+        want = np.array([c / total for c in mu.counts])
+        assert np.array_equal(mu.weights().view(np.int64), want.view(np.int64))
+
+
 def test_weights_sum_exactly_one_past_the_double_range():
     # the counts are past the double range; each weight is their rounded quotient
     mu = DiscreteMeasure((0, 1), 1, (2**1100 - 1, 1))

@@ -1,5 +1,6 @@
 """Equi-positivity probing of tail families."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -293,3 +294,25 @@ def test_certificate_csv_shape(jp_spec):
     lines = cert.to_csv().strip().splitlines()
     assert lines[0] == "x,skip,k,value"
     assert len(lines) == 1 + 8
+
+
+def test_table_text_formats_each_search_by_identity(jp_spec):
+    # skips 0 and 1 of jp share one search, so one pair of column tuples
+    cert = probe_family(jp_spec, (1, 0), grid_n=4, K=2, depth=10)
+    assert cert.columns[0] is cert.columns[1]
+    want = [f"{r.x!r},{r.skip},{r.k},{r.value!r}" for r in cert.rows]
+    assert cert.lines() == want
+    assert cert.to_csv() == "\n".join(["x,skip,k,value", *want]) + "\n"
+    # the same columns as separate objects: an equal certificate, the same text
+    apart = dataclasses.replace(
+        cert, columns=tuple((tuple(list(k)), tuple(list(v))) for k, v in cert.columns)
+    )
+    assert apart.columns[0] is not apart.columns[1]
+    assert apart == cert and apart.lines() == want and apart.to_json() == cert.to_json()
+    # 0.0 == -0.0, so columns that differ only in that sign are equal, yet
+    # each keeps its own text
+    k = cert.columns[0][0]
+    signed = dataclasses.replace(cert, columns=((k, (0.0,) * 4), (k, (-0.0,) * 4)))
+    assert signed.columns[0] == signed.columns[1]
+    assert [line.rsplit(",", 1)[1] for line in signed.lines()] == ["0.0", "-0.0"] * 4
+    assert signed.lines(";", "<", ">", str)[1] == f"<0.0;1;{k[0]};-0.0>"

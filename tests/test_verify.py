@@ -306,7 +306,8 @@ coefficient = convspec.convolution._tail_series_coefficient
 def series_formula_bounds(spec, levels, i, depth, xi):
     """Q bounds with the series coefficient c written out: tail bounds
     c_tail(depth - m) * |(lambda + xi) / P_m| in the level part, and
-    2 * c(depth) * sum |lambda + xi| over the level as the depth part."""
+    2 * c(depth) * sum |mu^_m(lambda + xi)|^2 |lambda + xi| over the level
+    as the depth part."""
     m = levels.m(i)
     lam = np.asarray(levels.level(i), dtype=float)
     pts = np.add.outer(lam, xi)
@@ -315,8 +316,14 @@ def series_formula_bounds(spec, levels, i, depth, xi):
     t = coefficient(tail, depth - m) * np.abs(pts * inv)
     t_abs = np.abs(fourier_tail(tail, lam * inv, depth - m, offsets=xi * inv).value)
     low = np.clip(t_abs - t, 0.0, 1.0)
-    depth_part = 2.0 * coefficient(spec, depth) * np.abs(pts).sum(axis=0)
-    return np.max(1.0 - low**2, axis=0) + depth_part
+    return np.max(1.0 - low**2, axis=0) + depth_part(spec, levels, i, depth, xi)
+
+
+def depth_part(spec, levels, i, depth, xi):
+    """2 * c(depth) * sum |mu^_m(lambda + xi)|^2 |lambda + xi| over level i."""
+    lam = np.asarray(levels.level(i), dtype=float)
+    f2 = np.abs(fourier_finite(spec, levels.m(i), lam, xi)) ** 2
+    return 2.0 * coefficient(spec, depth) * (f2 * np.abs(np.add.outer(lam, xi))).sum(axis=0)
 
 
 def test_q_bounds_match_the_series_formula(jp_spec, mixed_spec):
@@ -330,6 +337,25 @@ def test_q_bounds_match_the_series_formula(jp_spec, mixed_spec):
             got = verify._grid_pass(spec, levels, 3, depth, xi).bound
             want = series_formula_bounds(spec, levels, 3, depth, xi)
             np.testing.assert_allclose(got, want, rtol=2e-15, atol=0)
+
+
+def test_depth_part_bounds_the_change_in_q_with_depth(jp_spec, mixed_spec):
+    # |Q - Q_d| <= sum |F|^2 ||T|^2 - |T_d|^2| <= 2 * sum |F|^2 t_d, so Q_60
+    # and Q_d differ by at most the depth parts at d and at 60
+    xi = np.linspace(-2.0, 2.0, 41)
+    for spec in (jp_spec, mixed_spec):
+        levels = build_quiet(spec, 4)
+        m = levels.m(4)
+        q60 = verify._grid_pass(spec, levels, 4, 60, xi).q
+        far = depth_part(spec, levels, 4, 60, xi)
+        for depth in (m, m + 1, m + 2, 30):
+            q = verify._grid_pass(spec, levels, 4, depth, xi).q
+            part = depth_part(spec, levels, 4, depth, xi)
+            assert np.all(np.abs(q60 - q) <= part + far + 1e-14), (spec.describe(), depth)
+            # the weights sum to 1 up to the completeness defect, so the depth
+            # part is at most twice the worst t over the level, not |Lambda| times
+            pts = np.abs(np.add.outer(np.asarray(levels.level(4), dtype=float), xi))
+            assert np.all(part <= 2.0 * coefficient(spec, depth) * pts.max(axis=0) * (1 + 1e-9))
 
 
 def test_q_bessel_and_monotone_in_level(jp_spec):
