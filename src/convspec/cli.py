@@ -15,7 +15,7 @@ import math
 import sys
 import warnings
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .convolution import DEFAULT_TAIL_DEPTH, ConvolutionSpec, SelectionWord
 from .equipos import DEFAULT_FAILURE_THRESHOLD, EquiPositivityCertificate, probe_family
@@ -252,7 +252,26 @@ def cmd_equipos(args) -> Report:
         failure_threshold=args.threshold,
     )
     renderers = Renderers(cert.to_csv, {"table": lambda newline: _table_json(cert, newline)})
-    return cert.to_json(), renderers, EXIT_OK if cert.ok else EXIT_VERIFICATION
+    return cert.to_json(_Table(cert)), renderers, EXIT_OK if cert.ok else EXIT_VERIFICATION
+
+
+class _Table(list):
+    """A certificate's table rows, formed each time the value is iterated.
+
+    The stdlib's indented encoder and _dumps iterate a list, so they write
+    every row, while the list's own storage stays empty: main never reads
+    the value, as its writer formats the table from the certificate's columns.
+    """
+
+    def __init__(self, cert: EquiPositivityCertificate):
+        super().__init__()
+        self.cert = cert
+
+    def __len__(self) -> int:
+        return len(self.cert.grid) * len(self.cert.skips)
+
+    def __iter__(self) -> Iterator[list]:
+        return self.cert.table()
 
 
 def _table_json(cert: EquiPositivityCertificate, newline: str) -> str:

@@ -16,6 +16,7 @@ measure of index n, whose transform is again a mask product.
 from __future__ import annotations
 
 import bisect
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -401,6 +402,68 @@ def _mask_product(
         out *= term
     out = out.reshape(x.shape + offsets.shape)
     return complex(out) if out.ndim == 0 else out
+
+
+def _mask_power(
+    factors: Iterable[tuple[Sequence[int], int]], x: np.ndarray, offsets: np.ndarray
+) -> np.ndarray:
+    """prod_k |M_{B_k}((x + o) / P_k)|^2 over the factors (B_k, P_k), for every x and o.
+
+    The real counterpart of :func:`_mask_product`, of shape
+    x.shape + offsets.shape.  With c_delta the number of digit pairs
+    b - b' = delta > 0, a factor is
+    |M_B(y)|^2 = 1/#B + (2/#B^2) sum_delta c_delta cos(2*pi*delta*y), and
+    cos(a + b) = cos a cos b - sin a sin b makes it one real matrix product
+    over (x, o) of rank 1 + 2 * #delta: columns cos a, sin a and 1 of x
+    against rows w cos b, -w sin b and the constant of o.  The weights are
+    rounded to multiples of 2^-52 (by at most 2^-53 each) and the constant
+    is 1 minus their sum, so at y = 0 the terms add up to exactly 1 in any
+    order the matrix product takes.  The cosines and sines of every factor
+    are taken in one call per side.  The product is clipped to [0, 1] once,
+    at the end, as rounding may leave it.
+    """
+    xs = x.reshape(-1)
+    o = offsets.reshape(-1)
+    digit_pairs: dict[Sequence[int], tuple[list[int], list[float], float]] = {}
+    freq, weight, const = [], [], []
+    cos_at, sin_at, one_at = [], [], []  # each factor's columns of u and rows of v
+    for B, p in factors:
+        if B not in digit_pairs:
+            pairs = collections.Counter(b - c for b in B for c in B if b > c)
+            k = [round(2 * pairs[d] * 2.0**52 / len(B) ** 2) for d in sorted(pairs)]
+            w = [i * 2.0**-52 for i in k]
+            digit_pairs[B] = (sorted(pairs), w, ((1 << 52) - sum(k)) * 2.0**-52)
+        deltas, w, c = digit_pairs[B]
+        start, r = 2 * len(freq) + len(const), len(deltas)
+        cos_at += range(start, start + r)
+        sin_at += range(start + r, start + 2 * r)
+        one_at.append(start + 2 * r)
+        scale = 2.0 * np.pi * _inv_float(p)
+        freq += [d * scale for d in deltas]
+        weight += w
+        const.append(c)
+    if not const:
+        return np.ones(x.shape + offsets.shape)
+    f = np.array(freq)
+    w = np.array(weight)[:, None]
+    u = np.empty((xs.size, 2 * f.size + len(const)))
+    a = np.multiply.outer(xs, f)
+    u[:, cos_at] = np.cos(a)
+    u[:, sin_at] = np.sin(a)
+    u[:, one_at] = 1.0
+    v = np.empty((u.shape[1], o.size))
+    b = np.multiply.outer(f, o)
+    v[cos_at] = np.cos(b) * w
+    v[sin_at] = np.sin(b) * -w
+    v[one_at] = np.array(const)[:, None]
+    stops = [i + 1 for i in one_at]
+    out = u[:, : stops[0]] @ v[: stops[0]]
+    term = np.empty_like(out)
+    for start, stop in zip(stops, stops[1:]):
+        np.matmul(u[:, start:stop], v[start:stop], out=term)
+        out *= term
+    np.clip(out, 0.0, 1.0, out=out)
+    return out.reshape(x.shape + offsets.shape)
 
 
 def _offsets(offsets: ArrayLike | None) -> np.ndarray:

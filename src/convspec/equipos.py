@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -105,7 +105,14 @@ class EquiPositivityCertificate:
         cols = [(str(s), texts[id(found)]) for s, found in zip(self.skips, self.columns)]
         return [head + s + tails[i] for i, head in enumerate(heads) for s, tails in cols]
 
-    def to_json(self) -> dict:
+    def table(self) -> Iterator[list]:
+        """The rows as [x, skip, k, value] lists, in row order, each formed when reached."""
+        for i, x in enumerate(self.grid):
+            for s, (k, value) in zip(self.skips, self.columns):
+                yield [x, s, k[i], value[i]]
+
+    def to_json(self, table: list | None = None) -> dict:
+        """The certificate as plain data; table, when given, stands in for its rows."""
         return {
             "ok": self.ok,
             "epsilon_hat": self.epsilon_hat,
@@ -116,11 +123,7 @@ class EquiPositivityCertificate:
             "failure_threshold": self.failure_threshold,
             "family_id": self.family_id,
             "worst": self.worst._asdict(),
-            "table": [
-                [x, s, k[i], value[i]]
-                for i, x in enumerate(self.grid)
-                for s, (k, value) in zip(self.skips, self.columns)
-            ],
+            "table": list(self.table()) if table is None else table,
         }
 
     def to_csv(self) -> str:

@@ -26,8 +26,11 @@ from .convolution import (
     TailSpec,
     _INT64_LIMIT,
     _inv_float,
+    _mask_power,
+    # unused here, but bench/tracing.py requires both names bound in this module
     fourier_finite,
     fourier_tail,
+    tail_truncation_bound,
 )
 from .spectrum import SpectrumLevels
 from .triples import _integers
@@ -45,7 +48,7 @@ DEFAULT_COMPLETENESS_TOL = 1e-9
 DEFAULT_Q_SLACK = 1e-3
 _EXTRA_WORST = 10  # worst points of the coarse scan added to the report grid
 _RESIDUE_CHUNK_BYTES = 8 << 20  # bytes of residues per Gram chunk
-_TILE_BYTES = 1 << 20  # bytes of complex (lambda, xi) pairs per Q tile
+_TILE_BYTES = 1 << 20  # bytes of the mask kernel's two float arrays over a Q tile's pairs
 _BOXED_INT_BYTES = 64  # an object-array pointer and the Python int it points to
 _GRAM_BYTES = 1 << 30  # bytes the Gram check may allocate
 _FFT_BYTES = 64  # peak bytes per residue bin or lambda on the Gram check's FFT path
@@ -132,8 +135,10 @@ def _check_level(levels: SpectrumLevels, i: int) -> None:
 def _tiles(levels: SpectrumLevels, i: int, xi: np.ndarray) -> list[np.ndarray]:
     """Level i as floats, split into row tiles of at most _TILE_BYTES of pairs.
 
-    Tiles are equal parts of at least two rows (a one-row matrix product
-    takes another BLAS path).
+    A (lambda, xi) pair costs 16 bytes there: the float64 result of the mask
+    kernel and its per-factor term (2^16 pairs per tile).  Tiles are equal
+    parts of at least two rows (a one-row matrix product takes another BLAS
+    path).
     """
     lam = np.asarray(levels.level(i), dtype=float)
     parts = -(-lam.size * xi.size * 16 // _TILE_BYTES)
@@ -167,10 +172,15 @@ def _grid_pass(
 ) -> _GridPass:
     """Q over the grid, its per-point truncation bounds and the level completeness.
 
-    Two mask products over (lambda, xi), each with separable phases:
-    F = mu^_{m_i}(lambda + xi) over the first m_i factors and T = the tail
-    transform at (lambda + xi) / P_{m_i} over the next depth - m_i (1 when
-    depth = m_i), so Q = sum |F|^2 |T|^2 is the depth-factor truncation.
+    Two squared mask products over (lambda, xi), both real: |F|^2 with
+    F = mu^_{m_i}(lambda + xi) over the first m_i factors and |T|^2 with
+    T = the tail transform at (lambda + xi) / P_{m_i}, factors m_i + 1 to
+    depth (1 when depth = m_i), so Q = sum |F|^2 |T|^2 is the depth-factor
+    truncation, and |T| = sqrt(|T|^2).  Each factor is
+    |M_B(y)|^2 = 1/#B + (2/#B^2) sum_{delta > 0} c_delta cos(2*pi*delta*y),
+    c_delta the digit pairs at difference delta: one real matrix product of
+    rank 1 + 2 * #delta (see convolution._mask_power, which clips its
+    product to [0, 1]).
     Both parts of the bound come from T's bound t = c(depth) * |lambda + xi|:
     level part = worst 1 - (|T| - t)^2, depth part = 2 * sum |F|^2 t, over
     the level, since |T|, |T_depth| <= 1 give
@@ -182,21 +192,20 @@ def _grid_pass(
     m_i = levels.m(i)
     if depth < m_i:
         raise ValueError(f"depth {depth} must be >= m_i = {m_i}")
+    factors = [(f.triple.B, f.product) for f in spec.factors(depth)]
     inv = _inv_float(spec.scale_product(m_i))
     tail = TailSpec(spec, m_i)
     q = mass = t_sum = level_part = 0.0
     for lam in _tiles(levels, i, xi):
-        f2 = np.abs(fourier_finite(spec, m_i, lam, xi))
-        f2 *= f2
-        tv = fourier_tail(tail, lam * inv, depth - m_i, offsets=xi * inv)
-        t_abs = np.abs(tv.value)
-        low = np.clip(t_abs - tv.bound, 0.0, 1.0)
+        f2 = _mask_power(factors[:m_i], lam, xi)
+        t2 = _mask_power(factors[m_i:], lam, xi)
+        t = tail_truncation_bound(tail, np.add.outer(lam * inv, xi * inv), depth - m_i)
+        low = np.clip(np.sqrt(t2) - t, 0.0, 1.0)
         level_part = np.maximum(level_part, np.max(1.0 - low**2, axis=0))
-        np.multiply(tv.bound, f2, out=tv.bound)  # |F|^2 t, summed for the depth part
-        t_sum = _carry_sum(tv.bound, t_sum)
-        t_abs *= t_abs
-        t_abs *= f2
-        q = _carry_sum(t_abs, q)
+        t *= f2  # |F|^2 t, summed for the depth part
+        t_sum = _carry_sum(t, t_sum)
+        t2 *= f2
+        q = _carry_sum(t2, q)
         mass = _carry_sum(f2, mass)
     return _GridPass(q, level_part + 2.0 * t_sum, float(np.max(np.abs(mass - 1.0))))
 

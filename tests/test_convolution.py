@@ -468,6 +468,32 @@ def test_offsets_form_matches_pointwise_random():
         assert fourier_tail(spec, a, 20, offsets=off.reshape(5, 1)).value.shape == (6, 5, 1)
 
 
+def test_squared_moduli_match_the_complex_kernel_random():
+    # both kernels round each phase 2*pi*delta*(x + o)/P_k relative to its
+    # size, so at large |x + o| they part by about eps * |x + o| * delta / |P_k|
+    # per factor (5.5e-10 at |x| = 3e5 with digit spans of 40)
+    rng = random.Random(53)
+    eps = np.finfo(float).eps
+    for _ in range(60):
+        spec = random_spec(rng)
+        factors = [(f.triple.B, f.product) for f in spec.factors(rng.randint(1, 12))]
+        x = np.array([0.0] + [rng.uniform(-1, 1) * 10 ** rng.uniform(-2, 5.5) for _ in range(30)])
+        o = np.array([0.0] + [rng.uniform(-3, 3) for _ in range(17)])
+        got = convspec.convolution._mask_power(factors, x, o)
+        want = np.abs(convspec.convolution._mask_product(factors, x, o)) ** 2
+        span = max(max(B) - min(B) for B, _ in factors)
+        reach = np.abs(np.add.outer(x, o)).max() * sum(abs(_inv_float(p)) for _, p in factors)
+        np.testing.assert_allclose(got, want, rtol=0, atol=8 * np.pi * eps * span * reach + 1e-14)
+        assert got.shape == (31, 18) and got.min() >= 0.0 and got.max() <= 1.0
+        assert got[0, 0] == 1.0  # x + o = 0: every factor is exactly 1
+        assert convspec.convolution._mask_power([], x, o).tolist() == np.ones((31, 18)).tolist()
+    # whatever the digit count, the constant makes the weights sum to exactly 1
+    for size in range(1, 13):
+        B = tuple(rng.sample(range(-20, 40), size))
+        zero = np.zeros(1)
+        assert convspec.convolution._mask_power([(B, 5)], zero, zero).tolist() == [[1.0]], B
+
+
 # --- tails ------------------------------------------------------------------
 
 def test_tail_at_zero_is_one(jp_spec, mixed_spec):

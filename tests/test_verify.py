@@ -19,7 +19,6 @@ from convspec import (
     build_spectrum,
     finite_level,
     fourier_finite,
-    fourier_tail,
     level_completeness,
     orthonormality_gram,
     q_function,
@@ -314,7 +313,10 @@ def series_formula_bounds(spec, levels, i, depth, xi):
     tail = TailSpec(spec, m)
     inv = convspec.convolution._inv_float(spec.scale_product(m))
     t = coefficient(tail, depth - m) * np.abs(pts * inv)
-    t_abs = np.abs(fourier_tail(tail, lam * inv, depth - m, offsets=xi * inv).value)
+    # |T| from the kernel the pass uses: the bound formula is under test, not
+    # the rounding of |T|
+    factors = [(f.triple.B, f.product) for f in spec.factors(depth)[m:]]
+    t_abs = np.sqrt(convspec.convolution._mask_power(factors, lam, xi))
     low = np.clip(t_abs - t, 0.0, 1.0)
     return np.max(1.0 - low**2, axis=0) + depth_part(spec, levels, i, depth, xi)
 
@@ -470,6 +472,24 @@ def deep_levels():
 
 
 @pytest.mark.parametrize("name", ["jp", "mixed"])
+def test_squared_moduli_match_the_complex_kernel(deep_levels, name):
+    # the grid pass's F^2, T^2 and their product against |complex mask product|^2
+    # over the level's rows and the coarse scan's 257 points
+    spec, levels = deep_levels[name]
+    i = levels.level_count
+    m = levels.m(i)
+    lam = np.asarray(levels.level(i), dtype=float)
+    xi = np.linspace(-2.0, 2.0, 257)
+    factors = [(f.triple.B, f.product) for f in spec.factors(30)]
+    for part in (factors[:m], factors[m:], factors):
+        got = convspec.convolution._mask_power(part, lam, xi)
+        want = np.abs(convspec.convolution._mask_product(part, lam, xi)) ** 2
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+        assert 0.0 <= got.min() and got.max() <= 1.0
+    assert got[lam == 0.0, xi == 0.0].tolist() == [1.0]
+
+
+@pytest.mark.parametrize("name", ["jp", "mixed"])
 def test_report_in_row_tiles_is_bit_identical(deep_levels, name, monkeypatch):
     # the first-row carry keeps numpy's row-by-row summation order, so tiles
     # of any size >= 2 rows give the floats of one tile over the whole level
@@ -484,13 +504,13 @@ def test_report_in_row_tiles_is_bit_identical(deep_levels, name, monkeypatch):
         for rows, budget in budgets.items():
             seen = []
 
-            def spy(spec_, n, lam, xi, seen=seen):
+            def spy(factors, lam, xi, seen=seen):
                 seen.append(len(lam))
-                return fourier_finite(spec_, n, lam, xi)
+                return convspec.convolution._mask_power(factors, lam, xi)
 
             with monkeypatch.context() as mp:
                 mp.setattr(verify, "_TILE_BYTES", budget)
-                mp.setattr(verify, "fourier_finite", spy)
+                mp.setattr(verify, "_mask_power", spy)
                 tiled = spectral_report(spec, levels, grid_n=grid_n, depth=depth).to_json()
             assert rows in seen and min(seen) >= 2
             assert tiled == whole, (depth, rows)
