@@ -15,7 +15,7 @@ import math
 import sys
 import warnings
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator
 
 from .convolution import DEFAULT_TAIL_DEPTH, ConvolutionSpec, SelectionWord
 from .equipos import DEFAULT_FAILURE_THRESHOLD, EquiPositivityCertificate, probe_family
@@ -59,19 +59,8 @@ PRESETS = {
 }
 
 
-class Renderers(NamedTuple):
-    """A report's CSV rendering, and JSON writers for some top-level payload keys.
-
-    A writer takes the newline its value starts after and returns the text
-    the encoder would write for the value there.
-    """
-
-    csv: Callable[[], str]
-    json: dict[str, Callable[[str], str]]
-
-
-# payload (without "command"), its CSV rendering (or Renderers) on demand, exit code
-Report = tuple[dict, "Callable[[], str] | Renderers", int]
+# payload (without "command"), its CSV rendering on demand, exit code
+Report = tuple[dict, Callable[[], str], int]
 
 
 class UsageError(Exception):
@@ -251,16 +240,15 @@ def cmd_equipos(args) -> Report:
         depth=args.depth,
         failure_threshold=args.threshold,
     )
-    renderers = Renderers(cert.to_csv, {"table": lambda newline: _table_json(cert, newline)})
-    return cert.to_json(_Table(cert)), renderers, EXIT_OK if cert.ok else EXIT_VERIFICATION
+    return cert.to_json(_Table(cert)), cert.to_csv, EXIT_OK if cert.ok else EXIT_VERIFICATION
 
 
 class _Table(list):
     """A certificate's table rows, formed each time the value is iterated.
 
-    The stdlib's indented encoder and _dumps iterate a list, so they write
-    every row, while the list's own storage stays empty: main never reads
-    the value, as its writer formats the table from the certificate's columns.
+    The stdlib's indented encoder iterates a list, so it writes every row,
+    while the list's own storage stays empty.  _dumps calls its json
+    method instead, which joins the certificate's formatted columns.
     """
 
     def __init__(self, cert: EquiPositivityCertificate):
@@ -273,13 +261,12 @@ class _Table(list):
     def __iter__(self) -> Iterator[list]:
         return self.cert.table()
 
-
-def _table_json(cert: EquiPositivityCertificate, newline: str) -> str:
-    """``_dumps(cert.to_json()["table"], newline)`` from the certificate's columns."""
-    inner = newline + "  "
-    deep = inner + "  "
-    rows = cert.lines("," + deep, "[" + deep, inner + "]", _json_float)
-    return "[" + inner + ("," + inner).join(rows) + newline + "]"
+    def json(self, newline: str) -> str:
+        """``json.dumps(list(self), indent=2)`` for a table that starts after newline."""
+        inner = newline + "  "
+        deep = inner + "  "
+        rows = self.cert.lines("," + deep, "[" + deep, inner + "]")
+        return "[" + inner + ("," + inner).join(rows) + newline + "]"
 
 
 def _parse_symbols_signed(text: str) -> tuple[int, ...]:
@@ -300,20 +287,13 @@ def _parse_range(text: str) -> tuple[float, float]:
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _json_float(x: float) -> str:
-    if math.isfinite(x):
-        return float.__repr__(x)
-    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
-
-
-def _dumps(obj, newline: str = "\n", written: dict[str, Callable[[str], str]] | None = None) -> str:
+def _dumps(obj, newline: str = "\n") -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)`` for str-keyed payloads.
 
     With an indent, CPython's json falls back to its pure-Python encoder,
     one generator frame per item.  This writes a list of exact ints and
     finite floats, or a list of nonempty lists of them, with one repr and
-    recurses only into the other containers.  The values of the keys of
-    obj in written come from those writers instead.
+    recurses only into the other containers.  A _Table writes itself.
     """
     if isinstance(obj, str):
         return _encode_str(obj)
@@ -324,7 +304,11 @@ def _dumps(obj, newline: str = "\n", written: dict[str, Callable[[str], str]] | 
     if isinstance(obj, int):
         return int.__repr__(obj)
     if isinstance(obj, float):
-        return _json_float(obj)
+        if math.isfinite(obj):
+            return float.__repr__(obj)
+        return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
+    if isinstance(obj, _Table):
+        return obj.json(newline)
     inner = newline + "  "
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -346,11 +330,7 @@ def _dumps(obj, newline: str = "\n", written: dict[str, Callable[[str], str]] | 
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        written = written or {}
-        body = [
-            _encode_str(k) + ": " + (written[k](inner) if k in written else _dumps(v, inner))
-            for k, v in sorted(obj.items())
-        ]
+        body = [_encode_str(k) + ": " + _dumps(v, inner) for k, v in sorted(obj.items())]
         return "{" + inner + ("," + inner).join(body) + newline + "}"
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
@@ -423,12 +403,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         payload, csv, code = args.func(args)
-        csv, written = csv if isinstance(csv, Renderers) else (csv, None)
         if args.output == "csv":
             text = csv()
         else:
             payload["command"] = args.command
-            text = _dumps(payload, written=written) + "\n"
+            text = _dumps(payload) + "\n"
         if args.out:
             Path(args.out).write_text(text)
         else:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 DEFAULT_FAILURE_THRESHOLD = 1e-4
-_SHIFT_CHUNK = 1 << 13  # points per tail evaluation; bounds the (point, shift) arrays
+_SHIFT_PAIRS = 17 << 13  # (point, shift) pairs per tail evaluation: 8,192 points at K = 8
 
 
 class ProbeRow(NamedTuple):
@@ -75,33 +75,24 @@ class EquiPositivityCertificate:
 
     @cached_property
     def rows(self) -> tuple[ProbeRow, ...]:
-        rows = [
-            ProbeRow(x, s, k[i], value[i])
-            for i, x in enumerate(self.grid)
-            for s, (k, value) in zip(self.skips, self.columns)
-        ]
+        rows = list(map(ProbeRow._make, self.table()))
         rows[self.worst_index] = self.worst
         return tuple(rows)
 
-    def lines(
-        self,
-        sep: str = ",",
-        start: str = "",
-        end: str = "",
-        fmt: Callable[[float], str] = float.__repr__,
-    ) -> list[str]:
+    def lines(self, sep: str = ",", start: str = "", end: str = "") -> list[str]:
         """The table as text, one line per row: start, x, skip, k, value, end.
 
-        The fields are joined by sep and the floats written by fmt.  Each
-        grid point is formatted once, and each search's (k, value) pairs
-        once, found by identity and never by float equality (0.0 == -0.0).
+        The fields are joined by sep and the floats, all finite (x = j /
+        grid_n, values are moduli), written by repr as JSON writes them.
+        Each grid point is formatted once, and each search's (k, value)
+        pairs once, found by identity, never by float equality (0.0 == -0.0).
         """
-        heads = [start + x + sep for x in map(fmt, self.grid)]
+        heads = [start + x + sep for x in map(float.__repr__, self.grid)]
         texts: dict[int, list[str]] = {}
         for found in self.columns:
             if id(found) not in texts:
                 k, value = found
-                texts[id(found)] = [f"{sep}{a}{sep}{b}{end}" for a, b in zip(k, map(fmt, value))]
+                texts[id(found)] = [f"{sep}{a}{sep}{b!r}{end}" for a, b in zip(k, value)]
         cols = [(str(s), texts[id(found)]) for s, found in zip(self.skips, self.columns)]
         return [head + s + tails[i] for i, head in enumerate(heads) for s, tails in cols]
 
@@ -152,9 +143,10 @@ def choose_k(
     best = np.empty(flat.shape, dtype=ks.dtype)
     peak = np.empty(flat.shape)
     start = 0
-    # parts of equal size, so that none is a single point: a one-row matrix
-    # product takes another BLAS path and can round differently
-    for part in np.array_split(flat, -(-flat.size // _SHIFT_CHUNK) or 1):
+    # parts of equal size and at least two points: a one-row matrix product
+    # takes another BLAS path and can round differently
+    parts = -(-flat.size * ks.size // _SHIFT_PAIRS)
+    for part in np.array_split(flat, max(1, min(parts, flat.size // 2))):
         stop = start + part.size
         # centred at 1/2: at x = 1/2 the shifts k and -1 - k are exact negatives
         vals = np.abs(fourier_tail(tail, part - 0.5, depth, offsets=ks + 0.5).value)

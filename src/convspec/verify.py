@@ -50,7 +50,7 @@ _EXTRA_WORST = 10  # worst points of the coarse scan added to the report grid
 _RESIDUE_CHUNK_BYTES = 8 << 20  # bytes of residues per Gram chunk
 _TILE_BYTES = 1 << 20  # bytes of the mask kernel's two float arrays over a Q tile's pairs
 _BOXED_INT_BYTES = 64  # an object-array pointer and the Python int it points to
-_GRAM_BYTES = 1 << 30  # bytes the Gram check may allocate
+_BUDGET_BYTES = 1 << 30  # bytes a Gram check or a Q grid pass may allocate
 _FFT_BYTES = 64  # peak bytes per residue bin or lambda on the Gram check's FFT path
 
 
@@ -85,7 +85,7 @@ def orthonormality_gram(measure: DiscreteMeasure, Lambda: Sequence[int]) -> floa
     of the lambdas' histogram mod D, by a second FFT.  Otherwise the
     deviation comes from the matrix product of the exponentials at
     (lambda * u mod D) / D, reduced in Python ints a chunk of rows at a
-    time.  A check that would allocate more than _GRAM_BYTES
+    time.  A check that would allocate more than _BUDGET_BYTES
     raises ValueError before it starts.
     """
     d = measure.denominator
@@ -95,10 +95,10 @@ def orthonormality_gram(measure: DiscreteMeasure, Lambda: Sequence[int]) -> floa
     n, k = lam.size, len(measure)
     fft = d <= n * k
     need = _FFT_BYTES * (d + n) if fft else 2 * _RESIDUE_CHUNK_BYTES + 16 * n * (2 * k + n)
-    if need > _GRAM_BYTES:
+    if need > _BUDGET_BYTES:
         raise ValueError(
             f"Gram check of {n} lambdas on {k} atoms over D = {d} needs about "
-            f"{need} bytes, over its budget of {_GRAM_BYTES}"
+            f"{need} bytes, over its budget of {_BUDGET_BYTES}"
         )
     u = _residues(measure.numerators, d, "numerators")
     w = measure.weights()
@@ -132,17 +132,40 @@ def _check_level(levels: SpectrumLevels, i: int) -> None:
         raise ValueError(f"level index {i} out of range 1..{levels.level_count}")
 
 
-def _tiles(levels: SpectrumLevels, i: int, xi: np.ndarray) -> list[np.ndarray]:
-    """Level i as floats, split into row tiles of at most _TILE_BYTES of pairs.
+def _tile_count(n: int, n_xi: int) -> int:
+    """Row tiles of n frequencies by n_xi points: equal parts of at least two
+    rows (a one-row matrix product takes another BLAS path) and at most
+    _TILE_BYTES of pairs, 16 bytes each for the kernel's result and term."""
+    return max(1, min(-(-n * n_xi * 16 // _TILE_BYTES), n // 2))
 
-    A (lambda, xi) pair costs 16 bytes there: the float64 result of the mask
-    kernel and its per-factor term (2^16 pairs per tile).  Tiles are equal
-    parts of at least two rows (a one-row matrix product takes another BLAS
-    path).
+
+def _pass_bytes(
+    spec: ConvolutionSpec, levels: SpectrumLevels, i: int, depth: int, n_xi: int
+) -> int:
+    """Estimated peak bytes of a grid pass over level i and n_xi points.
+
+    Per factor, the kernel's cosine and sine sides hold 5 * #delta + 1
+    floats per xi and per tile row (the larger of its two factor lists),
+    and P_k with lists takes ~512 bytes more; a tile takes ~8 floats per
+    pair.  Tiles keep two rows, so a large grid or depth cannot fit: past
+    _BUDGET_BYTES, ValueError, found by a walk that forms no P_k.
     """
-    lam = np.asarray(levels.level(i), dtype=float)
-    parts = -(-lam.size * xi.size * 16 // _TILE_BYTES)
-    return np.array_split(lam, max(1, min(parts, lam.size // 2)))
+    n, m_i = len(levels.level(i)), levels.m(i)
+    rows = -(-n // _tile_count(n, n_xi))
+    need = base = 8 * (8 * (n_xi + rows) + 8 * rows * n_xi + n)
+    width, bits, objects = [0, 0], 0, 0  # width: the first m_i factors, the rest
+    for k in range(1, depth + 1):
+        t = spec.triple_at(k)
+        width[k > m_i] += 5 * len({b - c for b in t.B for c in t.B if b > c}) + 1
+        bits += spec.exponent_at(k) * abs(t.N).bit_length()
+        objects += 512 + bits // 8
+        need = base + 8 * (n_xi + rows) * max(width) + objects
+        if need > _BUDGET_BYTES:
+            raise ValueError(
+                f"Q grid pass of {n} frequencies over {n_xi} points at depth {depth} "
+                f"needs more than its budget of {_BUDGET_BYTES} bytes"
+            )
+    return need
 
 
 def _carry_sum(rows: np.ndarray, acc: np.ndarray | float) -> np.ndarray:
@@ -192,11 +215,13 @@ def _grid_pass(
     m_i = levels.m(i)
     if depth < m_i:
         raise ValueError(f"depth {depth} must be >= m_i = {m_i}")
+    _pass_bytes(spec, levels, i, depth, xi.size)
     factors = [(f.triple.B, f.product) for f in spec.factors(depth)]
     inv = _inv_float(spec.scale_product(m_i))
     tail = TailSpec(spec, m_i)
+    level = np.asarray(levels.level(i), dtype=float)
     q = mass = t_sum = level_part = 0.0
-    for lam in _tiles(levels, i, xi):
+    for lam in np.array_split(level, _tile_count(level.size, xi.size)):
         f2 = _mask_power(factors[:m_i], lam, xi)
         t2 = _mask_power(factors[m_i:], lam, xi)
         t = tail_truncation_bound(tail, np.add.outer(lam * inv, xi * inv), depth - m_i)
@@ -299,6 +324,7 @@ def spectral_report(
     if levels.level_count < 1:
         raise ValueError("no levels to verify")
     i = levels.level_count
+    _pass_bytes(spec, levels, i, depth, 4 * grid_n + 1)  # before the coarse grid is formed
     coarse = np.linspace(-2.0, 2.0, 4 * grid_n + 1)
     q_coarse = _grid_pass(spec, levels, i, depth, coarse).q
     worst = coarse[np.argsort(q_coarse, kind="stable")[:_EXTRA_WORST]]

@@ -16,7 +16,7 @@ from convspec import (
     choose_k,
     probe_family,
 )
-from convspec.cli import _dumps, build_parser, load_spec, main
+from convspec.cli import _dumps, _Table, build_parser, load_spec, main
 
 
 def run(capsys, *argv):
@@ -677,3 +677,28 @@ def test_equipos_writers_match_one_search_per_skip(tmp_path, grid, argv, skips, 
     assert hash(cert) == hash(probe_family(spec, skips, grid_n=grid))
     assert cert != probe_family(spec, skips, grid_n=grid + 1)
     assert [tuple(r) for r in cert.rows] == rows and tuple(cert.worst) == worst
+
+
+@pytest.mark.parametrize("grid", [2, 48])
+@pytest.mark.parametrize("argv", [
+    ["--preset", "jp"],  # five skips, one shared search
+    ["--config", "MIXED", "--skips", "2,0,1,0"],  # shared and unshared columns
+    ["--preset", "example14", "--word", ":2", "--skips", "0,1,2"],
+])
+def test_lazy_table_writes_what_the_stdlib_writes(tmp_path, grid, argv):
+    cfg = tmp_path / "mixed.json"
+    cfg.write_text(json.dumps(MIXED_CONFIG))
+    argv = ["equipos", *(str(cfg) if a == "MIXED" else a for a in argv), "--grid", str(grid)]
+    args = build_parser().parse_args(argv)
+    payload, csv, _ = args.func(args)
+    skips = tuple(map(int, args.skips.split(",")))
+    cert = probe_family(load_spec(args), skips, grid_n=grid)
+    rows = cert.to_json()["table"]
+    # at the top level and nested one and two levels deep
+    for wrap in (lambda t: t, lambda t: {"table": t}, lambda t: [{"a": [1], "table": t}, 2]):
+        assert _dumps(wrap(_Table(cert))) == stdlib_dumps(wrap(rows))
+        assert stdlib_dumps(wrap(_Table(cert))) == stdlib_dumps(wrap(rows))
+    assert isinstance(payload["table"], _Table) and not list.__len__(payload["table"])
+    assert json.loads(_dumps(payload))["table"] == rows
+    assert json.loads(_dumps(payload)) == cert.to_json()
+    assert csv() == cert.to_csv()

@@ -71,8 +71,8 @@ def test_choose_k_in_parts_is_bit_identical(monkeypatch, jp_spec, mixed_spec, e1
     for spec in (jp_spec, mixed_spec, e14_tail_spec):
         tail = TailSpec(spec, 2)
         k, v = choose_k(tail, xs, K=6, depth=30)
-        for chunk in (2, 3, 7, 64):
-            monkeypatch.setattr(convspec.equipos, "_SHIFT_CHUNK", chunk)
+        for chunk in (2, 3, 7, 64):  # points per part, 13 shifts each
+            monkeypatch.setattr(convspec.equipos, "_SHIFT_PAIRS", 13 * chunk)
             kc, vc = choose_k(tail, xs, K=6, depth=30)
             assert np.array_equal(kc, k) and np.array_equal(vc, v)
         monkeypatch.undo()
@@ -91,6 +91,21 @@ def test_choose_k_memory_does_not_grow_with_the_points(mixed_spec):
         tracemalloc.stop()
     per_point = 32  # k and value, and the two arrays they are selected from
     assert peak - per_point * xs.size < 24 << 20  # 166 MB over this in one part
+    assert k.shape == v.shape == xs.shape
+
+
+def test_choose_k_memory_does_not_grow_with_the_window(mixed_spec):
+    # K = 256: 513 shifts; in parts of 8,192 points the (point, shift)
+    # arrays of 2,048 points would take ~40 MB, in parts of 17 * 8,192 pairs ~6 MB
+    xs = (np.arange(2048) + 0.5) / 2048
+    tail = TailSpec(mixed_spec, 1)
+    tracemalloc.start()
+    try:
+        k, v = choose_k(tail, xs, K=256, depth=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 32 * xs.size < 12 << 20
     assert k.shape == v.shape == xs.shape
 
 
@@ -315,4 +330,4 @@ def test_table_text_formats_each_search_by_identity(jp_spec):
     signed = dataclasses.replace(cert, columns=((k, (0.0,) * 4), (k, (-0.0,) * 4)))
     assert signed.columns[0] == signed.columns[1]
     assert [line.rsplit(",", 1)[1] for line in signed.lines()] == ["0.0", "-0.0"] * 4
-    assert signed.lines(";", "<", ">", str)[1] == f"<0.0;1;{k[0]};-0.0>"
+    assert signed.lines(";", "<", ">")[1] == f"<0.0;1;{k[0]};-0.0>"

@@ -202,7 +202,7 @@ def test_gram_lambda_as_integer_arrays(gram_levels, jp_spec, monkeypatch):
         assert orthonormality_gram(mu, np.array(lam, dtype=dtype)) == orthonormality_gram(mu, lam)
     mu = finite_level(jp_spec, 16)
     assert mu.denominator == 2**31
-    monkeypatch.setattr(verify, "_GRAM_BYTES", 1)
+    monkeypatch.setattr(verify, "_BUDGET_BYTES", 1)
     for dtype in (np.int8, np.int32):
         with pytest.raises(ValueError, match="over its budget of 1$"):
             orthonormality_gram(mu, np.arange(100, dtype=dtype))
@@ -217,7 +217,7 @@ def test_gram_rejects_non_integer_lambda(jp_spec, lam):
 def gram_bytes(mu, lam, monkeypatch):
     """The bytes the Gram check asks for, read from its error under a 1-byte budget."""
     with monkeypatch.context() as m:
-        m.setattr(verify, "_GRAM_BYTES", 1)
+        m.setattr(verify, "_BUDGET_BYTES", 1)
         for name in ("bincount", "empty"):  # no array of the check's size is formed
             m.setattr(np, name, lambda *a, **k: pytest.fail("allocated before the budget check"))
         with pytest.raises(ValueError, match="over its budget of 1$") as err:
@@ -245,21 +245,21 @@ def test_gram_memory_budget(jp_spec, mixed_spec, monkeypatch):
     jp3 = ConvolutionSpec(jp_spec.family, SelectionWord(exp_period=(3,)))
     # the matrix path of jp exponent 3 at L12, 2^24 entries, fits the budget
     mu = finite_level(jp3, 12)
-    assert gram_bytes(mu, range(4096), monkeypatch) <= verify._GRAM_BYTES
+    assert gram_bytes(mu, range(4096), monkeypatch) <= verify._BUDGET_BYTES
     # the FFT paths at jp L16 (D = 2^31) and mixed L7 (D = 93,312)
     mu = finite_level(jp_spec, 16)
     assert mu.denominator == 2**31
-    assert gram_bytes(mu, range(len(mu)), monkeypatch) > verify._GRAM_BYTES
+    assert gram_bytes(mu, range(len(mu)), monkeypatch) > verify._BUDGET_BYTES
     levels = build_quiet(mixed_spec, 7)
     mu = finite_level(mixed_spec, levels.m(7))
     need = gram_bytes(mu, levels.level(7), monkeypatch)
-    assert need <= verify._GRAM_BYTES
+    assert need <= verify._BUDGET_BYTES
     # the error names the sizes, and a budget of exactly the need runs
     with monkeypatch.context() as m:
-        m.setattr(verify, "_GRAM_BYTES", need - 1)
+        m.setattr(verify, "_BUDGET_BYTES", need - 1)
         with pytest.raises(ValueError, match="of 93312 lambdas on 93312 atoms over D = 93312"):
             orthonormality_gram(mu, levels.level(7))
-        m.setattr(verify, "_GRAM_BYTES", need)
+        m.setattr(verify, "_BUDGET_BYTES", need)
         assert orthonormality_gram(mu, levels.level(7)) == 0.0
 
 
@@ -537,3 +537,50 @@ def test_report_grid_and_depth_are_checked(jp_spec, kw):
     levels = build_quiet(jp_spec, 2)
     with pytest.raises(ValueError, match=next(iter(kw))):
         spectral_report(jp_spec, levels, **kw)
+
+
+def test_grid_pass_memory_stays_within_its_estimate(deep_levels, jp_spec):
+    # the coarse scans of jp L9 and mixed L5, a single point over mixed L5,
+    # jp L3 at depth 300, and jp L3 over 8,001 points (two-row tiles)
+    jp3 = build_quiet(jp_spec, 3)
+    cases = [(*deep_levels["jp"], 30, 257), (*deep_levels["mixed"], 30, 257),
+             (*deep_levels["mixed"], 30, 1), (jp_spec, jp3, 300, 257), (jp_spec, jp3, 30, 8001)]
+    for spec, levels, depth, n_xi in cases:
+        i = levels.level_count
+        need = verify._pass_bytes(spec, levels, i, depth, n_xi)
+        xi = np.linspace(-2, 2, n_xi)
+        fresh = ConvolutionSpec(spec.family, spec.word)  # its factor table is formed in the pass
+        tracemalloc.start()
+        try:
+            verify._grid_pass(fresh, levels, i, depth, xi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= need, (i, depth, n_xi, peak, need)
+
+
+def test_grid_pass_memory_budget(jp_spec, monkeypatch):
+    levels = build_quiet(jp_spec, 3)
+    over = f"needs more than its budget of {verify._BUDGET_BYTES} bytes"
+    # 128,001 coarse points (--grid 32000) fit the budget, 4,000,001 do not:
+    # a tile keeps two rows, so the kernel's sides grow with the grid
+    assert verify._pass_bytes(jp_spec, levels, 3, 30, 4 * 32000 + 1) <= verify._BUDGET_BYTES
+    with pytest.raises(ValueError, match=over):
+        verify._pass_bytes(jp_spec, levels, 3, 30, 4 * 10**6 + 1)
+    # neither a huge grid nor a huge depth forms the grid or a P_k first
+    deep = ConvolutionSpec(jp_spec.family, jp_spec.word)
+    with monkeypatch.context() as m:
+        m.setattr(np, "linspace", lambda *a, **k: pytest.fail("allocated before the budget check"))
+        for kw in ({"grid_n": 10**7}, {"depth": 10**9}):
+            with pytest.raises(ValueError, match=over):
+                spectral_report(deep, levels, **kw)
+    assert "_factor_table" not in deep.__dict__
+    # the error names the sizes, and a budget of exactly the estimate runs
+    need = verify._pass_bytes(jp_spec, levels, 3, 30, 1000)
+    xi = np.linspace(-2, 2, 1000)
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_BUDGET_BYTES", need - 1)
+        with pytest.raises(ValueError, match="of 8 frequencies over 1000 points at depth 30"):
+            verify._grid_pass(jp_spec, levels, 3, 30, xi)
+        m.setattr(verify, "_BUDGET_BYTES", need)
+        assert verify._grid_pass(jp_spec, levels, 3, 30, xi).q.shape == (1000,)
