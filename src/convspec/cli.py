@@ -8,14 +8,16 @@ reports carry no timestamps and floats print through repr.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
-import itertools
 import json
 import math
 import sys
 import warnings
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
+
+import numpy as np
 
 from .convolution import DEFAULT_TAIL_DEPTH, ConvolutionSpec, SelectionWord
 from .equipos import DEFAULT_FAILURE_THRESHOLD, EquiPositivityCertificate, probe_family
@@ -171,8 +173,10 @@ def cmd_spectrum(args) -> Report:
     ]
 
     def csv() -> str:
-        rows = (f"{i},{lam}" for i, lv in enumerate(levels.levels) for lam in lv)
-        return "\n".join(["level,lambda", *rows]) + "\n"
+        parts = ["level,lambda\n"]
+        for i, lv in enumerate(levels.levels):  # every level is nonempty
+            parts += [f"{i},", *_int_text(lv, f"\n{i},"), "\n"]
+        return "".join(parts)
 
     return {"warnings": gcd_warnings, **levels.to_json()}, csv, EXIT_OK
 
@@ -287,52 +291,126 @@ def _parse_range(text: str) -> tuple[float, float]:
 _encode_str = json.encoder.encode_basestring_ascii
 
 
+@functools.cache
+def _digit_tables() -> np.ndarray:
+    """4-digit groups 0..9999 as little-endian uint32 words of ASCII digits.
+
+    Three tables of 10,000 words, one after the other: a leading group,
+    NUL-padded before its first digit (0 is all NUL); a group after the
+    leading one, with its zeros; and a leading group that is the last,
+    where 0 writes "0".  Built on first use, so an import pays nothing.
+    """
+    v = np.arange(10_000, dtype=np.uint32)
+    lead, full = np.zeros_like(v), np.zeros_like(v)
+    for k, p in enumerate((1000, 100, 10, 1)):
+        byte = (v // p % 10 + ord("0")) << (8 * k)
+        full |= byte
+        lead |= np.where(v >= p, byte, 0)
+    last = lead.copy()
+    last[0] = ord("0") << 24
+    return np.concatenate([lead, full, last]).astype("<u4")
+
+
+_GROUP = np.uint64(10_000)
+_INT_BLOCK = 1 << 15  # numbers per block of _int_text, about 1 MB of rows
+
+
+def _int_text(ints: Sequence[int], sep: str) -> list[str]:
+    """The decimal text of ints joined by sep, as blocks for the caller to join.
+
+    A block of _INT_BLOCK numbers is a uint32 matrix with one row per
+    number: a sign column, the 4-digit groups from _digit_tables, and
+    sep's bytes (none after the last number).  It is filled a column at a
+    time, so NUL pads the words before the leading digits and after sep,
+    and one translate drops it.  Past int64 the numbers go through
+    int.__repr__.
+    """
+    try:
+        a = np.fromiter(ints, np.int64, len(ints))
+    except OverflowError:
+        return [sep.join(map(int.__repr__, ints))]
+    sep_words = np.frombuffer(sep.encode("ascii").ljust(-(-len(sep) // 4) * 4, b"\0"), "<u4")
+    digits, blocks = _digit_tables(), []
+    for start in range(0, a.size, _INT_BLOCK):
+        v = a[start : start + _INT_BLOCK]
+        neg = v < 0
+        u = v.view(np.uint64).copy()
+        np.negative(u, out=u, where=neg)  # |v|, 2^63 included
+        groups = -(-len(str(u.max())) // 4)
+        cols = np.empty((1 + groups + sep_words.size, v.size), "<u4")
+        np.multiply(neg, np.uint32(ord("-")), out=cols[0])
+        cols[1 + groups :] = sep_words[:, None]
+        if start + v.size == a.size:
+            cols[1 + groups :, -1] = 0
+        for col in range(groups, 0, -1):  # least significant first
+            u, g = np.divmod(u, _GROUP)  # u: the digits above the group
+            g += np.where(u != 0, _GROUP, 2 * _GROUP if col == groups else 0)
+            np.take(digits, g, out=cols[col])
+        blocks.append(cols.T.tobytes().translate(None, b"\0").decode("ascii"))
+    return blocks
+
+
 def _dumps(obj, newline: str = "\n") -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)`` for str-keyed payloads.
 
     With an indent, CPython's json falls back to its pure-Python encoder,
-    one generator frame per item.  This writes a list of exact ints and
-    finite floats, or a list of nonempty lists of them, with one repr and
-    recurses only into the other containers.  A _Table writes itself.
+    one generator frame per item.  This writes a list of ints through
+    _int_text, a list of exact ints and finite floats with one repr, and
+    recurses only into the other containers, which add their pieces to one
+    list that is joined once.  A _Table writes itself.
     """
+    out: list[str] = []
+    _write(obj, newline, out)
+    return "".join(out)
+
+
+def _write(obj, newline: str, out: list[str]) -> None:
+    """Append the pieces of ``_dumps(obj, newline)`` to out."""
     if isinstance(obj, str):
-        return _encode_str(obj)
-    if obj is None:
-        return "null"
-    if obj is True or obj is False:
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
+        out.append(_encode_str(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True or obj is False:
+        out.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
         if math.isfinite(obj):
-            return float.__repr__(obj)
-        return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
-    if isinstance(obj, _Table):
-        return obj.json(newline)
-    inner = newline + "  "
-    if isinstance(obj, (list, tuple)):
+            out.append(float.__repr__(obj))
+        else:
+            out.append("NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity")
+    elif isinstance(obj, _Table):
+        out.append(obj.json(newline))
+    elif isinstance(obj, dict):
         if not obj:
-            return "[]"
+            out.append("{}")
+            return
+        inner = newline + "  "
+        out += "{", inner
+        for k, v in sorted(obj.items()):
+            out += _encode_str(k), ": "
+            _write(v, inner, out)
+            out.append("," + inner)
+        out[-1] = newline + "}"
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
         types = {*map(type, obj)}
-        table = types == {list} and all(obj)  # rows, none of them empty
-        if table:
-            types = {*map(type, itertools.chain.from_iterable(obj))}
+        if types == {int}:  # bools are not, and write true and false
+            out += "[", inner, *_int_text(obj, "," + inner), newline, "]"
         # repr writes exact ints and finite floats as json does; "n" marks nan, inf
-        if types <= {int, float} and "n" not in (text := repr(list(obj))):
-            if not table:
-                return "[" + inner + text[1:-1].replace(", ", "," + inner) + newline + "]"
-            deep = inner + "  "
-            rows = text[2:-2].replace(", ", "," + deep)
-            rows = rows.replace("]," + deep + "[", inner + "]," + inner + "[" + deep)
-            return "[" + inner + "[" + deep + rows + inner + "]" + newline + "]"
-        body = [_dumps(v, inner) for v in obj]
-        return "[" + inner + ("," + inner).join(body) + newline + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        body = [_encode_str(k) + ": " + _dumps(v, inner) for k, v in sorted(obj.items())]
-        return "{" + inner + ("," + inner).join(body) + newline + "}"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        elif types <= {int, float} and "n" not in (text := repr(list(obj))):
+            out += "[", inner, text[1:-1].replace(", ", "," + inner), newline, "]"
+        else:
+            out += "[", inner
+            for v in obj:
+                _write(v, inner, out)
+                out.append("," + inner)
+            out[-1] = newline + "]"
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _default(func, name: str):
@@ -340,7 +418,10 @@ def _default(func, name: str):
     return inspect.signature(func).parameters[name].default
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser of every command, built once per process and shared:
+    parse with it, but do not change it."""
     parser = _Parser(prog="convspec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -49,6 +49,7 @@ ArrayLike = Union[float, Sequence[float], np.ndarray]
 MAX_DENOMINATOR_BITS = 1 << 16  # bits of |P_k| a finite level may reach
 MAX_LEVEL_ATOMS = 1 << 22  # atoms a finite level may form before merging
 _INT64_LIMIT = 1 << 63
+_BUDGET_BYTES = 1 << 30  # bytes a factor table, a Gram check or a Q grid pass may allocate
 
 
 class DepthTooLargeError(ValueError):
@@ -189,9 +190,17 @@ class ConvolutionSpec:
             yield table[k - 1]
 
     def factors(self, n: int) -> list[Factor]:
-        """Positions 1..n as (triple, scale N^e, signed running product P_k), a new list."""
+        """Positions 1..n as (triple, scale N^e, signed running product P_k), a new list.
+
+        A table whose _table_walk estimate passes _BUDGET_BYTES raises
+        ValueError before its first new factor is formed.
+        """
         table = self.__dict__.get("_factor_table", [])
         if not 0 <= n <= len(table):
+            if any(need > _BUDGET_BYTES for _, need in _table_walk(self, n)):
+                raise ValueError(
+                    f"a table of {n} factors needs more than its budget of {_BUDGET_BYTES} bytes"
+                )
             table = list(itertools.islice(self._walk(), n))
         return table[:n]
 
@@ -219,6 +228,20 @@ class ConvolutionSpec:
         if not isinstance(word, dict):
             raise ValueError(f"word must be a JSON object, got {word!r}")
         return cls(family, SelectionWord.from_json(word))
+
+
+def _table_walk(spec: ConvolutionSpec, n: int) -> Iterator[tuple[HadamardTriple, int]]:
+    """Positions 1..n as (triple, estimated bytes of the factor table up to it).
+
+    A Factor with its list slot takes ~512 bytes, plus the bits of P_k, so
+    the table grows with n^2.  The walk forms no P_k.
+    """
+    bits = need = 0
+    for k in range(1, n + 1):
+        t = spec.triple_at(k)
+        bits += spec.exponent_at(k) * abs(t.N).bit_length()
+        need += 512 + bits // 8
+        yield t, need
 
 
 def TailSpec(spec: ConvolutionSpec, skip: int = 0) -> ConvolutionSpec:

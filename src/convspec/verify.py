@@ -24,9 +24,11 @@ from .convolution import (
     ConvolutionSpec,
     DiscreteMeasure,
     TailSpec,
+    _BUDGET_BYTES,
     _INT64_LIMIT,
     _inv_float,
     _mask_power,
+    _table_walk,
     # unused here, but bench/tracing.py requires both names bound in this module
     fourier_finite,
     fourier_tail,
@@ -50,7 +52,6 @@ _EXTRA_WORST = 10  # worst points of the coarse scan added to the report grid
 _RESIDUE_CHUNK_BYTES = 8 << 20  # bytes of residues per Gram chunk
 _TILE_BYTES = 1 << 20  # bytes of the mask kernel's two float arrays over a Q tile's pairs
 _BOXED_INT_BYTES = 64  # an object-array pointer and the Python int it points to
-_BUDGET_BYTES = 1 << 30  # bytes a Gram check or a Q grid pass may allocate
 _FFT_BYTES = 64  # peak bytes per residue bin or lambda on the Gram check's FFT path
 
 
@@ -146,20 +147,17 @@ def _pass_bytes(
 
     Per factor, the kernel's cosine and sine sides hold 5 * #delta + 1
     floats per xi and per tile row (the larger of its two factor lists),
-    and P_k with lists takes ~512 bytes more; a tile takes ~8 floats per
-    pair.  Tiles keep two rows, so a large grid or depth cannot fit: past
-    _BUDGET_BYTES, ValueError, found by a walk that forms no P_k.
+    and the factor table takes what _table_walk estimates; a tile takes ~8
+    floats per pair.  Tiles keep two rows, so a large grid or depth cannot
+    fit: past _BUDGET_BYTES, ValueError, found by a walk that forms no P_k.
     """
     n, m_i = len(levels.level(i)), levels.m(i)
     rows = -(-n // _tile_count(n, n_xi))
     need = base = 8 * (8 * (n_xi + rows) + 8 * rows * n_xi + n)
-    width, bits, objects = [0, 0], 0, 0  # width: the first m_i factors, the rest
-    for k in range(1, depth + 1):
-        t = spec.triple_at(k)
+    width = [0, 0]  # the first m_i factors, the rest
+    for k, (t, table) in enumerate(_table_walk(spec, depth), start=1):
         width[k > m_i] += 5 * len({b - c for b in t.B for c in t.B if b > c}) + 1
-        bits += spec.exponent_at(k) * abs(t.N).bit_length()
-        objects += 512 + bits // 8
-        need = base + 8 * (n_xi + rows) * max(width) + objects
+        need = base + 8 * (n_xi + rows) * max(width) + table
         if need > _BUDGET_BYTES:
             raise ValueError(
                 f"Q grid pass of {n} frequencies over {n_xi} points at depth {depth} "

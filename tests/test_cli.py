@@ -3,10 +3,13 @@
 import hashlib
 import json
 import math
+import random
+import time
 
 import numpy as np
 import pytest
 
+import convspec.cli
 import convspec.spectrum
 from convspec import (
     EquiPositivityCertificate,
@@ -16,7 +19,7 @@ from convspec import (
     choose_k,
     probe_family,
 )
-from convspec.cli import _dumps, _Table, build_parser, load_spec, main
+from convspec.cli import _dumps, _int_text, _Table, build_parser, load_spec, main
 
 
 def run(capsys, *argv):
@@ -702,3 +705,99 @@ def test_lazy_table_writes_what_the_stdlib_writes(tmp_path, grid, argv):
     assert json.loads(_dumps(payload))["table"] == rows
     assert json.loads(_dumps(payload)) == cert.to_json()
     assert csv() == cert.to_csv()
+
+
+INT64_BOUNDARIES = [
+    0, 1, -1, 9, -9, 10, -10, 9999, -9999, 10000, -10000, 10**8 - 1, -(10**8 - 1),
+    10**8, -(10**8), 2**32 - 1, 2**32, 2**63 - 1, -(2**63 - 1), -(2**63),
+]
+
+
+@pytest.mark.parametrize("payload", [
+    INT64_BOUNDARIES,
+    [[v] for v in INT64_BOUNDARIES],
+    tuple(INT64_BOUNDARIES),
+    {"levels": [[0], (0, 1), list(reversed(INT64_BOUNDARIES))], "indices": [1, 3]},
+    [1, True, -2, False],  # bools write true and false, so the list is not ints
+    [[1, True], [2, 3]],
+    [2**63, -1],  # past int64
+    [-(2**63) - 1, 0],
+    [[0, 3**90], [-(2**63), 2**63 - 1]],
+    [0.5, 1, -(2**63)],
+])
+def test_int_lists_match_the_stdlib_encoder(payload):
+    assert _dumps(payload) == stdlib_dumps(payload)
+    assert _dumps(payload, "\n    ") == stdlib_dumps(payload).replace("\n", "\n    ")
+
+
+def test_only_int_lists_go_through_the_int_kernel(monkeypatch):
+    seen = []
+    monkeypatch.setattr(convspec.cli, "_int_text",
+                        lambda ints, sep: seen.append(list(ints)) or _int_text(ints, sep))
+    payload = {"levels": [[0], (0, -1)], "bools": [True, 1], "floats": [0.5, 1], "e": []}
+    assert _dumps(payload) == stdlib_dumps(payload)
+    assert seen == [[0], [0, -1]]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_int64_lists_match_the_stdlib_encoder(seed):
+    rng = random.Random(seed)
+    ints = [rng.randrange(-(2**63), 2**63) >> rng.randrange(64) for _ in range(3000)]
+    assert _dumps({"a": [ints, ints[:7]]}) == stdlib_dumps({"a": [ints, ints[:7]]})
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_int_text_across_a_block_edge(extra):
+    # the last number of a block has sep after it unless it is the last of all
+    n = convspec.cli._INT_BLOCK + extra
+    rng = random.Random(n)
+    ints = [rng.randrange(-(10**12), 10**12) for _ in range(n)]
+    ints[-1] = -(2**63)
+    assert _dumps([ints]) == stdlib_dumps([ints])
+    assert "".join(_int_text(ints, "\n7,")) == "\n7,".join(map(str, ints))
+
+
+def test_int_text_falls_back_past_int64():
+    assert _int_text([2**64, -3], ", ") == ["18446744073709551616, -3"]
+    assert _int_text([-(2**63), 2**63 - 1], ";") == [f"{-(2**63)};{2**63 - 1}"]
+
+
+def old_csv_rows(payload):
+    rows = (f"{i},{lam}" for i, lv in enumerate(payload["levels"]) for lam in lv)
+    return "\n".join(["level,lambda", *rows]) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--preset", "jp", "--exponents", ":3", "--levels", "12"],  # past int64 from L11
+    ["--config", "MIXED", "--levels", "6"],
+])
+def test_spectrum_csv_matches_the_old_rows(tmp_path, argv):
+    cfg = tmp_path / "mixed.json"
+    cfg.write_text(json.dumps(MIXED_CONFIG))
+    argv = ["spectrum", *(str(cfg) if a == "MIXED" else a for a in argv)]
+    out = tmp_path / "levels"
+    assert main([*argv, "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert main([*argv, "--output", "csv", "--out", str(out)]) == 0
+    assert out.read_text() == old_csv_rows(payload)
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--preset", "jp"],
+    ["equipos", "--preset", "jp", "--grid", "2", "--kmax", "1", "--skips", "0"],
+    ["zeros", "--preset", "jp", "--probe-xi", "0.3"],
+])
+def test_depth_past_the_factor_table_budget_exits_3(capsys, argv):
+    start = time.perf_counter()
+    assert main([*argv, "--depth", "10000000"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "needs more than its budget of 1073741824 bytes" in capsys.readouterr().err
+
+
+def test_depth_within_the_factor_table_budget_runs(capsys):
+    assert main(["equipos", "--preset", "jp", "--grid", "2", "--kmax", "1", "--skips", "0",
+                 "--depth", "20000"]) == 0

@@ -761,3 +761,24 @@ def test_spec_rejects_out_of_range_symbols():
         ConvolutionSpec(
             (HadamardTriple(4, (0, 2), (0, 1)),), SelectionWord(period=(2,))
         )
+
+
+def test_factor_table_past_its_budget_raises_before_it_is_formed(
+    monkeypatch, jp_spec, mixed_spec
+):
+    # the budget is checked against the estimate of the walk verify's grid pass
+    # uses, at every length, before a factor of the new table is formed
+    for spec in (jp_spec, mixed_spec):
+        need = [b for _, b in convspec.convolution._table_walk(spec, 50)]
+        assert all(0 < a < b for a, b in zip(need, need[1:]))
+        monkeypatch.setattr(convspec.convolution, "_BUDGET_BYTES", need[-1])
+        fresh = ConvolutionSpec(spec.family, spec.word)
+        with pytest.raises(ValueError, match=f"needs more than its budget of {need[-1]} bytes$"):
+            fresh.factors(51)
+        assert not fresh.__dict__.get("_factor_table")
+        assert [f.product for f in fresh.factors(50)] == [f.product for f in spec.factors(50)]
+        assert len(fresh.factors(10)) == 10
+    # ~512 bytes per factor plus the bits of each P_k: jp's 20,000 factors of 4
+    # take 86 MB, so 1 GiB is passed near 75,000 factors
+    table = max(b for _, b in convspec.convolution._table_walk(jp_spec, 20000))
+    assert 80e6 < table < 90e6
