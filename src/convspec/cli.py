@@ -305,7 +305,7 @@ def _digit_tables() -> np.ndarray:
     for k, p in enumerate((1000, 100, 10, 1)):
         byte = (v // p % 10 + ord("0")) << (8 * k)
         full |= byte
-        lead |= np.where(v >= p, byte, 0)
+        lead |= byte * (v >= p)
     last = lead.copy()
     last[0] = ord("0") << 24
     return np.concatenate([lead, full, last]).astype("<u4")
@@ -344,7 +344,9 @@ def _int_text(ints: Sequence[int], sep: str) -> list[str]:
             cols[1 + groups :, -1] = 0
         for col in range(groups, 0, -1):  # least significant first
             u, g = np.divmod(u, _GROUP)  # u: the digits above the group
-            g += np.where(u != 0, _GROUP, 2 * _GROUP if col == groups else 0)
+            # intp: numpy 1.x makes uint64 with a Python int float64, and takes no uint64 index
+            g = g.astype(np.intp)
+            g += np.where(u != 0, 10_000, 20_000 if col == groups else 0)
             np.take(digits, g, out=cols[col])
         blocks.append(cols.T.tobytes().translate(None, b"\0").decode("ascii"))
     return blocks

@@ -193,11 +193,18 @@ class ConvolutionSpec:
         """Positions 1..n as (triple, scale N^e, signed running product P_k), a new list.
 
         A table whose _table_walk estimate passes _BUDGET_BYTES raises
-        ValueError before its first new factor is formed.
+        ValueError before its first new factor is formed.  The walk runs
+        only when the estimate's ceiling, every P_k at k times the largest
+        bits of a scale, passes the budget: next_level's 512 factors never do.
         """
         table = self.__dict__.get("_factor_table", [])
         if not 0 <= n <= len(table):
-            if any(need > _BUDGET_BYTES for _, need in _table_walk(self, n)):
+            most = max(self.word.exp_prefix + self.word.exp_period) * max(
+                abs(t.N).bit_length() for t in self.family
+            )
+            if 512 * n + most * n * (n + 1) // 16 > _BUDGET_BYTES and any(
+                need > _BUDGET_BYTES for _, need in _table_walk(self, n)
+            ):
                 raise ValueError(
                     f"a table of {n} factors needs more than its budget of {_BUDGET_BYTES} bytes"
                 )

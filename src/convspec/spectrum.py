@@ -19,7 +19,6 @@ to contain 0) before any block is formed.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -207,16 +206,14 @@ def next_level(spec: ConvolutionSpec, state: SpectrumLevels) -> SpectrumLevels:
     # every |lambda| / |P_m| < delta/2 iff the largest one is
     reach = max(-min(prev), max(prev))
     half_delta = Fraction(params.delta) / 2
-    # factors are formed only up to m_i, not up to max_m
-    walk = itertools.islice(spec._walk(), m_prev, params.max_m)
-    for m_i, f in enumerate(walk, start=m_prev + 1):
-        if Fraction(reach, abs(f.product)) < half_delta:
+    table = spec.factors(params.max_m)
+    for m_i in range(m_prev + 1, params.max_m + 1):
+        if Fraction(reach, abs(table[m_i - 1].product)) < half_delta:
             break
     else:
         raise HorizonExhaustedError(
             f"no admissible index after m={m_prev} up to max_m={params.max_m}"
         )
-    table = spec.factors(m_i)
 
     block_size = math.prod(len(f.triple.L) for f in table[m_prev:m_i])
     if block_size > MAX_BLOCK_FREQUENCIES:

@@ -782,3 +782,19 @@ def test_factor_table_past_its_budget_raises_before_it_is_formed(
     # take 86 MB, so 1 GiB is passed near 75,000 factors
     table = max(b for _, b in convspec.convolution._table_walk(jp_spec, 20000))
     assert 80e6 < table < 90e6
+
+
+def test_factor_table_walks_its_estimate_only_past_the_ceiling(monkeypatch, jp_spec):
+    # next_level's 512 factors stay far under the ceiling, so no walk is made
+    def no_walk(spec, n):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(convspec.convolution, "_table_walk", no_walk)
+    assert len(ConvolutionSpec(jp_spec.family, jp_spec.word).factors(512)) == 512
+    # one factor of scale 4^100000 passes a 10,000-byte budget on its own
+    monkeypatch.undo()
+    monkeypatch.setattr(convspec.convolution, "_BUDGET_BYTES", 10_000)
+    huge = ConvolutionSpec(jp_spec.family, SelectionWord(exp_period=(100_000,)))
+    with pytest.raises(ValueError, match="a table of 1 factors needs more than its budget"):
+        huge.factors(1)
+    assert len(ConvolutionSpec(jp_spec.family, SelectionWord(exp_period=(300,))).factors(2)) == 2
