@@ -269,8 +269,9 @@ class _Table(list):
         """``json.dumps(list(self), indent=2)`` for a table that starts after newline."""
         inner = newline + "  "
         deep = inner + "  "
-        rows = self.cert.lines("," + deep, "[" + deep, inner + "]")
-        return "[" + inner + ("," + inner).join(rows) + newline + "]"
+        # the lines are freed once joined, before the last copy is formed
+        rows = ("," + inner).join(self.cert.lines("," + deep, "[" + deep, inner + "]"))
+        return "".join(["[", inner, rows, newline, "]"])
 
 
 def _parse_symbols_signed(text: str) -> tuple[int, ...]:

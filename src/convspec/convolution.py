@@ -49,7 +49,7 @@ ArrayLike = Union[float, Sequence[float], np.ndarray]
 MAX_DENOMINATOR_BITS = 1 << 16  # bits of |P_k| a finite level may reach
 MAX_LEVEL_ATOMS = 1 << 22  # atoms a finite level may form before merging
 _INT64_LIMIT = 1 << 63
-_BUDGET_BYTES = 1 << 30  # bytes a factor table, a Gram check or a Q grid pass may allocate
+_BUDGET_BYTES = 1 << 30  # bytes a factor table, a Gram check, a Q grid pass or a shift window may take
 
 
 class DepthTooLargeError(ValueError):
@@ -432,6 +432,14 @@ def _mask_product(
         out *= term
     out = out.reshape(x.shape + offsets.shape)
     return complex(out) if out.ndim == 0 else out
+
+
+def _delta_count(B: Sequence[int]) -> int:
+    """#delta, the distinct differences b - b' > 0 of B.
+
+    A factor of _mask_power has rank 1 + 2 #delta.
+    """
+    return len({b - c for b in B for c in B if b > c})
 
 
 def _mask_power(

@@ -17,9 +17,16 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .convolution import DEFAULT_TAIL_DEPTH, ArrayLike, ConvolutionSpec, TailSpec, fourier_tail
+from .convolution import (
+    DEFAULT_TAIL_DEPTH,
+    ArrayLike,
+    ConvolutionSpec,
+    TailSpec,
+    # unused here, but bench/tracing.py requires the name bound in this module
+    fourier_tail,
+)
 from .triples import _integers, _tolerance
-from .zeros import DEFAULT_SHIFT_WINDOW, search_order
+from .zeros import DEFAULT_SHIFT_WINDOW, _first_max, _Window
 
 __all__ = [
     "ProbeRow",
@@ -30,7 +37,7 @@ __all__ = [
 ]
 
 DEFAULT_FAILURE_THRESHOLD = 1e-4
-_SHIFT_PAIRS = 17 << 13  # (point, shift) pairs per tail evaluation: 8,192 points at K = 8
+_SHIFT_PAIRS = 17 << 13  # (point, shift) pairs per part and chunk: 8,192 points at K = 8
 
 
 class ProbeRow(NamedTuple):
@@ -130,29 +137,25 @@ def choose_k(
     """Shift k in [-K, K] maximizing |tail transform(x + k)| (truncated).
 
     x is a point or an array of points in [0, 1), and (k, value) match its
-    shape.  Ties break toward smaller |k|, then the positive one; x = 0
+    shape.  The search runs on squared moduli, those below the window's
+    floor reading 0 (see zeros._Window), and takes one square root per
+    point.  Ties break toward smaller |k|, then the positive one; x = 0
     always gives (0, 1).
     """
     xs = np.asarray(x, dtype=float)
     if not np.all((0.0 <= xs) & (xs < 1.0)):
         raise ValueError(f"x must lie in [0, 1), got {x}")
-    ks = np.array(search_order(K))
-    if depth < 1:  # over the empty product every shift ties at 1
-        raise ValueError(f"depth must be >= 1, got {depth}")
+    window = _Window.of(tail, K, depth)
     flat = xs.reshape(-1)
-    best = np.empty(flat.shape, dtype=ks.dtype)
+    best = np.empty(flat.shape, dtype=window.ks.dtype)
     peak = np.empty(flat.shape)
     start = 0
-    # parts of equal size and at least two points: a one-row matrix product
-    # takes another BLAS path and can round differently
-    parts = -(-flat.size * ks.size // _SHIFT_PAIRS)
-    for part in np.array_split(flat, max(1, min(parts, flat.size // 2))):
+    for part in np.array_split(flat, window.parts(flat.size, _SHIFT_PAIRS)):
         stop = start + part.size
-        # centred at 1/2: at x = 1/2 the shifts k and -1 - k are exact negatives
-        vals = np.abs(fourier_tail(tail, part - 0.5, depth, offsets=ks + 0.5).value)
-        best[start:stop] = ks[np.argmax(vals, axis=-1)]  # first maximum: the tie order
-        peak[start:stop] = vals.max(axis=-1)
+        j, peak[start:stop] = _first_max(window.power(part))
+        best[start:stop] = window.ks[j]
         start = stop
+    np.sqrt(peak, out=peak)
     at_origin = xs == 0.0
     k = np.where(at_origin, 0, best.reshape(xs.shape))
     value = np.where(at_origin, 1.0, peak.reshape(xs.shape))

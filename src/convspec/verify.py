@@ -26,6 +26,7 @@ from .convolution import (
     TailSpec,
     _BUDGET_BYTES,
     _INT64_LIMIT,
+    _delta_count,
     _inv_float,
     _mask_power,
     _table_walk,
@@ -156,7 +157,7 @@ def _pass_bytes(
     need = base = 8 * (8 * (n_xi + rows) + 8 * rows * n_xi + n)
     width = [0, 0]  # the first m_i factors, the rest
     for k, (t, table) in enumerate(_table_walk(spec, depth), start=1):
-        width[k > m_i] += 5 * len({b - c for b in t.B for c in t.B if b > c}) + 1
+        width[k > m_i] += 5 * _delta_count(t.B) + 1
         need = base + 8 * (n_xi + rows) * max(width) + table
         if need > _BUDGET_BYTES:
             raise ValueError(

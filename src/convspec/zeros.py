@@ -13,10 +13,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .convolution import DEFAULT_TAIL_DEPTH, ConvolutionSpec, fourier_tail, mask
+from .convolution import (
+    _BUDGET_BYTES,
+    DEFAULT_TAIL_DEPTH,
+    ConvolutionSpec,
+    _delta_count,
+    _mask_power,
+    # unused here, but bench/tracing.py requires the name bound in this module
+    fourier_tail,
+    mask,
+)
 from .triples import _integers, _tolerance
 
 __all__ = [
@@ -37,6 +47,8 @@ DEFAULT_INTEGER_TOL = 1e-8
 DEFAULT_SHIFT_WINDOW = 8  # K of every shift search: the shifts -K..K of search_order
 _PRIME = 2**61 - 1  # modulus of the square-freeness test
 _CIRCLE_TOL = 1e-8  # largest ||z| - 1| of a polynomial root taken as a mask zero
+_SHIFT_BYTES = 64  # per shift of a window: a tuple slot, its Python int and int64 copies
+_SIDE_BYTES = 4 << 20  # bytes of the mask kernel's point side, or its shift side, in one part
 
 
 @dataclass(frozen=True)
@@ -80,14 +92,98 @@ class ZeroSetReport:
 def search_order(K: int) -> tuple[int, ...]:
     """Integer shifts 0, 1, -1, 2, -2, ..., K, -K (smaller |k| first, + before -).
 
-    Every shift search takes its window from here, so K >= 1 is checked once.
+    Every shift search takes its window from here, so K >= 1 is checked
+    once, and so is the window's size: _SHIFT_BYTES per shift past
+    _BUDGET_BYTES raises ValueError before the first shift is formed.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
+    if _SHIFT_BYTES * (2 * K + 1) > _BUDGET_BYTES:
+        raise ValueError(
+            f"a shift window of K = {K} needs more than its budget of {_BUDGET_BYTES} bytes"
+        )
     out = [0]
     for j in range(1, K + 1):
         out.extend((j, -j))
     return tuple(out)
+
+
+class _Window(NamedTuple):
+    """A shift search over search_order(K) on the squared tail moduli.
+
+    The moduli are prod |M_B|^2 over the first depth factors (B, P_k),
+    from the real kernel _mask_power at the centred split
+    (x - 1/2, k + 1/2), so at x = 1/2 the shifts k and -1 - k are exact
+    negatives and tie exactly.  A factor of rank 1 + 2 #delta sums that
+    many terms, each of modulus at most 1 and each carrying about four
+    roundings of 2^-53 (its argument, its cosine or sine, its weight and
+    its product), and the factors after it multiply its error by at most
+    1.  So a squared modulus below floor = max (1 + 2 #delta) * 2^-51
+    over the factors is rounding of a zero: it reads 0, and such values
+    tie on every BLAS path.  width counts the kernel's floats per point
+    and per shift as verify._pass_bytes does, 5 #delta + 1 per factor.
+    """
+
+    ks: np.ndarray
+    factors: list[tuple[tuple[int, ...], int]]
+    floor: float
+    width: int
+
+    @classmethod
+    def of(cls, tail: ConvolutionSpec, K: int, depth: int) -> "_Window":
+        ks = np.array(search_order(K))
+        if depth < 1:  # over the empty product every shift ties at 1
+            raise ValueError(f"depth must be >= 1, got {depth}")
+        factors = [(f.triple.B, f.product) for f in tail.factors(depth)]
+        deltas = {B: _delta_count(B) for B, _ in factors}
+        width = sum(5 * deltas[B] + 1 for B, _ in factors)
+        return cls(ks, factors, max(1 + 2 * d for d in deltas.values()) * 2.0**-51, width)
+
+    @property
+    def chunks(self) -> int:
+        """Consecutive chunks the window is cut into: of equal size and at least
+        two shifts (a one-column product takes another BLAS path), each within
+        _SIDE_BYTES of the kernel's shift side."""
+        n = self.ks.size
+        return max(1, min(-(-8 * self.width * n // _SIDE_BYTES), n // 2))
+
+    def parts(self, n: int, pairs: int) -> int:
+        """Parts to cut n points into: of equal size and at least two points (a
+        one-row product takes another BLAS path), each within pairs
+        (point, shift) pairs of a chunk and _SIDE_BYTES of the kernel's point side."""
+        size = -(-self.ks.size // self.chunks)
+        need = max(-(-n * size // pairs), -(-8 * self.width * n // _SIDE_BYTES))
+        return max(1, min(need, n // 2))
+
+    def power(self, x: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+        """(first index, floored squared moduli over (x, chunk)) for each chunk in order.
+
+        x is 1-d; a lone point is taken as two equal rows, since a one-row
+        product takes another BLAS path, so it gets the same floats as
+        inside an array.
+        """
+        rows = np.repeat(x, 2) if x.size == 1 else x
+        start = 0
+        for ks in np.array_split(self.ks, self.chunks):
+            sq = _mask_power(self.factors, rows - 0.5, ks + 0.5)
+            sq[sq < self.floor] = 0.0
+            yield start, sq[: x.size]
+            start += ks.size
+
+
+def _first_max(chunks: Iterable[tuple[int, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Window index and value of each row's first maximum over _Window.power's chunks.
+
+    Each chunk's first maximum replaces the one carried only when it is
+    strictly greater, so the search order breaks ties.
+    """
+    best, peak = 0, -1.0
+    for start, sq in chunks:
+        v = sq.max(axis=1)
+        better = v > peak
+        best = np.where(better, start + np.argmax(sq, axis=1), best)
+        peak = np.where(better, v, peak)
+    return best, peak
 
 
 def _mod_prime(a: list[int]) -> list[int]:
@@ -312,23 +408,29 @@ def integral_periodic_zero_probe(
 
     The first witness (in the order 0, 1, -1, ...) proves xi is not in the
     integral periodic zero set; otherwise xi stays a candidate member up to
-    truncation, reported with the best value seen.
+    truncation, reported with the best value seen.  The window's chunks
+    are searched in order, the moduli of each taken against tol, and the
+    search stops at the chunk holding the first witness; without one, the
+    chunks seen give the window's first maximum, as in choose_k.
     """
     if not math.isfinite(xi):
         raise ValueError(f"xi must be finite, got {xi}")
     _tolerance(tol)
-    ks = search_order(K)
-    if depth < 1:  # the empty product would witness every xi
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    vals = np.abs(fourier_tail(spec, xi - 0.5, depth, offsets=np.array(ks) + 0.5).value)
-    above = np.flatnonzero(vals > tol)
-    witness = above.size > 0
-    j = int(above[0]) if witness else int(np.argmax(vals))  # else the first maximum
-    v = float(vals[j])
+    window = _Window.of(spec, K, depth)  # depth >= 1: the empty product witnesses every xi
+    seen = []
+    for start, sq in window.power(np.array([float(xi)])):
+        above = np.flatnonzero(np.sqrt(sq[0]) > tol)
+        if above.size:
+            k, v = int(window.ks[start + above[0]]), math.sqrt(sq[0, above[0]])
+            return ZeroProbeVerdict(
+                xi=float(xi), witness_k=k, witness_value=v,
+                max_value=v, max_k=k, tol=tol, K=K, depth=depth,
+            )
+        seen.append((start, sq))
+    (j,), (peak,) = _first_max(seen)
     return ZeroProbeVerdict(
-        xi=float(xi), witness_k=ks[j] if witness else None,
-        witness_value=v if witness else 0.0,
-        max_value=v, max_k=ks[j], tol=tol, K=K, depth=depth,
+        xi=float(xi), witness_k=None, witness_value=0.0,
+        max_value=math.sqrt(peak), max_k=int(window.ks[j]), tol=tol, K=K, depth=depth,
     )
 
 

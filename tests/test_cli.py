@@ -5,6 +5,7 @@ import json
 import math
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -798,6 +799,26 @@ def test_depth_past_the_factor_table_budget_exits_3(capsys, argv):
     assert main([*argv, "--depth", "10000000"]) == 3
     assert time.perf_counter() - start < 10.0
     assert "needs more than its budget of 1073741824 bytes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--preset", "jp"],
+    ["equipos", "--preset", "jp", "--grid", "2", "--skips", "0"],
+    ["zeros", "--preset", "jp", "--probe-xi", "0.3"],
+])
+def test_shift_window_past_its_budget_exits_3(capsys, argv):
+    # 2 * 10^9 + 1 shifts: the window is refused before its first shift is formed
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--kmax", "1000000000"]) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 10.0
+    assert peak < 8 << 20
+    err = capsys.readouterr().err
+    assert "a shift window of K = 1000000000 needs more than its budget of 1073741824 bytes" in err
 
 
 def test_depth_within_the_factor_table_budget_runs(capsys):

@@ -3,12 +3,15 @@
 import dataclasses
 import json
 import math
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import convspec.equipos
+import convspec.zeros
+from conftest import random_spec
 from convspec import (
     ConvolutionSpec,
     SelectionWord,
@@ -19,6 +22,7 @@ from convspec import (
     probe_family,
     translate_triple,
 )
+from convspec.convolution import DEFAULT_TAIL_DEPTH, _mask_power
 from convspec.zeros import search_order
 
 
@@ -109,19 +113,132 @@ def test_choose_k_memory_does_not_grow_with_the_window(mixed_spec):
     assert k.shape == v.shape == xs.shape
 
 
+def test_choose_k_memory_does_not_grow_with_the_depth(jp_spec):
+    # at depth 200 the kernel holds 1,200 floats per point: 8,192 points in
+    # one part would take ~80 MB a side, in parts of 4 MB ~8 MB in all
+    xs = (np.arange(8192) + 0.5) / 8192
+    tail = TailSpec(jp_spec, 1)
+    tracemalloc.start()
+    try:
+        k, v = choose_k(tail, xs, K=8, depth=200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 32 * xs.size < 12 << 20
+    assert k.shape == v.shape == xs.shape
+
+
 def test_choose_k_ties_at_one_half_are_exact(jp_spec, mixed_spec, e14_spec):
     # at x = 1/2, choose_k takes the point x - 1/2 = 0 and the offsets k + 1/2,
-    # so the shifts k and -1 - k are exact negatives
+    # so the shifts k and -1 - k are exact negatives; the moduli come from
+    # the squared kernel the search uses, a lone point taken as two rows
     k = np.arange(9)
     for spec in (jp_spec, mixed_spec, e14_spec):
         for skip in (0, 1, 2):
             tail = TailSpec(spec, skip)
-            up = np.abs(fourier_tail(tail, 0.0, offsets=k + 0.5).value)
-            down = np.abs(fourier_tail(tail, 0.0, offsets=-1 - k + 0.5).value)
+            factors = [(f.triple.B, f.product) for f in tail.factors(DEFAULT_TAIL_DEPTH)]
+            up = np.sqrt(_mask_power(factors, np.zeros(2), k + 0.5)[0])
+            down = np.sqrt(_mask_power(factors, np.zeros(2), -1 - k + 0.5)[0])
             assert np.array_equal(up, down)
             # of each tied pair, the search order meets k >= 0 first
             best, value = choose_k(tail, 0.5)
             assert 0 <= best <= 8 and value == up[best] == up.max()
+            # and the kernel agrees with the complex transform
+            exact = np.abs(fourier_tail(tail, 0.0, offsets=k + 0.5).value)
+            assert np.max(np.abs(up - exact)) <= 2e-15
+
+
+def test_choose_k_reads_moduli_under_the_floor_as_zero(e14_tail_spec):
+    # example14 :2 is uniform on [0, 3], so its transform vanishes on 1/3 + Z:
+    # every squared modulus there is rounding of 0, below the floor, so the
+    # shifts tie at 0 and the first in search order wins on every path
+    tail = TailSpec(e14_tail_spec, 1)
+    k, v = choose_k(tail, np.array([1 / 3, 0.5, 2 / 3]))
+    assert (k[0], v[0]) == (k[2], v[2]) == (0, 0.0)
+    assert choose_k(tail, 1 / 3) == (0, 0.0)
+    verdict = integral_periodic_zero_probe(e14_tail_spec, 1 / 3)
+    assert verdict.to_json()["verdict"] == "candidate-zero"
+    assert (verdict.max_k, verdict.max_value) == (0, 0.0)
+
+
+def test_choose_k_lone_point_is_bit_identical_to_the_array(jp_spec, mixed_spec):
+    # a lone point runs as two equal rows, the array's BLAS path
+    xs = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
+    for spec in (jp_spec, mixed_spec):
+        tail = TailSpec(spec, 1)
+        k, v = choose_k(tail, xs)
+        assert [choose_k(tail, x) for x in xs.tolist()] == list(zip(k.tolist(), v.tolist()))
+        for x, value in zip(xs.tolist(), v.tolist()):
+            assert integral_periodic_zero_probe(tail, x, tol=1.0).max_value == value
+
+
+def test_choose_k_matches_the_complex_transform(jp_spec, mixed_spec, e14_spec, e14_tail_spec):
+    # values above 1e-4 agree with |fourier_tail| at the chosen k within 1e-14
+    # relative; where the complex argmax picks another k, the two values tie
+    xs = np.arange(1, 64) / 64
+    ks = search_order(4)
+    rng = random.Random(11)
+    specs = [jp_spec, mixed_spec, e14_spec, e14_tail_spec] + [random_spec(rng) for _ in range(16)]
+    for spec in specs:
+        for skip in (0, 1):
+            tail = TailSpec(spec, skip)
+            k, v = choose_k(tail, xs, K=4, depth=30)
+            moduli = np.abs(fourier_tail(tail, xs - 0.5, 30, offsets=np.array(ks) + 0.5).value)
+            at_k = moduli[np.arange(xs.size), [ks.index(j) for j in k.tolist()]]
+            big = v > 1e-4
+            assert np.all(np.abs(v - at_k)[big] <= 1e-14 * v[big]), spec.describe()
+            top = moduli.max(axis=1)
+            assert np.all(np.abs(v - top)[big] <= 1e-14 * v[big]), spec.describe()
+
+
+def test_choose_k_agrees_with_mpmath(jp_spec, mixed_spec):
+    mpmath = pytest.importorskip("mpmath")
+
+    def modulus(tail, x, k, depth=40):
+        with mpmath.workdps(40):
+            y = mpmath.mpf(x) + k
+            v = mpmath.mpc(1)
+            for f in tail.factors(depth):
+                v *= mpmath.fsum(mpmath.expjpi(-2 * b * y / f.product) for b in f.triple.B)
+                v /= len(f.triple.B)
+            return float(abs(v))
+
+    for spec, skip, xs in ((jp_spec, 1, (0.25, 0.6)), (mixed_spec, 0, (0.1, 0.7))):
+        tail = TailSpec(spec, skip)
+        k, v = choose_k(tail, np.array(xs))
+        for x, j, value in zip(xs, k.tolist(), v.tolist()):
+            exact = modulus(tail, x, j)
+            assert abs(value - exact) <= 1e-15 * exact, (spec.describe(), x, j)
+
+
+def test_choose_k_window_in_chunks_is_bit_identical(monkeypatch, jp_spec, mixed_spec, e14_tail_spec):
+    # the window cut into chunks carries the first maximum, so the ties at
+    # x = 1/2 and at the zeros of e14 still go to the first shift in order
+    xs = np.concatenate([np.arange(37) / 37, [0.5, 1 / 3, 2 / 3]])
+    for spec in (jp_spec, mixed_spec, e14_tail_spec):
+        tail = TailSpec(spec, 1)
+        k, v = choose_k(tail, xs, K=12, depth=20)
+        width = convspec.zeros._Window.of(tail, 12, 20).width
+        for shifts in (2, 3, 7, 12):  # shifts per chunk, of 25
+            monkeypatch.setattr(convspec.zeros, "_SIDE_BYTES", 8 * width * shifts)
+            assert convspec.zeros._Window.of(tail, 12, 20).chunks > 1
+            kc, vc = choose_k(tail, xs, K=12, depth=20)
+            assert np.array_equal(kc, k) and np.array_equal(vc, v)
+        monkeypatch.undo()
+
+
+def test_choose_k_memory_at_a_wide_window(jp_spec):
+    # K = 100000 on 2 points: one kernel call over the 200,001 shifts would
+    # hold ~380 MB; in chunks the peak is the window and one chunk's arrays
+    tail = TailSpec(jp_spec, 0)
+    tracemalloc.start()
+    try:
+        k, v = choose_k(tail, np.array([0.25, 0.5]), K=100000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
+    assert (k[0], v[0]) == choose_k(tail, 0.25, K=8)
 
 
 def test_tail_moduli_ignore_digit_translation(e14_tail_spec):

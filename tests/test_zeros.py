@@ -16,11 +16,14 @@ from convspec import (
     mask_zeros,
     zero_propagation,
 )
+import convspec.zeros
 from convspec.zeros import (
     DEFAULT_RESIDUAL_TOL,
+    _Window,
     _merge_close,
     _zero_free_radius,
     _zeros_in_unit_period,
+    search_order,
 )
 from conftest import random_spec
 
@@ -287,6 +290,27 @@ def test_probe_candidate_zero_on_uniform_word(e14_tail_spec):
     assert not v.is_witness
     assert v.max_value <= 1e-6
     assert v.evidence == "numeric"
+
+
+def test_search_order_checks_its_window_against_the_budget(monkeypatch):
+    monkeypatch.setattr(convspec.zeros, "_BUDGET_BYTES", 64 * 17)
+    assert len(search_order(8)) == 17
+    with pytest.raises(ValueError, match="K = 9 needs more than its budget of 1088 bytes"):
+        search_order(9)
+
+
+def test_probe_in_chunks_matches_one_chunk(monkeypatch, jp_spec, mixed_spec, e14_tail_spec):
+    # the chunks are searched in order, so the first witness, or else the
+    # first maximum, is the one of the whole window
+    cases = [(jp_spec, 0.3, 1e-6), (jp_spec, 1.0, 1e-6), (jp_spec, 2.75, 0.9),
+             (mixed_spec, 0.4, 0.99), (e14_tail_spec, 1 / 3, 1e-6), (e14_tail_spec, 0.2, 1.0)]
+    whole = [integral_periodic_zero_probe(s, xi, K=10, tol=tol) for s, xi, tol in cases]
+    for shifts in (2, 3, 5):
+        for (spec, xi, tol), want in zip(cases, whole):
+            width = _Window.of(spec, 10, 40).width
+            monkeypatch.setattr(convspec.zeros, "_SIDE_BYTES", 8 * width * shifts)
+            assert integral_periodic_zero_probe(spec, xi, K=10, tol=tol) == want
+    assert [v.is_witness for v in whole] == [True, True, True, False, False, False]
 
 
 def test_propagation_fixed_point_at_zero(mixed_spec):
