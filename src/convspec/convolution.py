@@ -52,6 +52,16 @@ _INT64_LIMIT = 1 << 63
 _BUDGET_BYTES = 1 << 30  # bytes a factor table, a Gram check, a Q grid pass or a shift window may take
 
 
+def _int_array(ints: Sequence[int]) -> np.ndarray:
+    """Python ints as an int64 array when all fit, else as an object array.
+
+    The bounds choose the dtype: numpy would infer float64 for [0, 2**63],
+    and how it converts an out-of-range int has changed between versions.
+    """
+    fits = -_INT64_LIMIT <= min(ints, default=0) and max(ints, default=0) < _INT64_LIMIT
+    return np.array(ints, dtype=np.int64 if fits else object)
+
+
 class DepthTooLargeError(ValueError):
     """Raised when a finite level is past MAX_DENOMINATOR_BITS or MAX_LEVEL_ATOMS."""
 

@@ -23,7 +23,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .convolution import (
     MAX_LEVEL_ATOMS,
     ConvolutionSpec,
     TailSpec,
+    _int_array,
 )
 from .equipos import choose_k
 from .triples import (
@@ -114,28 +115,61 @@ class BuildParams:
         }
 
 
-@dataclass(frozen=True)
+def _level_array(values) -> np.ndarray:
+    """values as a read-only int64 array, or an object array of Python ints
+    once one passes int64; a read-only int64 array is returned as it is.
+
+    numpy infers int64 only when every value is an integer that fits, so
+    that result is kept; anything else (floats, ragged lists, ints past
+    int64, which numpy makes float64 and rounds) is checked value by value.
+    """
+    read_only = isinstance(values, np.ndarray) and not values.flags.writeable
+    try:
+        a = values if read_only else np.array(values)
+    except ValueError:  # a ragged list
+        a = None
+    if a is None or a.dtype != np.int64 or a.ndim != 1:
+        a = _int_array(_integers(values, "levels"))
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
 class SpectrumLevels:
     """Nested integer sets Lambda_0 <= Lambda_1 <= ... with their shift data
-    and the parameters that built them."""
+    and the parameters that built them.
 
-    levels: tuple[tuple[int, ...], ...]
+    Each level is a read-only int64 array, or an object array of Python ints
+    once a value passes int64; any integer sequence is turned into that form.
+    Equality compares every level by value, and the class is unhashable.
+    """
+
+    levels: tuple[np.ndarray, ...]
     indices: tuple[int, ...]
     shifts: tuple[tuple[tuple[int, int], ...], ...]
     params: BuildParams
 
     def __post_init__(self):
+        object.__setattr__(self, "levels", tuple(map(_level_array, self.levels)))
         n = len(self.indices)
         if not len(self.levels) == n + 1 == len(self.shifts) + 1:
             raise ValueError(f"{len(self.levels)} levels, {n} indices, {len(self.shifts)} shifts")
-        if not all(self.levels):
+        if not all(lv.size for lv in self.levels):
             raise ValueError("every level must be nonempty")
+
+    def __eq__(self, other):
+        if not isinstance(other, SpectrumLevels):
+            return NotImplemented
+        # equal indices mean equal level counts
+        return (self.indices, self.shifts, self.params) == (
+            other.indices, other.shifts, other.params
+        ) and all(map(np.array_equal, self.levels, other.levels))
 
     @property
     def level_count(self) -> int:
         return len(self.indices)
 
-    def level(self, i: int) -> tuple[int, ...]:
+    def level(self, i: int) -> np.ndarray:
         """Lambda_i (i = 0 is the {0} bootstrap)."""
         return self.levels[i]
 
@@ -143,9 +177,10 @@ class SpectrumLevels:
         """Factor count m_i of level i >= 1."""
         return self.indices[i - 1]
 
-    def to_json(self) -> dict:
+    def to_json(self, level: Callable[[np.ndarray], list] = np.ndarray.tolist) -> dict:
+        """The levels as plain data; level writes each one (a plain list by default)."""
         return {
-            "levels": [list(lv) for lv in self.levels],
+            "levels": [level(lv) for lv in self.levels],
             "indices": list(self.indices),
             "shifts": [[[l, k] for l, k in sh] for sh in self.shifts],
             "parameters": self.params.to_json(),
@@ -158,7 +193,7 @@ class SpectrumLevels:
         ValueError."""
         p = obj["parameters"]
         return cls(
-            levels=tuple(_integers(lv, "levels") for lv in obj["levels"]),
+            levels=tuple(obj["levels"]),
             indices=_integers(obj["indices"], "indices"),
             shifts=tuple(
                 tuple((l, k) for l, k in (_integers(lk, "shifts") for lk in sh))
@@ -204,7 +239,7 @@ def next_level(spec: ConvolutionSpec, state: SpectrumLevels) -> SpectrumLevels:
     m_prev = state.indices[-1] if state.indices else 0
 
     # every |lambda| / |P_m| < delta/2 iff the largest one is
-    reach = max(-min(prev), max(prev))
+    reach = max(-int(prev.min()), int(prev.max()))
     half_delta = Fraction(params.delta) / 2
     table = spec.factors(params.max_m)
     for m_i in range(m_prev + 1, params.max_m + 1):
@@ -245,16 +280,17 @@ def next_level(spec: ConvolutionSpec, state: SpectrumLevels) -> SpectrumLevels:
     bound = reach + max(abs(b) for b in block_points)
     dtype = np.int64 if bound < _INT64_LIMIT else object
     new_level = np.sort(
-        np.add.outer(np.array(prev, dtype=dtype), np.array(block_points, dtype=dtype)),
+        np.add.outer(prev.astype(dtype, copy=False), np.array(block_points, dtype=dtype)),
         axis=None,
     )
+    new_level.flags.writeable = False
     if np.any(new_level[1:] == new_level[:-1]):
         raise RuntimeError(
             "level cardinality collapsed; the input spec is not a valid "
             "Hadamard system"
         )
     return SpectrumLevels(
-        levels=state.levels + (tuple(new_level.tolist()),),
+        levels=state.levels + (new_level,),
         indices=state.indices + (m_i,),
         shifts=state.shifts + (tuple(sorted(shift_map.items())),),
         params=params,

@@ -763,6 +763,15 @@ def test_int_text_falls_back_past_int64():
     assert _int_text([-(2**63), 2**63 - 1], ";") == [f"{-(2**63)};{2**63 - 1}"]
 
 
+def test_int_text_takes_arrays():
+    # three blocks: two with a negative number, and one with no sign column
+    ints = np.arange(-40_000, 40_000, dtype=np.int64)
+    for sep in (",", "\n  "):
+        assert "".join(_int_text(ints, sep)) == sep.join(map(str, ints.tolist()))
+    big = np.array([-(2**64), 0, 2**63 + 1], dtype=object)
+    assert _int_text(big, ";") == [f"{-(2**64)};0;{2**63 + 1}"]
+
+
 def old_csv_rows(payload):
     rows = (f"{i},{lam}" for i, lv in enumerate(payload["levels"]) for lam in lv)
     return "\n".join(["level,lambda", *rows]) + "\n"
@@ -781,6 +790,32 @@ def test_spectrum_csv_matches_the_old_rows(tmp_path, argv):
     payload = json.loads(out.read_text())
     assert main([*argv, "--output", "csv", "--out", str(out)]) == 0
     assert out.read_text() == old_csv_rows(payload)
+
+
+def test_spectrum_levels_reach_the_report_without_python_ints(tmp_path, monkeypatch):
+    # each level goes from its int64 array to the text: fromiter is never needed
+    cfg = tmp_path / "mixed.json"
+    cfg.write_text(json.dumps(MIXED_CONFIG))
+    argv = ["spectrum", "--config", str(cfg), "--word", ":12", "--levels", "6"]
+    args = build_parser().parse_args(argv)
+    payload, _, _ = args.func(args)
+    payload["command"] = args.command
+    plain = json.loads(stdlib_dumps(payload))
+    sizes = [len(lv) for lv in plain["levels"]]
+    assert sizes[-1] == 15552
+    monkeypatch.setattr(convspec.cli.np, "fromiter", lambda *a, **k: pytest.fail("fromiter"))
+    seen = []
+    monkeypatch.setattr(convspec.cli, "_int_text",
+                        lambda ints, sep: seen.append(ints) or _int_text(ints, sep))
+    out = tmp_path / "levels"
+    for output, want in (("json", stdlib_dumps(payload) + "\n"), ("csv", old_csv_rows(plain))):
+        seen.clear()
+        assert main([*argv, "--output", output, "--out", str(out)]) == 0
+        assert out.read_text() == want, output
+        # every level reaches the writer as its own read-only int64 array
+        arrays = [a for a in seen if isinstance(a, np.ndarray)]
+        assert [a.size for a in arrays] == sizes, output
+        assert all(a.dtype == np.int64 and not a.flags.writeable for a in arrays), output
 
 
 def test_parser_is_built_once():

@@ -4,6 +4,7 @@ import math
 import warnings
 from itertools import product
 
+import numpy as np
 import pytest
 
 from convspec import (
@@ -96,9 +97,51 @@ def test_levels_past_int64_match_set_and_sort(jp_spec):
         n = block_frequencies(spec, m_prev, levels.m(i)).N
         n0 = spec.scale_product(m_prev)
         points = [lam + k * n for lam, k in levels.shifts[i - 1]]
-        want = sorted({a + n0 * b for a in levels.level(i - 1) for b in points})
-        assert levels.level(i) == tuple(want)
-        assert all(type(lam) is int for lam in levels.level(i))
+        want = sorted({a + n0 * b for a in levels.level(i - 1).tolist() for b in points})
+        assert levels.level(i).tolist() == want
+        if want[-1] < 2**63:
+            assert levels.level(i).dtype == np.int64
+        else:
+            assert levels.level(i).dtype == object
+            assert all(type(lam) is int for lam in levels.level(i))
+
+
+def test_levels_are_read_only_arrays(jp_spec):
+    # int64 while the values fit, Python ints from the first level past 2^63
+    spec = ConvolutionSpec(jp_spec.family, SelectionWord(exp_period=(3,)))
+    levels = build_quiet(spec, 12)
+    dtypes = [levels.level(i).dtype for i in range(13)]
+    assert dtypes == [np.dtype(np.int64)] * 11 + [np.dtype(object)] * 2
+    for i in (3, 12):
+        with pytest.raises(ValueError, match="read-only"):
+            levels.level(i)[0] = 5
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(levels)
+
+
+def test_levels_copy_a_writeable_array(mixed_spec):
+    # a writeable int64 level is copied, so changing it later changes no level
+    levels = build_quiet(mixed_spec, 1)
+    top = np.array(levels.level(1))
+    again = SpectrumLevels(levels.levels[:1] + (top,), levels.indices, levels.shifts, levels.params)
+    top[0] = 99
+    assert again == levels
+    assert again.level(1)[0] == levels.level(1)[0] != 99
+    # == compares the levels by value
+    moved = SpectrumLevels(levels.levels[:1] + (top,), levels.indices, levels.shifts, levels.params)
+    assert moved != levels
+
+
+def test_levels_json_keeps_integers_past_int64(mixed_spec):
+    # numpy would infer float64 for [0, 2**63 + 1] and round it to 2**63
+    js = build_quiet(mixed_spec, 1).to_json()
+    js["levels"][1] = [0, 2**63 + 1]
+    levels = SpectrumLevels.from_json(js)
+    assert levels.level(1).dtype == object
+    assert levels.level(1).tolist() == [0, 2**63 + 1]
+    js["levels"][1] = [-(2**63), 2**63 - 1]
+    assert SpectrumLevels.from_json(js).level(1).dtype == np.int64
+    assert SpectrumLevels.from_json(levels.to_json()) == levels
 
 
 def test_first_level_is_block_frequencies(mixed_spec):
@@ -205,7 +248,8 @@ def test_next_level_keeps_the_parameters_of_its_state(mixed_spec):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("levels", [[0], [0, 1.5]]), ("indices", [1.0]), ("shifts", [[[1, 0.5]]])],
+    [("levels", [[0], [0, 1.5]]), ("indices", [1.0]), ("shifts", [[[1, 0.5]]]),
+     ("levels", [[0], [[0, 1]]]), ("levels", [[0], [[0], [1, 2]]]), ("levels", [[0], ["0", "1"]])],
 )
 def test_levels_json_rejects_non_integers(mixed_spec, field, value):
     js = build_quiet(mixed_spec, 1).to_json()
@@ -228,7 +272,7 @@ def test_levels_json_validates_parameters(mixed_spec, key, value):
 def test_next_level_from_initial_state(jp_spec):
     state = SpectrumLevels.initial(BuildParams())
     state = next_level(jp_spec, state)
-    assert state.levels == ((0,), (0, 1))
+    assert [lv.tolist() for lv in state.levels] == [[0], [0, 1]]
     assert state.indices == (1,)
 
 

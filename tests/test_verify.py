@@ -81,7 +81,7 @@ def test_gram_deviation_is_the_identity_subtraction(jp_spec, mixed_spec, monkeyp
         levels = build_quiet(spec, depth_i)
         mu = finite_level(spec, levels.m(depth_i))
         d = math.lcm(*(p.denominator for p, _ in mu.atoms))
-        for lam in (levels.level(depth_i), levels.level(depth_i) + (extra,)):
+        for lam in (levels.level(depth_i), (*levels.level(depth_i).tolist(), extra)):
             sides.add((d <= len(lam) * len(mu), d * d < 2**63))
             want = exact_phase_gram_deviation(mu, lam)
             for chunk_bytes in (verify._RESIDUE_CHUNK_BYTES, 1):
@@ -122,9 +122,9 @@ def test_gram_lambda_colliding_mod_d_gives_exactly_one(jp_spec, mixed_spec, gram
         mu = finite_level(spec, levels.m(depth_i))
         d = abs(spec.scale_product(levels.m(depth_i)))
         lam = levels.level(depth_i)
-        assert orthonormality_gram(mu, lam + (lam[1] + 2**40 * d,)) == 1.0
+        assert orthonormality_gram(mu, (*lam.tolist(), int(lam[1]) + 2**40 * d)) == 1.0
     for name, mu, lam in gram_levels:
-        assert orthonormality_gram(mu, lam + (lam[0] + 2**40 * mu.denominator,)) == 1.0, name
+        assert orthonormality_gram(mu, (*lam.tolist(), int(lam[0]) + 2**40 * mu.denominator)) == 1.0, name
 
 
 def pairwise_gram_deviation(mu, lam):
@@ -163,7 +163,8 @@ def test_gram_deviation_is_the_pairwise_maximum(gram_levels):
     for name, mu, lam in gram_levels:
         assert mu.denominator <= len(lam) * len(mu), name  # the FFT side of the matrix choice
         j = len(lam) // 2
-        moved = [lam[:j] + (lam[j] + s,) + lam[j + 1:] for s in range(1, 6)]
+        ints = tuple(lam.tolist())
+        moved = [ints[:j] + (ints[j] + s,) + ints[j + 1:] for s in range(1, 6)]
         for case in [lam, *moved]:
             assert orthonormality_gram(mu, case) == pairwise_gram_deviation(mu, case), name
         assert orthonormality_gram(mu, lam) <= 1e-10, name
@@ -188,7 +189,7 @@ def test_gram_lambda_as_integer_arrays(gram_levels, jp_spec, monkeypatch):
         np.array(lam),
         np.array(lam, dtype=np.int32),
         np.array([x % d for x in lam], dtype=np.uint64),
-        np.array([x + 2**70 * d for x in lam], dtype=object),
+        np.array([int(x) + 2**70 * d for x in lam], dtype=object),
     ):
         assert orthonormality_gram(mu, case) == want, case.dtype
     assert orthonormality_gram(mu, list(lam)) == want
