@@ -15,11 +15,11 @@ import math
 import sys
 import warnings
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .convolution import DEFAULT_TAIL_DEPTH, ConvolutionSpec, SelectionWord, _int_array
+from .convolution import DEFAULT_TAIL_DEPTH, ConvolutionSpec, SelectionWord
 from .equipos import DEFAULT_FAILURE_THRESHOLD, EquiPositivityCertificate, probe_family
 from .spectrum import (
     BuildParams,
@@ -335,19 +335,17 @@ _GROUP = np.uint64(10_000)
 _INT_BLOCK = 1 << 15  # numbers per block of _int_text, about 1 MB of rows
 
 
-def _int_text(ints: np.ndarray | Sequence[int], sep: str) -> list[str]:
-    """The decimal text of ints joined by sep, as blocks for the caller to join.
+def _int_text(a: np.ndarray, sep: str) -> list[str]:
+    """The decimal text of the integers of a joined by sep, as blocks to join.
 
-    ints is an int64 array, an object array of Python ints, or a sequence of
-    ints, which becomes one of the two.  A block of _INT_BLOCK numbers is a
-    uint32 matrix with one row per number: a sign column (left out when no
-    number of the block is negative), the 4-digit groups from _digit_tables,
-    and sep's bytes (none after the last number).  It is filled a column at
-    a time, so NUL pads the words before the leading digits and after sep,
-    and one translate drops it.  Past int64 the numbers go through
-    int.__repr__.
+    a is an int64 array or an object array of Python ints.  A block of
+    _INT_BLOCK numbers is a uint32 matrix with one row per number: a sign
+    column (left out when no number of the block is negative), the 4-digit
+    groups from _digit_tables, and sep's bytes (none after the last number).
+    It is filled a column at a time, so NUL pads the words before the
+    leading digits and after sep, and one translate drops it.  Past int64
+    the numbers go through int.__repr__.
     """
-    a = ints if isinstance(ints, np.ndarray) else _int_array(ints)
     if a.dtype == object:
         return [sep.join(map(int.__repr__, a))]
     sep_words = np.frombuffer(sep.encode("ascii").ljust(-(-len(sep) // 4) * 4, b"\0"), "<u4")
@@ -380,11 +378,10 @@ def _dumps(obj, newline: str = "\n") -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)`` for str-keyed payloads.
 
     With an indent, CPython's json falls back to its pure-Python encoder,
-    one generator frame per item.  This writes a list of ints through
-    _int_text, a list of exact ints and finite floats with one repr, and
-    recurses only into the other containers, which add their pieces to one
-    list that is joined once.  A _Table writes itself, and an _Ints hands
-    its array to _int_text.
+    one generator frame per item.  This writes a list of exact ints and
+    finite floats with one repr, and recurses only into the other
+    containers, which add their pieces to one list that is joined once.  A
+    _Table writes itself, and an _Ints hands its array to _int_text.
     """
     out: list[str] = []
     _write(obj, newline, out)
@@ -427,11 +424,9 @@ def _write(obj, newline: str, out: list[str]) -> None:
             out.append("[]")
             return
         inner = newline + "  "
-        types = {*map(type, obj)}
-        if types == {int}:  # bools are not, and write true and false
-            out += "[", inner, *_int_text(obj, "," + inner), newline, "]"
-        # repr writes exact ints and finite floats as json does; "n" marks nan, inf
-        elif types <= {int, float} and "n" not in (text := repr(list(obj))):
+        # repr writes exact ints and finite floats as json does; "n" marks nan,
+        # inf, and bools are not ints here, as they write true and false
+        if {*map(type, obj)} <= {int, float} and "n" not in (text := repr(list(obj))):
             out += "[", inner, text[1:-1].replace(", ", "," + inner), newline, "]"
         else:
             out += "[", inner

@@ -401,47 +401,20 @@ def finite_level(spec: ConvolutionSpec, n: int) -> DiscreteMeasure:
 def mask(B: Sequence[int], xi: ArrayLike) -> complex | np.ndarray:
     """Mask polynomial M_B(xi) = mean_b exp(-2*pi*i*b*xi); period 1, |M| <= 1.
 
-    The one-factor mask product: #B exponentials per point at any digit
-    span, and M_B(-xi) == conj(M_B(xi)) holds exactly.
+    #B exponentials per point of the digits d = b - min B, averaged by one
+    matrix-vector product, times the phase exp(-2*pi*i*min B*xi) when
+    min B != 0.  M_B(-xi) == conj(M_B(xi)) holds exactly.
     """
     B = _integers(B)
     if not B:
         raise ValueError("digit set must be nonempty")
-    return _mask_product([(B, 1)], np.asarray(xi, dtype=float), np.zeros(()))
-
-
-def _mask_product(
-    factors: Iterable[tuple[Sequence[int], int]], x: np.ndarray, offsets: np.ndarray
-) -> complex | np.ndarray:
-    """prod_k M_{B_k}((x + o) / P_k) over the factors (B_k, P_k), for every x and o.
-
-    The result has shape x.shape + offsets.shape, and is a complex for
-    shape ().  With d = B_k - min B_k, factor k is
-    exp(-2*pi*i*min B_k*(x + o)/P_k) times the rank-#B matrix product
-    sum_d exp(-2*pi*i*d*x/P_k) * exp(-2*pi*i*d*o/P_k) / #B.  The min B_k
-    phases add up to exp(-2*pi*i*(x + o)*s), s = sum_k min B_k / P_k, and
-    are applied once.
-    """
-    xs = x.reshape(-1)
-    o = offsets.reshape(-1)
-    out = np.ones((xs.size, o.size), dtype=complex)
-    term = np.empty_like(out)
-    s = 0.0
-    for B, p in factors:
-        lo = min(B)
-        inv = _inv_float(p)
-        s += lo * inv
-        d = np.array([b - lo for b in B], dtype=float) * (-2j * np.pi * inv)
-        u = np.exp(np.multiply.outer(xs, d))
-        u /= len(B)
-        np.matmul(u, np.exp(np.multiply.outer(d, o)), out=term)
-        out *= term
-    if s:
-        phase = -2j * np.pi * s
-        np.multiply.outer(np.exp(xs * phase), np.exp(o * phase), out=term)
-        out *= term
-    out = out.reshape(x.shape + offsets.shape)
-    return complex(out) if out.ndim == 0 else out
+    x = np.asarray(xi, dtype=float)
+    xs, lo = x.reshape(-1), min(B)
+    d = np.array([b - lo for b in B], dtype=float) * (-2j * np.pi)
+    out = np.exp(np.multiply.outer(xs, d)) @ np.full(len(B), 1.0 / len(B))
+    if lo:
+        out *= np.exp(xs * (-2j * np.pi * lo))
+    return complex(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 def _delta_count(B: Sequence[int]) -> int:
@@ -457,9 +430,8 @@ def _mask_power(
 ) -> np.ndarray:
     """prod_k |M_{B_k}((x + o) / P_k)|^2 over the factors (B_k, P_k), for every x and o.
 
-    The real counterpart of :func:`_mask_product`, of shape
-    x.shape + offsets.shape.  With c_delta the number of digit pairs
-    b - b' = delta > 0, a factor is
+    The result has shape x.shape + offsets.shape.  With c_delta the number
+    of digit pairs b - b' = delta > 0, a factor is
     |M_B(y)|^2 = 1/#B + (2/#B^2) sum_delta c_delta cos(2*pi*delta*y), and
     cos(a + b) = cos a cos b - sin a sin b makes it one real matrix product
     over (x, o) of rank 1 + 2 * #delta: columns cos a, sin a and 1 of x
@@ -514,35 +486,12 @@ def _mask_power(
     return out.reshape(x.shape + offsets.shape)
 
 
-def _offsets(offsets: ArrayLike | None) -> np.ndarray:
-    """Offsets as a float array; omitted, the single offset 0 of shape ()."""
-    return np.zeros(()) if offsets is None else np.asarray(offsets, dtype=float)
-
-
-def _first_factors(
-    spec: ConvolutionSpec, n: int, x: np.ndarray, o: np.ndarray
-) -> complex | np.ndarray:
-    """Product of the first n >= 0 masks of spec at x + o."""
-    return _mask_product([(f.triple.B, f.product) for f in spec.factors(n)], x, o)
-
-
-def fourier_finite(
-    spec: ConvolutionSpec, n: int, xi: ArrayLike, offsets: ArrayLike | None = None
-) -> complex | np.ndarray:
-    """Transform of the n-factor truncation as a product of n masks.
-
-    Without offsets the transform is taken at each xi.  With offsets it is
-    taken at xi + o for every pair, with shape xi.shape + offsets.shape.
-    The sum xi + o is never formed: each mask factor splits into a phase
-    of xi and a phase of o for every digit relative to min B, which
-    costs (|xi| + |offsets|) * #B exponentials per factor, and the phases
-    of the min B digits are applied once, as a unit-modulus product of an
-    xi and an o term.  Values agree with the pointwise call on xi + o to
-    rounding; moduli do not see a translation of the digits.
-    """
+def fourier_finite(spec: ConvolutionSpec, n: int, xi: ArrayLike) -> complex | np.ndarray:
+    """Transform of the n-factor truncation: prod_k M_{B_k}(xi / P_k), k = 1..n."""
     if n < 1:
         raise ValueError(f"level must be >= 1, got {n}")
-    return _first_factors(spec, n, np.asarray(xi, dtype=float), _offsets(offsets))
+    x = np.asarray(xi, dtype=float)
+    return math.prod(mask(f.triple.B, x * _inv_float(f.product)) for f in spec.factors(n))
 
 
 def _tail_series_coefficient(tail: ConvolutionSpec, depth: int) -> float:
@@ -595,24 +544,21 @@ def tail_truncation_bound(
 
 
 def fourier_tail(
-    tail: ConvolutionSpec,
-    xi: ArrayLike,
-    depth: int = DEFAULT_TAIL_DEPTH,
-    offsets: ArrayLike | None = None,
+    tail: ConvolutionSpec, xi: ArrayLike, depth: int = DEFAULT_TAIL_DEPTH
 ) -> TailValue:
     """Truncated tail transform (depth factors) with its truncation bound.
 
-    Offsets work as in :func:`fourier_finite`: with them, value and bound
-    are taken at xi + o for every pair and have shape xi.shape + offsets.shape.
-    A shift search over x + k passes the centred split (x - 1/2, k + 1/2),
-    so at x = 1/2 the shifts k and -1 - k are exact negatives and their
-    moduli tie exactly.  Depth 0 is the empty product: value 1, and the
+    The value is the product of the first depth masks, as in
+    :func:`fourier_finite`.  Depth 0 is the empty product: value 1, and the
     bound is the whole tail series.
     """
     x = np.asarray(xi, dtype=float)
-    o = _offsets(offsets)
-    bound = tail_truncation_bound(tail, np.add.outer(x, o), depth)
-    return TailValue(_first_factors(tail, depth, x, o), bound)
+    bound = tail_truncation_bound(tail, x, depth)  # checks depth >= 0 first
+    value = math.prod(
+        (mask(f.triple.B, x * _inv_float(f.product)) for f in tail.factors(depth)),
+        start=np.ones(x.shape, dtype=complex),
+    )
+    return TailValue(complex(value) if x.ndim == 0 else value, bound)
 
 
 def cdf(measure: DiscreteMeasure, x: Fraction | int | float) -> Fraction:

@@ -245,9 +245,17 @@ def _zeros_in_unit_period(B, residual_tol: float) -> list[ZeroEnclosure]:
     They are taken from the square-free part s of p, where every root is
     simple, polished by one Newton step in xi and kept only if
     |M_B(xi)| <= residual_tol; the radius is twice the next step, |s/s'|/pi.
+    numpy.roots takes the eigenvalues of a span x span companion matrix,
+    span = max B - min B, so a span whose ~16 * span^2 bytes pass
+    _BUDGET_BYTES raises ValueError before p is formed.
     """
-    hi = max(B)
-    p = [0] * (hi - min(B) + 1)
+    hi, span = max(B), max(B) - min(B)
+    if 16 * span**2 > _BUDGET_BYTES:
+        raise ValueError(
+            f"root finding on a mask of span {span} needs more than its budget"
+            f" of {_BUDGET_BYTES} bytes"
+        )
+    p = [0] * (span + 1)
     for b in B:
         p[hi - b] += 1
     s = np.array([float(c) for c in _square_free_part(p)])

@@ -732,12 +732,15 @@ def test_int_lists_match_the_stdlib_encoder(payload):
 
 
 def test_only_int_lists_go_through_the_int_kernel(monkeypatch):
+    # a level's _Ints array takes the block kernel; a plain int list takes one repr
     seen = []
     monkeypatch.setattr(convspec.cli, "_int_text",
-                        lambda ints, sep: seen.append(list(ints)) or _int_text(ints, sep))
-    payload = {"levels": [[0], (0, -1)], "bools": [True, 1], "floats": [0.5, 1], "e": []}
+                        lambda ints, sep: seen.append(ints) or _int_text(ints, sep))
+    level = np.array([0, -1, 7], dtype=np.int64)
+    payload = {"levels": [[0], (0, -1), convspec.cli._Ints(level)],
+               "bools": [True, 1], "floats": [0.5, 1], "e": []}
     assert _dumps(payload) == stdlib_dumps(payload)
-    assert seen == [[0], [0, -1]]
+    assert len(seen) == 1 and seen[0] is level
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -755,12 +758,13 @@ def test_int_text_across_a_block_edge(extra):
     ints = [rng.randrange(-(10**12), 10**12) for _ in range(n)]
     ints[-1] = -(2**63)
     assert _dumps([ints]) == stdlib_dumps([ints])
-    assert "".join(_int_text(ints, "\n7,")) == "\n7,".join(map(str, ints))
+    assert "".join(_int_text(np.array(ints), "\n7,")) == "\n7,".join(map(str, ints))
 
 
 def test_int_text_falls_back_past_int64():
-    assert _int_text([2**64, -3], ", ") == ["18446744073709551616, -3"]
-    assert _int_text([-(2**63), 2**63 - 1], ";") == [f"{-(2**63)};{2**63 - 1}"]
+    assert _int_text(np.array([2**64, -3], dtype=object), ", ") == ["18446744073709551616, -3"]
+    extremes = np.array([-(2**63), 2**63 - 1], dtype=np.int64)
+    assert _int_text(extremes, ";") == [f"{-(2**63)};{2**63 - 1}"]
 
 
 def test_int_text_takes_arrays():
@@ -859,3 +863,18 @@ def test_shift_window_past_its_budget_exits_3(capsys, argv):
 def test_depth_within_the_factor_table_budget_runs(capsys):
     assert main(["equipos", "--preset", "jp", "--grid", "2", "--kmax", "1", "--skips", "0",
                  "--depth", "20000"]) == 0
+
+
+@pytest.mark.parametrize("mode", ["mask", "products"])
+def test_zeros_past_the_root_budget_exits_3(capsys, tmp_path, monkeypatch, mode):
+    # span 10^5 would need an 80 GB companion matrix: refused before np.roots
+    monkeypatch.setattr(np, "roots", lambda *a: pytest.fail("np.roots was called"))
+    cfg = tmp_path / "wide.json"
+    cfg.write_text(json.dumps({"triples": [{"N": 200000, "B": [0, 100000], "L": [0, 1]}]}))
+    argv = {"mask": ["--mask", "0,100000"],
+            "products": ["--config", str(cfg), "--products-h", "5"]}[mode]
+    start = time.perf_counter()
+    assert main(["zeros", *argv]) == 3
+    assert time.perf_counter() - start < 10.0
+    err = capsys.readouterr().err
+    assert "mask of span 100000 needs more than its budget of 1073741824 bytes" in err

@@ -393,7 +393,7 @@ def test_mask_memory_does_not_depend_on_digit_shift():
     peaks = []
     for shift in range(-3, 4):
         B = (shift, shift + 2)
-        mask(B, xi)  # fills the digit-polynomial cache outside the measurement
+        mask(B, xi)  # a first call outside the measurement
         tracemalloc.start()
         mask(B, xi)
         peaks.append(tracemalloc.get_traced_memory()[1])
@@ -404,7 +404,7 @@ def test_mask_memory_does_not_depend_on_digit_shift():
 def test_mask_rejects_bad_digits():
     with pytest.raises(ValueError, match="integers"):
         mask([0, 1.5], 0.1)
-    mask([0, 2], 0.1)  # (0.0, 2.0) is equal to this call's cached (0, 2)
+    mask([0, 2], 0.1)  # integer digits pass, and equal floats after them do not
     with pytest.raises(ValueError, match="integers"):
         mask([0.0, 2.0], np.array([0.1, 0.2]))
     with pytest.raises(ValueError, match="nonempty"):
@@ -436,42 +436,19 @@ def test_fourier_finite_normalization_and_bound():
         assert fourier_finite(spec, n, 0.0) == pytest.approx(1.0, abs=0)
         xs = np.array([rng.uniform(-20, 20) for _ in range(25)])
         assert np.all(np.abs(fourier_finite(spec, n, xs)) <= 1.0 + 1e-12)
-
-
-def test_offsets_form_matches_pointwise_random():
-    rng = random.Random(47)
-    signed = ConvolutionSpec(
-        (HadamardTriple(4, (-5, -3), (0, 1)), HadamardTriple(-3, (-2, 2, 3), (0, 1, 2))),
-        SelectionWord(period=(1, 2)),
-    )
-    specs = [signed] + [random_spec(rng) for _ in range(20)]
-    assert sum(min(t.B) != 0 for s in specs for t in s.family) > 10
-    off = np.array([-2.5, -1.0, 0.0, 0.5, 3.25])
-    for spec in specs:
-        n = rng.randint(1, 6)
-        a = np.array([rng.uniform(-3, 3) for _ in range(6)])
-        pts = a[:, None] + off
-        got = fourier_finite(spec, n, a, off)
-        assert got.shape == (6, 5)
-        assert np.max(np.abs(got - fourier_finite(spec, n, pts))) < 1e-13
-        tv = fourier_tail(spec, a, 20, offsets=off)
-        tp = fourier_tail(spec, pts, 20)
-        assert tv.value.shape == tv.bound.shape == (6, 5)
-        assert np.max(np.abs(tv.value - tp.value)) < 1e-13
-        assert np.array_equal(tv.bound, tp.bound)
-        # a 0-d point takes the offsets' shape; 0-d with 0-d stays a scalar
-        row = fourier_finite(spec, n, a[0], off)
-        assert row.shape == (5,) and np.max(np.abs(row - got[0])) < 1e-13
-        one = fourier_tail(spec, a[0], 20, offsets=off[0])
+        # a 0-d xi gives a complex value and a float bound; a 2-d xi keeps its shape
+        one = fourier_tail(spec, xs[0], 20)
         assert isinstance(one.value, complex) and isinstance(one.bound, float)
-        assert abs(one.value - tp.value[0, 0]) < 1e-13
-        assert fourier_tail(spec, a, 20, offsets=off.reshape(5, 1)).value.shape == (6, 5, 1)
+        grid = xs.reshape(5, 5)
+        tv = fourier_tail(spec, grid, 20)
+        assert fourier_finite(spec, n, grid).shape == tv.value.shape == tv.bound.shape == (5, 5)
 
 
 def test_squared_moduli_match_the_complex_kernel_random():
-    # both kernels round each phase 2*pi*delta*(x + o)/P_k relative to its
-    # size, so at large |x + o| they part by about eps * |x + o| * delta / |P_k|
-    # per factor (5.5e-10 at |x| = 3e5 with digit spans of 40)
+    # the kernel and the product of one-factor masks at the formed sum both
+    # round each phase 2*pi*delta*(x + o)/P_k relative to its size, so at
+    # large |x + o| they part by about eps * |x + o| * delta / |P_k| per
+    # factor (5.5e-10 at |x| = 3e5 with digit spans of 40)
     rng = random.Random(53)
     eps = np.finfo(float).eps
     for _ in range(60):
@@ -480,9 +457,10 @@ def test_squared_moduli_match_the_complex_kernel_random():
         x = np.array([0.0] + [rng.uniform(-1, 1) * 10 ** rng.uniform(-2, 5.5) for _ in range(30)])
         o = np.array([0.0] + [rng.uniform(-3, 3) for _ in range(17)])
         got = convspec.convolution._mask_power(factors, x, o)
-        want = np.abs(convspec.convolution._mask_product(factors, x, o)) ** 2
+        pts = np.add.outer(x, o)
+        want = np.abs(math.prod(mask(B, pts * _inv_float(p)) for B, p in factors)) ** 2
         span = max(max(B) - min(B) for B, _ in factors)
-        reach = np.abs(np.add.outer(x, o)).max() * sum(abs(_inv_float(p)) for _, p in factors)
+        reach = np.abs(pts).max() * sum(abs(_inv_float(p)) for _, p in factors)
         np.testing.assert_allclose(got, want, rtol=0, atol=8 * np.pi * eps * span * reach + 1e-14)
         assert got.shape == (31, 18) and got.min() >= 0.0 and got.max() <= 1.0
         assert got[0, 0] == 1.0  # x + o = 0: every factor is exactly 1
@@ -506,15 +484,15 @@ def test_tail_at_zero_is_one(jp_spec, mixed_spec):
 
 def test_tail_at_depth_zero_is_the_empty_product(jp_spec, mixed_spec):
     # value 1 and, for its bound, the whole tail series
-    x, off = np.linspace(-2.0, 2.0, 7), np.array([-0.5, 0.25, 1.5])
+    pts = np.add.outer(np.linspace(-2.0, 2.0, 7), np.array([-0.5, 0.25, 1.5]))
     for spec in (jp_spec, mixed_spec):
         tail = TailSpec(spec, 3)
         point = fourier_tail(tail, 0.3, 0)
         assert point.value == 1.0 and isinstance(point.value, complex)
         assert point.bound == tail_truncation_bound(tail, 0.3, 0)
-        grid = fourier_tail(tail, x, 0, offsets=off)
+        grid = fourier_tail(tail, pts, 0)
         assert grid.value.shape == (7, 3) and np.all(grid.value == 1.0)
-        assert np.array_equal(grid.bound, tail_truncation_bound(tail, np.add.outer(x, off), 0))
+        assert np.array_equal(grid.bound, tail_truncation_bound(tail, pts, 0))
     with pytest.raises(ValueError, match="depth must be >= 0"):
         fourier_tail(TailSpec(jp_spec, 1), 0.3, -1)
 

@@ -20,6 +20,7 @@ from convspec import (
     finite_level,
     fourier_finite,
     level_completeness,
+    mask,
     orthonormality_gram,
     q_function,
     spectral_report,
@@ -325,8 +326,9 @@ def series_formula_bounds(spec, levels, i, depth, xi):
 def depth_part(spec, levels, i, depth, xi):
     """2 * c(depth) * sum |mu^_m(lambda + xi)|^2 |lambda + xi| over level i."""
     lam = np.asarray(levels.level(i), dtype=float)
-    f2 = np.abs(fourier_finite(spec, levels.m(i), lam, xi)) ** 2
-    return 2.0 * coefficient(spec, depth) * (f2 * np.abs(np.add.outer(lam, xi))).sum(axis=0)
+    pts = np.add.outer(lam, xi)
+    f2 = np.abs(fourier_finite(spec, levels.m(i), pts)) ** 2
+    return 2.0 * coefficient(spec, depth) * (f2 * np.abs(pts)).sum(axis=0)
 
 
 def test_q_bounds_match_the_series_formula(jp_spec, mixed_spec):
@@ -474,7 +476,7 @@ def deep_levels():
 
 @pytest.mark.parametrize("name", ["jp", "mixed"])
 def test_squared_moduli_match_the_complex_kernel(deep_levels, name):
-    # the grid pass's F^2, T^2 and their product against |complex mask product|^2
+    # the grid pass's F^2, T^2 and their product against |product of masks|^2
     # over the level's rows and the coarse scan's 257 points
     spec, levels = deep_levels[name]
     i = levels.level_count
@@ -482,9 +484,10 @@ def test_squared_moduli_match_the_complex_kernel(deep_levels, name):
     lam = np.asarray(levels.level(i), dtype=float)
     xi = np.linspace(-2.0, 2.0, 257)
     factors = [(f.triple.B, f.product) for f in spec.factors(30)]
+    pts, inv = np.add.outer(lam, xi), convspec.convolution._inv_float
     for part in (factors[:m], factors[m:], factors):
         got = convspec.convolution._mask_power(part, lam, xi)
-        want = np.abs(convspec.convolution._mask_product(part, lam, xi)) ** 2
+        want = np.abs(math.prod(mask(B, pts * inv(p)) for B, p in part)) ** 2
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
         assert 0.0 <= got.min() and got.max() <= 1.0
     assert got[lam == 0.0, xi == 0.0].tolist() == [1.0]
