@@ -241,16 +241,15 @@ def next_level(spec: ConvolutionSpec, state: SpectrumLevels) -> SpectrumLevels:
     # every |lambda| / |P_m| < delta/2 iff the largest one is
     reach = max(-int(prev.min()), int(prev.max()))
     half_delta = Fraction(params.delta) / 2
-    table = spec.factors(params.max_m)
-    for m_i in range(m_prev + 1, params.max_m + 1):
-        if Fraction(reach, abs(table[m_i - 1].product)) < half_delta:
+    for m_i in range(m_prev + 1, params.max_m + 1):  # forms factors up to m_i only
+        if Fraction(reach, abs(spec.scale_product(m_i))) < half_delta:
             break
     else:
         raise HorizonExhaustedError(
             f"no admissible index after m={m_prev} up to max_m={params.max_m}"
         )
 
-    block_size = math.prod(len(f.triple.L) for f in table[m_prev:m_i])
+    block_size = math.prod(len(f.triple.L) for f in spec.factors(m_i)[m_prev:])
     if block_size > MAX_BLOCK_FREQUENCIES:
         raise ValueError(
             f"the block over factors {m_prev + 1}..{m_i} has more than "

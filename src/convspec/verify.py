@@ -142,19 +142,26 @@ def _tile_count(n: int, n_xi: int) -> int:
 
 
 def _pass_bytes(
-    spec: ConvolutionSpec, levels: SpectrumLevels, i: int, depth: int, n_xi: int
+    spec: ConvolutionSpec, levels: SpectrumLevels, i: int, depth: int, n_xi: int,
+    lattice: bool = False,
 ) -> int:
     """Estimated peak bytes of a grid pass over level i and n_xi points.
 
     Per factor, the kernel's cosine and sine sides hold 5 * #delta + 1
     floats per xi and per tile row (the larger of its two factor lists),
     and the factor table takes what _table_walk estimates; a tile takes ~8
-    floats per pair.  Tiles keep two rows, so a large grid or depth cannot
-    fit: past _BUDGET_BYTES, ValueError, found by a walk that forms no P_k.
+    floats per pair.  A lattice pass (_lattice_q) has up to 4 |Lambda_i|
+    rows, one list of all depth factors and ~5 more words a row to form U.
+    Tiles keep two rows, so a large grid or depth cannot fit: past
+    _BUDGET_BYTES, or at a depth below m_i, ValueError (the walk forms no P_k).
     """
     n, m_i = len(levels.level(i)), levels.m(i)
+    if depth < m_i:
+        raise ValueError(f"depth {depth} must be >= m_i = {m_i}")
+    if lattice:
+        n, m_i = 4 * n, depth
     rows = -(-n // _tile_count(n, n_xi))
-    need = base = 8 * (8 * (n_xi + rows) + 8 * rows * n_xi + n)
+    need = base = 8 * (8 * (n_xi + rows) + 8 * rows * n_xi + (5 if lattice else 1) * n)
     width = [0, 0]  # the first m_i factors, the rest
     for k, (t, table) in enumerate(_table_walk(spec, depth), start=1):
         width[k > m_i] += 5 * _delta_count(t.B) + 1
@@ -212,8 +219,6 @@ def _grid_pass(
     worst level part before the next is formed.
     """
     m_i = levels.m(i)
-    if depth < m_i:
-        raise ValueError(f"depth {depth} must be >= m_i = {m_i}")
     _pass_bytes(spec, levels, i, depth, xi.size)
     factors = [(f.triple.B, f.product) for f in spec.factors(depth)]
     inv = _inv_float(spec.scale_product(m_i))
@@ -232,6 +237,42 @@ def _grid_pass(
         q = _carry_sum(t2, q)
         mass = _carry_sum(f2, mass)
     return _GridPass(q, level_part + 2.0 * t_sum, float(np.max(np.abs(mass - 1.0))))
+
+
+def _lattice_q(
+    spec: ConvolutionSpec, levels: SpectrumLevels, i: int, depth: int, grid_n: int
+) -> np.ndarray:
+    """Q at -2 + j/g, j = 0..4g (g = grid_n), with each point lambda + xi once.
+
+    The points are n + r/g, n in -2..1 and r in 0..g, so Q(n + r/g) is the
+    sum over lambda of G[lambda + n, r], the product of the depth factors
+    |M_{B_k}((u + r/g) / P_k)|^2 on the rows u in U = {lambda + n}, formed in
+    integers.  A row tile is one _mask_power call; each n's rows are summed in
+    ascending lambda through _carry_sum, so the floats do not depend on the
+    tiling.  The values only rank points: no bound is formed.
+    """
+    _pass_bytes(spec, levels, i, depth, grid_n + 1, lattice=True)
+    factors = [(f.triple.B, f.product) for f in spec.factors(depth)]
+    lam = np.sort(levels.level(i))
+    if lam.dtype != object and max(-int(lam[0]), int(lam[-1])) >= _INT64_LIMIT - 2:
+        lam = lam.astype(object)  # lambda + n in Python ints
+    # lambda_j adds its last min(4, gap) values to U; lambda_j + n is row end_j - 1 + n
+    count = np.minimum(np.diff(lam, prepend=lam[0] - 4), 4).astype(np.int8)
+    end = np.cumsum(count, dtype=np.int64) - 1
+    u = np.repeat(lam, count)
+    u -= np.repeat(end, count)
+    u += np.arange(1, u.size + 1)
+    u = u.astype(float)
+    cols = np.arange(grid_n + 1) / grid_n
+    q, start = [0.0] * 4, 0
+    for rows in np.array_split(u, _tile_count(u.size, cols.size)):
+        g2 = _mask_power(factors, rows, cols)
+        for k in range(4):  # n = k - 2
+            lo, hi = np.searchsorted(end, (start + 3 - k, start + rows.size + 3 - k))
+            if hi > lo:
+                q[k] = _carry_sum(g2[end[lo:hi] - (start + 3 - k)], q[k])
+        start += rows.size
+    return np.concatenate([q[0][:-1], q[1][:-1], q[2][:-1], q[3]])
 
 
 def level_completeness(
@@ -312,9 +353,10 @@ def spectral_report(
 ) -> QReport:
     """Evaluate the deepest level on [-2, 2]: completeness plus Q with bounds.
 
-    The grid is grid_n uniform points augmented with the _EXTRA_WORST worst
-    points of a 4x finer coarse scan.  Pass requires the completeness defect within
-    DEFAULT_COMPLETENESS_TOL and min Q >= 1 - (tail_bound + DEFAULT_Q_SLACK).
+    The grid is grid_n uniform points plus the _EXTRA_WORST worst of the
+    4 * grid_n + 1 points of a coarse scan, _lattice_q: Q alone, with each
+    distinct lambda + xi evaluated once.  Pass requires the completeness defect
+    within DEFAULT_COMPLETENESS_TOL and min Q >= 1 - (tail_bound + DEFAULT_Q_SLACK).
     """
     (grid_n,) = _integers((grid_n,), "grid_n")
     (depth,) = _integers((depth,), "depth")
@@ -323,9 +365,8 @@ def spectral_report(
     if levels.level_count < 1:
         raise ValueError("no levels to verify")
     i = levels.level_count
-    _pass_bytes(spec, levels, i, depth, 4 * grid_n + 1)  # before the coarse grid is formed
+    q_coarse = _lattice_q(spec, levels, i, depth, grid_n)
     coarse = np.linspace(-2.0, 2.0, 4 * grid_n + 1)
-    q_coarse = _grid_pass(spec, levels, i, depth, coarse).q
     worst = coarse[np.argsort(q_coarse, kind="stable")[:_EXTRA_WORST]]
     grid = np.unique(np.concatenate([np.linspace(-2.0, 2.0, grid_n), worst]))
     q, bounds, comp = _grid_pass(spec, levels, i, depth, grid)

@@ -200,6 +200,15 @@ def test_index_search_stops_at_max_m(jp_spec):
         build_quiet(jp_spec, 4, params=params)
 
 
+@pytest.mark.parametrize("name", ["jp", "mixed"])
+def test_index_search_forms_factors_only_up_to_m_i(jp_spec, mixed_spec, name):
+    # the spec's own factor table stops at the last index found, not at max_m
+    spec = {"jp": jp_spec, "mixed": mixed_spec}[name]
+    fresh = ConvolutionSpec(spec.family, spec.word)
+    levels = build_quiet(fresh, 3)
+    assert len(fresh.__dict__["_factor_table"]) == levels.m(3) < levels.params.max_m
+
+
 def test_gcd_certificates():
     ok = certify_gcd_condition(
         (HadamardTriple(2, (0, 1), (0, 1)), HadamardTriple(3, (0, 1, 2), (0, 1, 2)))

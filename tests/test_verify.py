@@ -1,6 +1,7 @@
 """Gram orthonormality, level completeness, Q function, spectral reports."""
 
 import math
+import random
 import tracemalloc
 import warnings
 
@@ -12,7 +13,9 @@ import convspec.verify as verify
 from convspec import (
     BuildParams,
     ConvolutionSpec,
+    EquiPositivityViolation,
     GcdNotCertifiedWarning,
+    HorizonExhaustedError,
     SelectionWord,
     SpectrumLevels,
     TailSpec,
@@ -25,7 +28,7 @@ from convspec import (
     q_function,
     spectral_report,
 )
-from conftest import E14_TRIPLES, JP_TRIPLE, MIXED_TRIPLES
+from conftest import E14_TRIPLES, JP_TRIPLE, MIXED_TRIPLES, random_spec
 
 
 def build_quiet(spec, depth_i, **kw):
@@ -500,7 +503,7 @@ def test_report_in_row_tiles_is_bit_identical(deep_levels, name, monkeypatch):
     spec, levels = deep_levels[name]
     m = levels.m(levels.level_count)
     grid_n = 8
-    cols = 4 * grid_n + 1  # the coarse scan's columns
+    cols = grid_n + 1  # the lattice scan's columns r / grid_n
     # a budget below two rows still gives tiles of two rows
     budgets = {2: 1, 3: 16 * 3 * cols, 7: 16 * 7 * cols}
     for depth in (m, m + 1, 30):
@@ -520,8 +523,137 @@ def test_report_in_row_tiles_is_bit_identical(deep_levels, name, monkeypatch):
             assert tiled == whole, (depth, rows)
 
 
+def coarse_q(spec, levels, depth, grid_n):
+    """The coarse scan's Q from the grid pass over linspace(-2, 2, 4 grid_n + 1)."""
+    xi = np.linspace(-2.0, 2.0, 4 * grid_n + 1)
+    return verify._grid_pass(spec, levels, levels.level_count, depth, xi).q
+
+
+@pytest.mark.parametrize("name", ["jp", "mixed"])
+def test_lattice_scan_matches_the_grid_pass(deep_levels, name):
+    spec, levels = deep_levels[name]
+    i = levels.level_count
+    for depth, grid_n in ((30, 64), (levels.m(i), 8), (levels.m(i) + 1, 5)):
+        got = verify._lattice_q(spec, levels, i, depth, grid_n)
+        np.testing.assert_allclose(got, coarse_q(spec, levels, depth, grid_n), rtol=0, atol=1e-14)
+        # a level read from a file need not be sorted: the same floats
+        shuffled = np.random.default_rng(i).permutation(levels.level(i))
+        moved = SpectrumLevels(levels.levels[:i] + (shuffled,), levels.indices, levels.shifts,
+                               levels.params)
+        assert verify._lattice_q(spec, moved, i, depth, grid_n).tolist() == got.tolist()
+
+
+def lipschitz(spec, depth):
+    """Sum over the factors of the bound (4 pi / #B^2) sum_delta c_delta delta / |P_k|
+    on the slope of |M_B(y / P_k)|^2, c_delta the digit pairs at difference delta."""
+    total = 0.0
+    for f in spec.factors(depth):
+        B = f.triple.B
+        slope = sum(b - c for b in B for c in B if b > c)
+        total += 4 * math.pi * slope / len(B) ** 2 / abs(f.product)
+    return total
+
+
+def test_lattice_scan_matches_the_grid_pass_random():
+    # both passes round (lambda + xi) 2 pi delta / P_k in floats, an error of
+    # ~eps |lambda| in the point, so past small levels they part by up to
+    # ~eps |lambda| times the factors' slope bound (0.14 of it at worst)
+    rng = random.Random(7)
+    built = 0
+    for _ in range(40):
+        spec = random_spec(rng)
+        try:
+            levels = build_quiet(spec, 3)
+        except (EquiPositivityViolation, HorizonExhaustedError):
+            continue
+        built += 1
+        i, grid_n = 3, rng.randint(2, 9)
+        depth = rng.randint(levels.m(i), 30)
+        got = verify._lattice_q(spec, levels, i, depth, grid_n)
+        reach = int(np.abs(levels.level(i)).max()) + 2
+        atol = 1e-14 + 2.0**-52 * reach * lipschitz(spec, depth)
+        np.testing.assert_allclose(got, coarse_q(spec, levels, depth, grid_n), rtol=0, atol=atol)
+    assert built >= 30
+
+
+# the ten worst points of the 257-point scan on the benchmark's two cases,
+# as the grid pass ranked them
+WORST_TEN = {
+    "jp": [1.203125, 1.21875, 1.234375, 1.25, 1.265625, 1.28125, 1.296875, 1.3125,
+           1.328125, 1.34375],
+    "mixed": [-1.5, -0.515625, -0.5, -0.484375, 0.484375, 0.5, 0.515625, 1.484375,
+              1.5, 1.515625],
+}
+
+
+@pytest.mark.parametrize("name", ["jp", "mixed"])
+def test_lattice_scan_picks_the_grid_pass_points(deep_levels, name):
+    spec, levels = deep_levels[name]
+    q = verify._lattice_q(spec, levels, levels.level_count, 30, 64)
+    order = np.argsort(q, kind="stable")
+    # no two of the 11 lowest values are within 1.6e-9, far above rounding
+    assert np.diff(q[order[:11]]).min() >= 1.6e-9
+    coarse = np.linspace(-2.0, 2.0, 257)
+    assert sorted(coarse[order[:10]].tolist()) == WORST_TEN[name]
+    grid = spectral_report(spec, levels, grid_n=64, depth=30).xi_grid
+    assert sorted(set(grid) - set(np.linspace(-2.0, 2.0, 64).tolist())) == WORST_TEN[name]
+
+
+def kernel_rows(monkeypatch, spec, levels, depth, grid_n):
+    """The rows and columns of every _mask_power call of a lattice scan."""
+    calls = []
+
+    def spy(factors, lam, xi):
+        calls.append((lam, xi.size))
+        return convspec.convolution._mask_power(factors, lam, xi)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(verify, "_mask_power", spy)
+        q = verify._lattice_q(spec, levels, levels.level_count, depth, grid_n)
+    assert q.shape == (4 * grid_n + 1,)
+    return calls
+
+
+def test_lattice_scan_evaluates_each_point_once(deep_levels, jp_spec, monkeypatch):
+    # a sparse level has up to 4 |Lambda| rows of grid_n + 1 columns; mixed
+    # levels are runs of consecutive integers, so there the pairs fall 4x
+    sparse = ConvolutionSpec(jp_spec.family, SelectionWord(exp_period=(3,)))
+    for spec, levels, most in ((sparse, build_quiet(sparse, 5), 4.0),
+                               (*deep_levels["mixed"], 1.01)):
+        n = len(levels.level(levels.level_count))
+        calls = kernel_rows(monkeypatch, spec, levels, 30, 64)
+        pairs = sum(lam.size * cols for lam, cols in calls)
+        assert pairs <= most * n * 65 <= n * (4 * 64 + 4)
+        rows = np.concatenate([lam for lam, _ in calls])
+        assert np.all(rows[1:] > rows[:-1])  # each lambda + n once
+
+
+def test_lattice_scan_rows_past_int64(jp_spec, monkeypatch):
+    # lambda + 1 past 2**63 is formed in Python ints, not wrapped to -2**63
+    top = 2**63 - 1
+    levels = SpectrumLevels(((0,), (0, top)), (1,), ((),), BuildParams())
+    calls = kernel_rows(monkeypatch, jp_spec, levels, 30, 4)
+    rows = np.concatenate([lam for lam, _ in calls])
+    assert rows.min() == -2.0 and rows.max() == float(top)
+    # and so do the object arrays of levels past 2**63 (jp exponent 3, L12)
+    sparse = ConvolutionSpec(jp_spec.family, SelectionWord(exp_period=(3,)))
+    deep = build_quiet(sparse, 12)
+    assert deep.level(12).dtype == object
+    got = verify._lattice_q(sparse, deep, 12, 30, 8)
+    np.testing.assert_allclose(got, coarse_q(sparse, deep, 30, 8), rtol=0, atol=1e-14)
+
+
+def test_lattice_scan_checks_its_depth(deep_levels):
+    spec, levels = deep_levels["mixed"]
+    m = levels.m(levels.level_count)
+    with pytest.raises(ValueError, match=f"depth {m - 1} must be >= m_i = {m}"):
+        verify._lattice_q(spec, levels, levels.level_count, m - 1, 8)
+    with pytest.raises(ValueError, match=f"depth {m - 1} must be >= m_i = {m}"):
+        spectral_report(spec, levels, depth=m - 1)
+
+
 def test_report_memory_does_not_grow_with_the_level(deep_levels):
-    # one (lambda, xi) array of the mixed L5 coarse scan is 10.6 MB, and a
+    # one (lambda, xi) array of 257 points over mixed L5 is 10.6 MB, and a
     # single-array pass holds about six; tiles hold one budget's worth each
     spec, levels = deep_levels["mixed"]
     tracemalloc.start()
@@ -544,7 +676,7 @@ def test_report_grid_and_depth_are_checked(jp_spec, kw):
 
 
 def test_grid_pass_memory_stays_within_its_estimate(deep_levels, jp_spec):
-    # the coarse scans of jp L9 and mixed L5, a single point over mixed L5,
+    # 257 points over jp L9 and mixed L5, a single point over mixed L5,
     # jp L3 at depth 300, and jp L3 over 8,001 points (two-row tiles)
     jp3 = build_quiet(jp_spec, 3)
     cases = [(*deep_levels["jp"], 30, 257), (*deep_levels["mixed"], 30, 257),
@@ -561,6 +693,18 @@ def test_grid_pass_memory_stays_within_its_estimate(deep_levels, jp_spec):
         finally:
             tracemalloc.stop()
         assert peak <= need, (i, depth, n_xi, peak, need)
+    # the lattice scans of jp L9 and mixed L5 over 65 columns
+    for spec, levels in deep_levels.values():
+        i = levels.level_count
+        need = verify._pass_bytes(spec, levels, i, 30, 65, lattice=True)
+        fresh = ConvolutionSpec(spec.family, spec.word)
+        tracemalloc.start()
+        try:
+            verify._lattice_q(fresh, levels, i, 30, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= need, (i, peak, need)
 
 
 def test_grid_pass_memory_budget(jp_spec, monkeypatch):
@@ -571,10 +715,15 @@ def test_grid_pass_memory_budget(jp_spec, monkeypatch):
     assert verify._pass_bytes(jp_spec, levels, 3, 30, 4 * 32000 + 1) <= verify._BUDGET_BYTES
     with pytest.raises(ValueError, match=over):
         verify._pass_bytes(jp_spec, levels, 3, 30, 4 * 10**6 + 1)
-    # neither a huge grid nor a huge depth forms the grid or a P_k first
+    # so do the lattice scan's 32,001 columns, and 10,000,001 do not
+    assert verify._pass_bytes(jp_spec, levels, 3, 30, 32001, lattice=True) <= verify._BUDGET_BYTES
+    with pytest.raises(ValueError, match=over):
+        verify._pass_bytes(jp_spec, levels, 3, 30, 10**7 + 1, lattice=True)
+    # neither a huge grid nor a huge depth forms the grid, U or a P_k first
     deep = ConvolutionSpec(jp_spec.family, jp_spec.word)
     with monkeypatch.context() as m:
         m.setattr(np, "linspace", lambda *a, **k: pytest.fail("allocated before the budget check"))
+        m.setattr(np, "repeat", lambda *a, **k: pytest.fail("allocated before the budget check"))
         for kw in ({"grid_n": 10**7}, {"depth": 10**9}):
             with pytest.raises(ValueError, match=over):
                 spectral_report(deep, levels, **kw)
