@@ -8,7 +8,6 @@ levels numerically through Gram and completeness checks.
 
 from .convolution import (
     ConvolutionSpec,
-    DepthTooLargeError,
     DiscreteMeasure,
     SelectionWord,
     TailSpec,
@@ -67,7 +66,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BuildParams",
     "ConvolutionSpec",
-    "DepthTooLargeError",
     "DiscreteMeasure",
     "EquiPositivityCertificate",
     "EquiPositivityViolation",

@@ -21,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -34,7 +34,6 @@ __all__ = [
     "DiscreteMeasure",
     "TailSpec",
     "TailValue",
-    "DepthTooLargeError",
     "finite_level",
     "convolve",
     "mask",
@@ -46,10 +45,30 @@ __all__ = [
 
 ArrayLike = Union[float, Sequence[float], np.ndarray]
 
-MAX_DENOMINATOR_BITS = 1 << 16  # bits of |P_k| a finite level may reach
-MAX_LEVEL_ATOMS = 1 << 22  # atoms a finite level may form before merging
 _INT64_LIMIT = 1 << 63
-_BUDGET_BYTES = 1 << 30  # bytes a factor table, a Gram check, a Q grid pass or a shift window may take
+_BUDGET_BYTES = 1 << 30  # bytes any one estimate may reach: see _check_budget
+_ATOM_BYTES = 80  # per atom of a finite level besides its numerators: counts, inverse, indices
+
+
+def _check_budget(what: str, need: int, walk: Callable[[], Iterable[int]] | None = None) -> int:
+    """need, checked against _BUDGET_BYTES before what it estimates is formed:
+    past it, ValueError "<what> needs more than its budget of ... bytes" (exit 3).
+    A need that is only a ceiling comes with walk, whose tighter nondecreasing
+    estimates are read, up to the first past the budget, only once it passes."""
+    if need > _BUDGET_BYTES and any(w > _BUDGET_BYTES for w in (walk() if walk else [need])):
+        raise ValueError(f"{what} needs more than its budget of {_BUDGET_BYTES} bytes")
+    return need
+
+
+def _part_count(n: int, need: int, limit: int) -> int:
+    """Equal parts of n rows needing need bytes, each within limit bytes and of at
+    least two rows (a one-row matrix product takes another BLAS path)."""
+    return max(1, min(-(-need // limit), n // 2))
+
+
+def _int_bytes(bits: int) -> int:
+    """Bytes of an array entry of up to bits bits: int64, or a pointer to a Python int."""
+    return 8 if bits < 64 else 32 + 4 * -(-bits // 30)
 
 
 def _int_array(ints: Sequence[int]) -> np.ndarray:
@@ -60,10 +79,6 @@ def _int_array(ints: Sequence[int]) -> np.ndarray:
     """
     fits = -_INT64_LIMIT <= min(ints, default=0) and max(ints, default=0) < _INT64_LIMIT
     return np.array(ints, dtype=np.int64 if fits else object)
-
-
-class DepthTooLargeError(ValueError):
-    """Raised when a finite level is past MAX_DENOMINATOR_BITS or MAX_LEVEL_ATOMS."""
 
 
 def _eventually_periodic(pre: tuple[int, ...], per: tuple[int, ...], k: int) -> int:
@@ -202,22 +217,19 @@ class ConvolutionSpec:
     def factors(self, n: int) -> list[Factor]:
         """Positions 1..n as (triple, scale N^e, signed running product P_k), a new list.
 
-        A table whose _table_walk estimate passes _BUDGET_BYTES raises
+        A table whose _table_walk estimate passes the budget raises
         ValueError before its first new factor is formed.  The walk runs
         only when the estimate's ceiling, every P_k at k times the largest
-        bits of a scale, passes the budget: next_level's 512 factors never do.
+        bits of a scale, passes the budget: a table of a few hundred
+        factors never does.
         """
         table = self.__dict__.get("_factor_table", [])
         if not 0 <= n <= len(table):
             most = max(self.word.exp_prefix + self.word.exp_period) * max(
                 abs(t.N).bit_length() for t in self.family
             )
-            if 512 * n + most * n * (n + 1) // 16 > _BUDGET_BYTES and any(
-                need > _BUDGET_BYTES for _, need in _table_walk(self, n)
-            ):
-                raise ValueError(
-                    f"a table of {n} factors needs more than its budget of {_BUDGET_BYTES} bytes"
-                )
+            _check_budget(f"a table of {n} factors", 512 * n + most * n * (n + 1) // 16,
+                          lambda: (need for _, _, need in _table_walk(self, n)))
             table = list(itertools.islice(self._walk(), n))
         return table[:n]
 
@@ -247,8 +259,9 @@ class ConvolutionSpec:
         return cls(family, SelectionWord.from_json(word))
 
 
-def _table_walk(spec: ConvolutionSpec, n: int) -> Iterator[tuple[HadamardTriple, int]]:
-    """Positions 1..n as (triple, estimated bytes of the factor table up to it).
+def _table_walk(spec: ConvolutionSpec, n: int) -> Iterator[tuple[HadamardTriple, int, int]]:
+    """Positions 1..n as (triple, a bound on the bits of P_k, estimated bytes
+    of the factor table up to it).
 
     A Factor with its list slot takes ~512 bytes, plus the bits of P_k, so
     the table grows with n^2.  The walk forms no P_k.
@@ -258,7 +271,7 @@ def _table_walk(spec: ConvolutionSpec, n: int) -> Iterator[tuple[HadamardTriple,
         t = spec.triple_at(k)
         bits += spec.exponent_at(k) * abs(t.N).bit_length()
         need += 512 + bits // 8
-        yield t, need
+        yield t, bits, need
 
 
 def TailSpec(spec: ConvolutionSpec, skip: int = 0) -> ConvolutionSpec:
@@ -364,29 +377,25 @@ def finite_level(spec: ConvolutionSpec, n: int) -> DiscreteMeasure:
     num to num * |N^e| + sign(P_{k+1}) * b for each digit b.  Numerators are
     int64 while their bound fits and Python ints past it; equal numerators
     merge with their counts added, and the lattice measure is built once at
-    the end, with no Fraction formed.  The budgets MAX_DENOMINATOR_BITS on
-    the bits of P_k and MAX_LEVEL_ATOMS on the prod_{j<=k} #B_j atoms formed
-    before merging are checked level by level as the factors are walked, so
-    a level past either budget raises before any level is built and before
-    any later factor is formed.
+    the end, with no Fraction formed.  Level k is estimated from _table_walk
+    before any factor is formed: its factor table and, per atom formed before
+    merging, two numerators (as formed, then in the measure's tuple) of the
+    bits of P_k and the largest digit, plus _ATOM_BYTES; the first level past
+    the budget raises.
     """
     if n < 1:
         raise ValueError(f"level must be >= 1, got {n}")
-    table = []
-    total = 1
-    for k, f in enumerate(itertools.islice(spec._walk(), n), start=1):
-        if f.product.bit_length() > MAX_DENOMINATOR_BITS:
-            raise DepthTooLargeError(
-                f"denominator exceeds {MAX_DENOMINATOR_BITS} bits at level {k}"
-            )
-        total *= len(f.triple.B)
-        if total > MAX_LEVEL_ATOMS:
-            raise DepthTooLargeError(f"atoms exceed {MAX_LEVEL_ATOMS} at level {k}")
-        table.append(f)
+    atoms, top = 1, 0
+    for k, (t, bits, table) in enumerate(_table_walk(spec, n), start=1):
+        atoms *= len(t.B)
+        top = max(top, *map(abs, t.B))
+        bits += top.bit_length() + 1
+        _check_budget(f"finite level {k} of {atoms} atoms of up to {bits} bits",
+                      table + atoms * (2 * _int_bytes(bits) + _ATOM_BYTES))
     num = np.zeros(1, dtype=np.int64)
-    count = np.ones(1)  # integers up to MAX_LEVEL_ATOMS, exact in doubles
+    count = np.ones(1)  # integers below the 2^24 atoms the budget allows: exact in doubles
     reach = 1  # bound on max|num|, which also bounds each |N^e|
-    for t, scale, p in table:
+    for t, scale, p in spec.factors(n):
         reach = reach * abs(scale) + max(abs(b) for b in t.B)
         if reach >= _INT64_LIMIT and num.dtype != object:
             num = num.astype(object)
@@ -395,7 +404,7 @@ def finite_level(spec: ConvolutionSpec, n: int) -> DiscreteMeasure:
             (num[:, None] * abs(scale) + digits).ravel(), return_inverse=True
         )
         count = np.bincount(inverse, weights=np.repeat(count, len(t.B)))
-    return DiscreteMeasure(num, abs(table[-1].product), count.astype(np.int64))
+    return DiscreteMeasure(num, abs(p), count.astype(np.int64))
 
 
 def mask(B: Sequence[int], xi: ArrayLike) -> complex | np.ndarray:

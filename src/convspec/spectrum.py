@@ -30,10 +30,11 @@ import numpy as np
 from .convolution import (
     _INT64_LIMIT,
     DEFAULT_TAIL_DEPTH,
-    MAX_LEVEL_ATOMS,
     ConvolutionSpec,
     TailSpec,
+    _check_budget,
     _int_array,
+    _int_bytes,
 )
 from .equipos import choose_k
 from .triples import (
@@ -58,7 +59,12 @@ __all__ = [
     "certify_gcd_condition",
 ]
 
-MAX_BLOCK_FREQUENCIES = 1 << 20  # frequencies one construction step may compose
+# Bytes a construction step is charged before its block is composed, as
+# traced: a block frequency takes ~390 in next_level, and a frequency of each
+# level 32 plus twice its array entry and digits through the report (36 B on
+# mixed :12 L8, 49 B on jp L14, 105 B on the boxed ints of jp :3 L12).
+_BLOCK_BYTES = 512
+_LEVEL_BYTES = 32
 
 
 class GcdNotCertifiedWarning(UserWarning):
@@ -250,17 +256,13 @@ def next_level(spec: ConvolutionSpec, state: SpectrumLevels) -> SpectrumLevels:
         )
 
     block_size = math.prod(len(f.triple.L) for f in spec.factors(m_i)[m_prev:])
-    if block_size > MAX_BLOCK_FREQUENCIES:
-        raise ValueError(
-            f"the block over factors {m_prev + 1}..{m_i} has more than "
-            f"{MAX_BLOCK_FREQUENCIES} frequencies"
-        )
-    # Lambda_i spans the atoms of mu_{m_i}, which finite_level caps at this
-    if len(prev) * block_size > MAX_LEVEL_ATOMS:
-        raise ValueError(
-            f"level {len(state.levels)} would have {len(prev) * block_size} "
-            f"frequencies, more than {MAX_LEVEL_ATOMS}"
-        )
+    # every new |lambda| is below reach + |P_{m_i}| (K + 2)
+    bits = (reach + abs(spec.scale_product(m_i)) * (params.K + 2)).bit_length()
+    _check_budget(
+        f"level {len(state.levels)} of {len(prev)} x {block_size} frequencies",
+        _BLOCK_BYTES * block_size + (sum(map(len, state.levels)) + len(prev) * block_size)
+        * (_LEVEL_BYTES + 2 * (_int_bytes(bits) + bits * 3 // 10)),
+    )
     blocks = block_frequencies(spec, m_prev, m_i)
     n0_prev = spec.scale_product(m_prev)
 

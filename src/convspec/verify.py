@@ -24,11 +24,12 @@ from .convolution import (
     ConvolutionSpec,
     DiscreteMeasure,
     TailSpec,
-    _BUDGET_BYTES,
     _INT64_LIMIT,
+    _check_budget,
     _delta_count,
     _inv_float,
     _mask_power,
+    _part_count,
     _table_walk,
     # unused here, but bench/tracing.py requires both names bound in this module
     fourier_finite,
@@ -51,7 +52,7 @@ DEFAULT_COMPLETENESS_TOL = 1e-9
 DEFAULT_Q_SLACK = 1e-3
 _EXTRA_WORST = 10  # worst points of the coarse scan added to the report grid
 _RESIDUE_CHUNK_BYTES = 8 << 20  # bytes of residues per Gram chunk
-_TILE_BYTES = 1 << 20  # bytes of the mask kernel's two float arrays over a Q tile's pairs
+_TILE_BYTES = 1 << 20  # bytes of a Q tile's pairs, 16 each for the mask kernel's result and term
 _BOXED_INT_BYTES = 64  # an object-array pointer and the Python int it points to
 _FFT_BYTES = 64  # peak bytes per residue bin or lambda on the Gram check's FFT path
 
@@ -87,8 +88,8 @@ def orthonormality_gram(measure: DiscreteMeasure, Lambda: Sequence[int]) -> floa
     of the lambdas' histogram mod D, by a second FFT.  Otherwise the
     deviation comes from the matrix product of the exponentials at
     (lambda * u mod D) / D, reduced in Python ints a chunk of rows at a
-    time.  A check that would allocate more than _BUDGET_BYTES
-    raises ValueError before it starts.
+    time.  A check whose estimate passes the budget raises ValueError
+    before it starts.
     """
     d = measure.denominator
     lam = _residues(Lambda if isinstance(Lambda, np.ndarray) else tuple(Lambda), d, "Lambda")
@@ -96,12 +97,10 @@ def orthonormality_gram(measure: DiscreteMeasure, Lambda: Sequence[int]) -> floa
         raise ValueError("Lambda must be nonempty")
     n, k = lam.size, len(measure)
     fft = d <= n * k
-    need = _FFT_BYTES * (d + n) if fft else 2 * _RESIDUE_CHUNK_BYTES + 16 * n * (2 * k + n)
-    if need > _BUDGET_BYTES:
-        raise ValueError(
-            f"Gram check of {n} lambdas on {k} atoms over D = {d} needs about "
-            f"{need} bytes, over its budget of {_BUDGET_BYTES}"
-        )
+    _check_budget(
+        f"a Gram check of {n} lambdas on {k} atoms over D = {d}",
+        _FFT_BYTES * (d + n) if fft else 2 * _RESIDUE_CHUNK_BYTES + 16 * n * (2 * k + n),
+    )
     u = _residues(measure.numerators, d, "numerators")
     w = measure.weights()
     if fft:
@@ -134,11 +133,13 @@ def _check_level(levels: SpectrumLevels, i: int) -> None:
         raise ValueError(f"level index {i} out of range 1..{levels.level_count}")
 
 
-def _tile_count(n: int, n_xi: int) -> int:
-    """Row tiles of n frequencies by n_xi points: equal parts of at least two
-    rows (a one-row matrix product takes another BLAS path) and at most
-    _TILE_BYTES of pairs, 16 bytes each for the kernel's result and term."""
-    return max(1, min(-(-n * n_xi * 16 // _TILE_BYTES), n // 2))
+def _lattice_rows(level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted level (Python ints near int64's ends, so lambda + n cannot
+    wrap) and the rows each lambda adds to U: its last min(4, gap) values."""
+    lam = np.sort(level)
+    if lam.dtype != object and max(-int(lam[0]), int(lam[-1])) >= _INT64_LIMIT - 2:
+        lam = lam.astype(object)
+    return lam, np.minimum(np.diff(lam, prepend=lam[0] - 4), 4).astype(np.int8)
 
 
 def _pass_bytes(
@@ -150,27 +151,27 @@ def _pass_bytes(
     Per factor, the kernel's cosine and sine sides hold 5 * #delta + 1
     floats per xi and per tile row (the larger of its two factor lists),
     and the factor table takes what _table_walk estimates; a tile takes ~8
-    floats per pair.  A lattice pass (_lattice_q) has up to 4 |Lambda_i|
-    rows, one list of all depth factors and ~5 more words a row to form U.
-    Tiles keep two rows, so a large grid or depth cannot fit: past
-    _BUDGET_BYTES, or at a depth below m_i, ValueError (the walk forms no P_k).
+    floats per pair, and the level a word per lambda.  A lattice scan
+    (_lattice_q) has the |U| rows of _lattice_rows, one list of all depth
+    factors, 2 floats per pair, 3 words per lambda and 2 per row of U.
+    Tiles keep two rows, so a large grid or depth cannot fit: past the
+    budget, or at a depth below m_i, ValueError (the walk forms no P_k).
     """
     n, m_i = len(levels.level(i)), levels.m(i)
     if depth < m_i:
         raise ValueError(f"depth {depth} must be >= m_i = {m_i}")
+    rows, pair, words = n, 8, n
     if lattice:
-        n, m_i = 4 * n, depth
-    rows = -(-n // _tile_count(n, n_xi))
-    need = base = 8 * (8 * (n_xi + rows) + 8 * rows * n_xi + (5 if lattice else 1) * n)
+        rows = int(_lattice_rows(levels.level(i))[1].sum())
+        m_i, pair, words = depth, 2, 3 * n + 2 * rows
+    tile = -(-rows // _part_count(rows, 16 * rows * n_xi, _TILE_BYTES))
+    kind = "lattice scan" if lattice else "grid pass"
+    what = f"a Q {kind} of {n} frequencies over {n_xi} points at depth {depth}"
+    base = 8 * (8 * (n_xi + tile) + pair * tile * n_xi + words)
     width = [0, 0]  # the first m_i factors, the rest
-    for k, (t, table) in enumerate(_table_walk(spec, depth), start=1):
+    for k, (t, _, table) in enumerate(_table_walk(spec, depth), start=1):
         width[k > m_i] += 5 * _delta_count(t.B) + 1
-        need = base + 8 * (n_xi + rows) * max(width) + table
-        if need > _BUDGET_BYTES:
-            raise ValueError(
-                f"Q grid pass of {n} frequencies over {n_xi} points at depth {depth} "
-                f"needs more than its budget of {_BUDGET_BYTES} bytes"
-            )
+        need = _check_budget(what, base + 8 * (n_xi + tile) * max(width) + table)
     return need
 
 
@@ -225,7 +226,7 @@ def _grid_pass(
     tail = TailSpec(spec, m_i)
     level = np.asarray(levels.level(i), dtype=float)
     q = mass = t_sum = level_part = 0.0
-    for lam in np.array_split(level, _tile_count(level.size, xi.size)):
+    for lam in np.array_split(level, _part_count(level.size, 16 * level.size * xi.size, _TILE_BYTES)):
         f2 = _mask_power(factors[:m_i], lam, xi)
         t2 = _mask_power(factors[m_i:], lam, xi)
         t = tail_truncation_bound(tail, np.add.outer(lam * inv, xi * inv), depth - m_i)
@@ -253,19 +254,15 @@ def _lattice_q(
     """
     _pass_bytes(spec, levels, i, depth, grid_n + 1, lattice=True)
     factors = [(f.triple.B, f.product) for f in spec.factors(depth)]
-    lam = np.sort(levels.level(i))
-    if lam.dtype != object and max(-int(lam[0]), int(lam[-1])) >= _INT64_LIMIT - 2:
-        lam = lam.astype(object)  # lambda + n in Python ints
-    # lambda_j adds its last min(4, gap) values to U; lambda_j + n is row end_j - 1 + n
-    count = np.minimum(np.diff(lam, prepend=lam[0] - 4), 4).astype(np.int8)
-    end = np.cumsum(count, dtype=np.int64) - 1
+    lam, count = _lattice_rows(levels.level(i))
+    end = np.cumsum(count, dtype=np.int64) - 1  # lambda_j + n is row end_j - 1 + n
     u = np.repeat(lam, count)
     u -= np.repeat(end, count)
     u += np.arange(1, u.size + 1)
     u = u.astype(float)
     cols = np.arange(grid_n + 1) / grid_n
     q, start = [0.0] * 4, 0
-    for rows in np.array_split(u, _tile_count(u.size, cols.size)):
+    for rows in np.array_split(u, _part_count(u.size, 16 * u.size * cols.size, _TILE_BYTES)):
         g2 = _mask_power(factors, rows, cols)
         for k in range(4):  # n = k - 2
             lo, hi = np.searchsorted(end, (start + 3 - k, start + rows.size + 3 - k))

@@ -18,11 +18,12 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .convolution import (
-    _BUDGET_BYTES,
     DEFAULT_TAIL_DEPTH,
     ConvolutionSpec,
+    _check_budget,
     _delta_count,
     _mask_power,
+    _part_count,
     # unused here, but bench/tracing.py requires the name bound in this module
     fourier_tail,
     mask,
@@ -93,15 +94,12 @@ def search_order(K: int) -> tuple[int, ...]:
     """Integer shifts 0, 1, -1, 2, -2, ..., K, -K (smaller |k| first, + before -).
 
     Every shift search takes its window from here, so K >= 1 is checked
-    once, and so is the window's size: _SHIFT_BYTES per shift past
-    _BUDGET_BYTES raises ValueError before the first shift is formed.
+    once, and so is the window's size: _SHIFT_BYTES per shift past the
+    budget raises ValueError before the first shift is formed.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    if _SHIFT_BYTES * (2 * K + 1) > _BUDGET_BYTES:
-        raise ValueError(
-            f"a shift window of K = {K} needs more than its budget of {_BUDGET_BYTES} bytes"
-        )
+    _check_budget(f"a shift window of K = {K}", _SHIFT_BYTES * (2 * K + 1))
     out = [0]
     for j in range(1, K + 1):
         out.extend((j, -j))
@@ -141,19 +139,16 @@ class _Window(NamedTuple):
 
     @property
     def chunks(self) -> int:
-        """Consecutive chunks the window is cut into: of equal size and at least
-        two shifts (a one-column product takes another BLAS path), each within
-        _SIDE_BYTES of the kernel's shift side."""
+        """Consecutive chunks the window is cut into, each within _SIDE_BYTES
+        of the kernel's shift side (see _part_count)."""
         n = self.ks.size
-        return max(1, min(-(-8 * self.width * n // _SIDE_BYTES), n // 2))
+        return _part_count(n, 8 * self.width * n, _SIDE_BYTES)
 
     def parts(self, n: int, pairs: int) -> int:
-        """Parts to cut n points into: of equal size and at least two points (a
-        one-row product takes another BLAS path), each within pairs
-        (point, shift) pairs of a chunk and _SIDE_BYTES of the kernel's point side."""
+        """Parts to cut n points into, each within pairs (point, shift) pairs
+        of a chunk and _SIDE_BYTES of the kernel's point side (see _part_count)."""
         size = -(-self.ks.size // self.chunks)
-        need = max(-(-n * size // pairs), -(-8 * self.width * n // _SIDE_BYTES))
-        return max(1, min(need, n // 2))
+        return max(_part_count(n, n * size, pairs), _part_count(n, 8 * self.width * n, _SIDE_BYTES))
 
     def power(self, x: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
         """(first index, floored squared moduli over (x, chunk)) for each chunk in order.
@@ -246,15 +241,11 @@ def _zeros_in_unit_period(B, residual_tol: float) -> list[ZeroEnclosure]:
     simple, polished by one Newton step in xi and kept only if
     |M_B(xi)| <= residual_tol; the radius is twice the next step, |s/s'|/pi.
     numpy.roots takes the eigenvalues of a span x span companion matrix,
-    span = max B - min B, so a span whose ~16 * span^2 bytes pass
-    _BUDGET_BYTES raises ValueError before p is formed.
+    span = max B - min B, so a span whose ~16 * span^2 bytes pass the
+    budget raises ValueError before p is formed.
     """
     hi, span = max(B), max(B) - min(B)
-    if 16 * span**2 > _BUDGET_BYTES:
-        raise ValueError(
-            f"root finding on a mask of span {span} needs more than its budget"
-            f" of {_BUDGET_BYTES} bytes"
-        )
+    _check_budget(f"root finding on a mask of span {span}", 16 * span**2)
     p = [0] * (span + 1)
     for b in B:
         p[hi - b] += 1

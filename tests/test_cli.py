@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import convspec.cli
+import convspec.convolution
 import convspec.spectrum
 from convspec import (
     EquiPositivityCertificate,
@@ -324,30 +325,25 @@ def test_searches_over_the_empty_product_exit_3(capsys):
         assert "depth must be >= 1, got 0" in capsys.readouterr().err
 
 
-def test_spectrum_block_past_frequency_budget_exits_3(capsys, monkeypatch):
-    # delta 1e-300 puts m_2 at 499: a block of 2^498 frequencies.  jp has two
-    # digits per position, so a block within 2^20 frequencies spans <= 20
-    compose = convspec.spectrum.block_frequencies
-
-    def guarded(spec, p, q):
-        assert q - p <= 20, "next_level composed a block past its budget"
-        return compose(spec, p, q)
-
-    monkeypatch.setattr(convspec.spectrum, "block_frequencies", guarded)
-    assert main(["spectrum", "--preset", "jp", "--levels", "2", "--delta", "1e-300"]) == 3
-    assert "more than 1048576 frequencies" in capsys.readouterr().err
-
-
 def test_spectrum_level_past_atom_budget_exits_3(capsys, monkeypatch):
-    # jp levels double: with a budget of 4, level 3 (8 frequencies) is refused
-    # before its shift search runs
-    calls = []
+    # jp levels double: under a budget between the L2 and L3 estimates, read
+    # from the code, level 3 is refused before its shift search runs.  At
+    # depth 2 the shift search's factor tables stay under that budget too.
+    argv = ["spectrum", "--preset", "jp", "--levels", "3", "--depth", "2"]
+    calls, needs = [], []
     search = convspec.spectrum.choose_k
-    monkeypatch.setattr(convspec.spectrum, "MAX_LEVEL_ATOMS", 4)
     monkeypatch.setattr(convspec.spectrum, "choose_k",
                         lambda *a, **kw: calls.append(1) or search(*a, **kw))
-    assert main(["spectrum", "--preset", "jp", "--levels", "3"]) == 3
-    assert "level 3 would have 8 frequencies, more than 4" in capsys.readouterr().err
+    with monkeypatch.context() as m:
+        m.setattr(convspec.spectrum, "_check_budget", lambda what, need: needs.append(need))
+        assert main(argv) == 0
+    assert len(needs) == 3 and needs[1] < needs[2]
+    monkeypatch.setattr(convspec.convolution, "_BUDGET_BYTES", needs[2] - 1)
+    calls.clear()
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"level 3 of 4 x 2 frequencies needs more than its budget of {needs[2] - 1} bytes" in err
     assert len(calls) == 2
 
 
@@ -826,55 +822,65 @@ def test_parser_is_built_once():
     assert build_parser() is build_parser()
 
 
-@pytest.mark.parametrize("argv", [
-    ["spectrum", "--preset", "jp"],
-    ["equipos", "--preset", "jp", "--grid", "2", "--kmax", "1", "--skips", "0"],
-    ["zeros", "--preset", "jp", "--probe-xi", "0.3"],
-])
-def test_depth_past_the_factor_table_budget_exits_3(capsys, argv):
-    # the estimate takes about 0.1 s, while forming the table runs until memory
-    # runs out; 10 s, the CI step's timeout, tells them apart on a slow runner too
-    start = time.perf_counter()
-    assert main([*argv, "--depth", "10000000"]) == 3
-    assert time.perf_counter() - start < 10.0
-    assert "needs more than its budget of 1073741824 bytes" in capsys.readouterr().err
+JP = ["--preset", "jp"]
+PAST_THE_BUDGET = {  # argv, and what the message names
+    "spectrum-depth": (["spectrum", *JP, "--depth", "10000000"], "a table of 10000000 factors"),
+    # delta 1e-300 puts m_2 at 499: a block of 2^498 frequencies
+    "spectrum-delta": (["spectrum", *JP, "--levels", "2", "--delta", "1e-300"],
+                       f"level 2 of 2 x {2**498} frequencies"),
+    "spectrum-kmax": (["spectrum", *JP, "--kmax", "1000000000"], "a shift window of K = 1000000000"),
+    "verify-grid": (["verify", *JP, "--levels-file", "{levels}", "--grid", "10000000"],
+                    "a Q lattice scan of 8 frequencies over 10000001 points at depth 30"),
+    "verify-depth": (["verify", *JP, "--levels-file", "{levels}", "--depth", "10000000"],
+                     "a Q lattice scan of 8 frequencies over 65 points at depth 10000000"),
+    "equipos-depth": (["equipos", *JP, "--grid", "2", "--kmax", "1", "--skips", "0",
+                       "--depth", "10000000"], "a table of 10000000 factors"),
+    "equipos-kmax": (["equipos", *JP, "--grid", "2", "--skips", "0", "--kmax", "1000000000"],
+                     "a shift window of K = 1000000000"),
+    "zeros-depth": (["zeros", *JP, "--probe-xi", "0.3", "--depth", "10000000"],
+                    "a table of 10000000 factors"),
+    "zeros-kmax": (["zeros", *JP, "--probe-xi", "0.3", "--kmax", "1000000000"],
+                   "a shift window of K = 1000000000"),
+    # span 10^5 would need an 80 GB companion matrix
+    "zeros-mask": (["zeros", "--mask", "0,100000"], "root finding on a mask of span 100000"),
+    "zeros-products": (["zeros", "--config", "{wide}", "--products-h", "5"],
+                       "root finding on a mask of span 100000"),
+}
 
 
-@pytest.mark.parametrize("argv", [
-    ["spectrum", "--preset", "jp"],
-    ["equipos", "--preset", "jp", "--grid", "2", "--skips", "0"],
-    ["zeros", "--preset", "jp", "--probe-xi", "0.3"],
-])
-def test_shift_window_past_its_budget_exits_3(capsys, argv):
-    # 2 * 10^9 + 1 shifts: the window is refused before its first shift is formed
+@pytest.mark.parametrize("case", list(PAST_THE_BUDGET))
+def test_past_the_budget_exits_3(capsys, tmp_path, monkeypatch, case):
+    # every estimate is checked before what it estimates is formed: exit 3 at
+    # once, with a small traced peak, where forming it runs until memory runs
+    # out; 10 s, the CI step's timeout, tells them apart on a slow runner too
+    argv, what = PAST_THE_BUDGET[case]
+    levels, wide = tmp_path / "levels.json", tmp_path / "wide.json"
+    assert main(["spectrum", *JP, "--levels", "3", "--out", str(levels)]) == 0
+    wide.write_text(json.dumps({"triples": [{"N": 200000, "B": [0, 100000], "L": [0, 1]}]}))
+    monkeypatch.setattr(np, "roots", lambda *a: pytest.fail("np.roots was called"))
+    compose = convspec.spectrum.block_frequencies
+
+    def guarded(spec, p, q):
+        # a block within the budget has at most 2^20 frequencies at 512 bytes
+        # each, so with jp's two digits per position it spans at most 20
+        assert q - p <= 20, "next_level composed a block past its budget"
+        return compose(spec, p, q)
+
+    monkeypatch.setattr(convspec.spectrum, "block_frequencies", guarded)
+    capsys.readouterr()
     start = time.perf_counter()
     tracemalloc.start()
     try:
-        assert main([*argv, "--kmax", "1000000000"]) == 3
+        code = main([a.format(levels=levels, wide=wide) for a in argv])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert time.perf_counter() - start < 10.0
+    assert code == 3
     assert peak < 8 << 20
-    err = capsys.readouterr().err
-    assert "a shift window of K = 1000000000 needs more than its budget of 1073741824 bytes" in err
+    assert f"{what} needs more than its budget of 1073741824 bytes" in capsys.readouterr().err
 
 
 def test_depth_within_the_factor_table_budget_runs(capsys):
     assert main(["equipos", "--preset", "jp", "--grid", "2", "--kmax", "1", "--skips", "0",
                  "--depth", "20000"]) == 0
-
-
-@pytest.mark.parametrize("mode", ["mask", "products"])
-def test_zeros_past_the_root_budget_exits_3(capsys, tmp_path, monkeypatch, mode):
-    # span 10^5 would need an 80 GB companion matrix: refused before np.roots
-    monkeypatch.setattr(np, "roots", lambda *a: pytest.fail("np.roots was called"))
-    cfg = tmp_path / "wide.json"
-    cfg.write_text(json.dumps({"triples": [{"N": 200000, "B": [0, 100000], "L": [0, 1]}]}))
-    argv = {"mask": ["--mask", "0,100000"],
-            "products": ["--config", str(cfg), "--products-h", "5"]}[mode]
-    start = time.perf_counter()
-    assert main(["zeros", *argv]) == 3
-    assert time.perf_counter() - start < 10.0
-    err = capsys.readouterr().err
-    assert "mask of span 100000 needs more than its budget of 1073741824 bytes" in err

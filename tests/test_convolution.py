@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -12,7 +13,6 @@ import pytest
 
 from convspec import (
     ConvolutionSpec,
-    DepthTooLargeError,
     DiscreteMeasure,
     HadamardTriple,
     SelectionWord,
@@ -137,37 +137,80 @@ def test_finite_level_recursion_exact(mixed_spec):
 def test_finite_level_rejects_bad_depth(jp_spec, monkeypatch):
     with pytest.raises(ValueError):
         finite_level(jp_spec, 0)
-    monkeypatch.setattr(convspec.convolution, "MAX_DENOMINATOR_BITS", 16)
-    with pytest.raises(DepthTooLargeError):
+    monkeypatch.setattr(convspec.convolution, "_BUDGET_BYTES", 1 << 16)
+    with pytest.raises(ValueError, match="needs more than its budget of 65536 bytes$"):
         finite_level(jp_spec, 40)
 
 
+def level_estimates(spec, n, monkeypatch):
+    """finite_level's estimates of levels 1..n, read from its budget checks."""
+    needs = []
+    with monkeypatch.context() as m:
+        m.setattr(convspec.convolution, "_check_budget",
+                  lambda what, need, walk=None: needs.append(need) if what.startswith("finite") else 0)
+        finite_level(ConvolutionSpec(spec.family, spec.word), n)
+    return needs
+
+
 def test_finite_level_budget_names_first_level_past_it(jp_spec, monkeypatch):
-    # P_k = 4^k has 2k + 1 bits, so a 16-bit budget runs out at level 8
-    monkeypatch.setattr(convspec.convolution, "MAX_DENOMINATOR_BITS", 16)
+    # jp level k has 2^k atoms of up to 3k + 3 bits (each P_k bounded by its
+    # scales' bits), so a budget just under level 8's estimate runs out there
+    need = level_estimates(jp_spec, 8, monkeypatch)
+    assert len(need) == 8 and all(0 < a < b for a, b in zip(need, need[1:]))
+    monkeypatch.setattr(convspec.convolution, "_BUDGET_BYTES", need[-1] - 1)
     for n in (8, 40, 10**9):
-        with pytest.raises(DepthTooLargeError, match="16 bits at level 8$"):
+        with pytest.raises(ValueError, match="^finite level 8 of 256 atoms of up to 27 bits needs"):
             finite_level(jp_spec, n)
     assert len(finite_level(jp_spec, 7)) == 2**7
-    for bits in (0, 1, 2):
-        monkeypatch.setattr(convspec.convolution, "MAX_DENOMINATOR_BITS", bits)
-        with pytest.raises(DepthTooLargeError, match="at level 1$"):
+    for budget in (0, 1, 2):
+        monkeypatch.setattr(convspec.convolution, "_BUDGET_BYTES", budget)
+        with pytest.raises(ValueError, match="^finite level 1 of 2 atoms"):
             finite_level(jp_spec, 3)
 
 
 def test_finite_level_atom_budget_fails_before_building(mixed_spec, monkeypatch):
-    # 2^9 3^9 atoms at level 18 pass 2^22, while P_20 has only 26 bits
+    # 2^10 3^9 atoms at level 19 take 96 bytes each, past 1 GiB, while
+    # P_20 has only 26 bits
     def no_merge(*args, **kwargs):
         raise AssertionError("finite_level merged atoms before its budget check")
 
     monkeypatch.setattr(np, "unique", no_merge)
-    for n in (18, 20):
-        with pytest.raises(DepthTooLargeError, match="atoms exceed 4194304 at level 18$"):
+    for n in (19, 20):
+        with pytest.raises(ValueError, match="^finite level 19 of 20155392 atoms of up to 41 bits"):
             finite_level(mixed_spec, n)
 
 
+def test_finite_level_budget_bounds_wide_numerators(monkeypatch):
+    # a valid triple whose numerators grow by 100 bits a level: level 21 holds
+    # 2^21 boxed ints of ~2,100 bits, near 1.6 GB, though it has few atoms
+    spec = ConvolutionSpec((HadamardTriple(2**100, (0, 1), (0, 2**99)),), SelectionWord())
+    monkeypatch.setattr(np, "unique", lambda *a, **k: pytest.fail("np.unique was called"))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^finite level 21 of 2097152 atoms of up to 2123 bits"):
+        finite_level(spec, 22)
+    assert time.perf_counter() - start < 1.0
+    assert "_factor_table" not in spec.__dict__
+
+
+def test_finite_level_memory_stays_within_its_estimate(jp_spec, mixed_spec, monkeypatch):
+    # int64 numerators (jp L16, mixed L12) and boxed ones (jp exponent 3 at
+    # L16, the 2^100 triple at L12); traced at 1.09x to 1.35x
+    jp3 = ConvolutionSpec(jp_spec.family, SelectionWord(exp_period=(3,)))
+    wide = ConvolutionSpec((HadamardTriple(2**100, (0, 1), (0, 2**99)),), SelectionWord())
+    for spec, n in ((jp_spec, 16), (mixed_spec, 12), (jp3, 16), (wide, 12)):
+        need = level_estimates(spec, n, monkeypatch)[-1]
+        fresh = ConvolutionSpec(spec.family, spec.word)  # its factor table is formed too
+        tracemalloc.start()
+        try:
+            finite_level(fresh, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= need, (n, peak, need)
+
+
 def test_finite_level_budget_walks_no_factor_past_it(jp_spec, mixed_spec, monkeypatch):
-    # both budgets run out by level 23, so no long factor table may be formed
+    # the estimate passes the budget by level 23, so no long factor table may be formed
     factors = ConvolutionSpec.factors
 
     def short_factors(self, n):
@@ -176,9 +219,9 @@ def test_finite_level_budget_walks_no_factor_past_it(jp_spec, mixed_spec, monkey
         return factors(self, n)
 
     monkeypatch.setattr(ConvolutionSpec, "factors", short_factors)
-    with pytest.raises(DepthTooLargeError, match="atoms exceed 4194304 at level 18$"):
+    with pytest.raises(ValueError, match="^finite level 19 of 20155392 atoms"):
         finite_level(mixed_spec, 10**6)
-    with pytest.raises(DepthTooLargeError, match="atoms exceed 4194304 at level 23$"):
+    with pytest.raises(ValueError, match="^finite level 23 of 8388608 atoms"):
         finite_level(jp_spec, 10**6)
 
 
@@ -747,7 +790,7 @@ def test_factor_table_past_its_budget_raises_before_it_is_formed(
     # the budget is checked against the estimate of the walk verify's grid pass
     # uses, at every length, before a factor of the new table is formed
     for spec in (jp_spec, mixed_spec):
-        need = [b for _, b in convspec.convolution._table_walk(spec, 50)]
+        need = [b for _, _, b in convspec.convolution._table_walk(spec, 50)]
         assert all(0 < a < b for a, b in zip(need, need[1:]))
         monkeypatch.setattr(convspec.convolution, "_BUDGET_BYTES", need[-1])
         fresh = ConvolutionSpec(spec.family, spec.word)
@@ -758,12 +801,13 @@ def test_factor_table_past_its_budget_raises_before_it_is_formed(
         assert len(fresh.factors(10)) == 10
     # ~512 bytes per factor plus the bits of each P_k: jp's 20,000 factors of 4
     # take 86 MB, so 1 GiB is passed near 75,000 factors
-    table = max(b for _, b in convspec.convolution._table_walk(jp_spec, 20000))
+    table = max(b for _, _, b in convspec.convolution._table_walk(jp_spec, 20000))
     assert 80e6 < table < 90e6
 
 
 def test_factor_table_walks_its_estimate_only_past_the_ceiling(monkeypatch, jp_spec):
-    # next_level's 512 factors stay far under the ceiling, so no walk is made
+    # a table of 512 factors, max_m's default, stays far under the ceiling, so
+    # no walk is made
     def no_walk(spec, n):
         raise AssertionError("walked")
 

@@ -207,9 +207,9 @@ def test_gram_lambda_as_integer_arrays(gram_levels, jp_spec, monkeypatch):
         assert orthonormality_gram(mu, np.array(lam, dtype=dtype)) == orthonormality_gram(mu, lam)
     mu = finite_level(jp_spec, 16)
     assert mu.denominator == 2**31
-    monkeypatch.setattr(verify, "_BUDGET_BYTES", 1)
+    monkeypatch.setattr(convspec.convolution, "_BUDGET_BYTES", 1)
     for dtype in (np.int8, np.int32):
-        with pytest.raises(ValueError, match="over its budget of 1$"):
+        with pytest.raises(ValueError, match="needs more than its budget of 1 bytes$"):
             orthonormality_gram(mu, np.arange(100, dtype=dtype))
 
 
@@ -220,14 +220,17 @@ def test_gram_rejects_non_integer_lambda(jp_spec, lam):
 
 
 def gram_bytes(mu, lam, monkeypatch):
-    """The bytes the Gram check asks for, read from its error under a 1-byte budget."""
+    """The bytes the Gram check asks for, read from its budget check under a 1-byte budget."""
+    needs, check = [], verify._check_budget
     with monkeypatch.context() as m:
-        m.setattr(verify, "_BUDGET_BYTES", 1)
+        m.setattr(convspec.convolution, "_BUDGET_BYTES", 1)
+        m.setattr(verify, "_check_budget", lambda what, need: check(what, needs.append(need) or need))
         for name in ("bincount", "empty"):  # no array of the check's size is formed
             m.setattr(np, name, lambda *a, **k: pytest.fail("allocated before the budget check"))
-        with pytest.raises(ValueError, match="over its budget of 1$") as err:
+        with pytest.raises(ValueError, match="needs more than its budget of 1 bytes$"):
             orthonormality_gram(mu, lam)
-    return int(err.value.args[0].split("needs about ")[1].split()[0])
+    (need,) = needs
+    return need
 
 
 def test_gram_memory_stays_within_its_estimate(gram_levels, jp_spec, monkeypatch):
@@ -250,21 +253,21 @@ def test_gram_memory_budget(jp_spec, mixed_spec, monkeypatch):
     jp3 = ConvolutionSpec(jp_spec.family, SelectionWord(exp_period=(3,)))
     # the matrix path of jp exponent 3 at L12, 2^24 entries, fits the budget
     mu = finite_level(jp3, 12)
-    assert gram_bytes(mu, range(4096), monkeypatch) <= verify._BUDGET_BYTES
+    assert gram_bytes(mu, range(4096), monkeypatch) <= convspec.convolution._BUDGET_BYTES
     # the FFT paths at jp L16 (D = 2^31) and mixed L7 (D = 93,312)
     mu = finite_level(jp_spec, 16)
     assert mu.denominator == 2**31
-    assert gram_bytes(mu, range(len(mu)), monkeypatch) > verify._BUDGET_BYTES
+    assert gram_bytes(mu, range(len(mu)), monkeypatch) > convspec.convolution._BUDGET_BYTES
     levels = build_quiet(mixed_spec, 7)
     mu = finite_level(mixed_spec, levels.m(7))
     need = gram_bytes(mu, levels.level(7), monkeypatch)
-    assert need <= verify._BUDGET_BYTES
+    assert need <= convspec.convolution._BUDGET_BYTES
     # the error names the sizes, and a budget of exactly the need runs
     with monkeypatch.context() as m:
-        m.setattr(verify, "_BUDGET_BYTES", need - 1)
+        m.setattr(convspec.convolution, "_BUDGET_BYTES", need - 1)
         with pytest.raises(ValueError, match="of 93312 lambdas on 93312 atoms over D = 93312"):
             orthonormality_gram(mu, levels.level(7))
-        m.setattr(verify, "_BUDGET_BYTES", need)
+        m.setattr(convspec.convolution, "_BUDGET_BYTES", need)
         assert orthonormality_gram(mu, levels.level(7)) == 0.0
 
 
@@ -693,7 +696,8 @@ def test_grid_pass_memory_stays_within_its_estimate(deep_levels, jp_spec):
         finally:
             tracemalloc.stop()
         assert peak <= need, (i, depth, n_xi, peak, need)
-    # the lattice scans of jp L9 and mixed L5 over 65 columns
+    # the lattice scans of jp L9 and mixed L5 over 65 columns, whose rows U
+    # are counted from the level's gaps: traced at 1.04x and 1.12x
     for spec, levels in deep_levels.values():
         i = levels.level_count
         need = verify._pass_bytes(spec, levels, i, 30, 65, lattice=True)
@@ -704,19 +708,20 @@ def test_grid_pass_memory_stays_within_its_estimate(deep_levels, jp_spec):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= need, (i, peak, need)
+        assert peak <= need <= 1.5 * peak, (i, peak, need)
 
 
 def test_grid_pass_memory_budget(jp_spec, monkeypatch):
     levels = build_quiet(jp_spec, 3)
-    over = f"needs more than its budget of {verify._BUDGET_BYTES} bytes"
+    budget = convspec.convolution._BUDGET_BYTES
+    over = f"needs more than its budget of {budget} bytes"
     # 128,001 coarse points (--grid 32000) fit the budget, 4,000,001 do not:
     # a tile keeps two rows, so the kernel's sides grow with the grid
-    assert verify._pass_bytes(jp_spec, levels, 3, 30, 4 * 32000 + 1) <= verify._BUDGET_BYTES
+    assert verify._pass_bytes(jp_spec, levels, 3, 30, 4 * 32000 + 1) <= budget
     with pytest.raises(ValueError, match=over):
         verify._pass_bytes(jp_spec, levels, 3, 30, 4 * 10**6 + 1)
     # so do the lattice scan's 32,001 columns, and 10,000,001 do not
-    assert verify._pass_bytes(jp_spec, levels, 3, 30, 32001, lattice=True) <= verify._BUDGET_BYTES
+    assert verify._pass_bytes(jp_spec, levels, 3, 30, 32001, lattice=True) <= budget
     with pytest.raises(ValueError, match=over):
         verify._pass_bytes(jp_spec, levels, 3, 30, 10**7 + 1, lattice=True)
     # neither a huge grid nor a huge depth forms the grid, U or a P_k first
@@ -732,8 +737,8 @@ def test_grid_pass_memory_budget(jp_spec, monkeypatch):
     need = verify._pass_bytes(jp_spec, levels, 3, 30, 1000)
     xi = np.linspace(-2, 2, 1000)
     with monkeypatch.context() as m:
-        m.setattr(verify, "_BUDGET_BYTES", need - 1)
+        m.setattr(convspec.convolution, "_BUDGET_BYTES", need - 1)
         with pytest.raises(ValueError, match="of 8 frequencies over 1000 points at depth 30"):
             verify._grid_pass(jp_spec, levels, 3, 30, xi)
-        m.setattr(verify, "_BUDGET_BYTES", need)
+        m.setattr(convspec.convolution, "_BUDGET_BYTES", need)
         assert verify._grid_pass(jp_spec, levels, 3, 30, xi).q.shape == (1000,)

@@ -293,7 +293,7 @@ def test_probe_candidate_zero_on_uniform_word(e14_tail_spec):
 
 
 def test_search_order_checks_its_window_against_the_budget(monkeypatch):
-    monkeypatch.setattr(convspec.zeros, "_BUDGET_BYTES", 64 * 17)
+    monkeypatch.setattr(convspec.convolution, "_BUDGET_BYTES", 64 * 17)
     assert len(search_order(8)) == 17
     with pytest.raises(ValueError, match="K = 9 needs more than its budget of 1088 bytes"):
         search_order(9)
