@@ -58,6 +58,13 @@ PRESETS = {
         ],
         "word": {"prefix": [1], "period": [2], "exp_prefix": [], "exp_period": [1]},
     },
+    "mixed": {
+        "triples": [
+            {"N": 2, "B": [0, 1], "L": [0, 1]},
+            {"N": 3, "B": [0, 1, 2], "L": [0, 1, 2]},
+        ],
+        "word": {"prefix": [], "period": [1, 2], "exp_prefix": [], "exp_period": [1]},
+    },
 }
 
 

@@ -27,6 +27,7 @@ from .convolution import (
     _INT64_LIMIT,
     _check_budget,
     _delta_count,
+    _int_bytes,
     _inv_float,
     _mask_power,
     _part_count,
@@ -51,9 +52,10 @@ __all__ = [
 DEFAULT_COMPLETENESS_TOL = 1e-9
 DEFAULT_Q_SLACK = 1e-3
 _EXTRA_WORST = 10  # worst points of the coarse scan added to the report grid
-_RESIDUE_CHUNK_BYTES = 8 << 20  # bytes of residues per Gram chunk
+_RESIDUE_CHUNK_BYTES = 8 << 20  # bytes of a Gram chunk's residues and phases
+_EXACT_DOUBLE_LIMIT = 1 << 53  # integers up to here are exact doubles
+_GRAM_WORD_BYTES = 64  # per lambda and atom on the Gram check's matrix path: residues, weights
 _TILE_BYTES = 1 << 20  # bytes of a Q tile's pairs, 16 each for the mask kernel's result and term
-_BOXED_INT_BYTES = 64  # an object-array pointer and the Python int it points to
 _FFT_BYTES = 64  # peak bytes per residue bin or lambda on the Gram check's FFT path
 
 
@@ -73,6 +75,30 @@ def _residues(values: Sequence[int] | np.ndarray, d: int, name: str) -> np.ndarr
     return (a % d).astype(np.int64, copy=False)
 
 
+def _products_mod(lam: np.ndarray, u: np.ndarray, d: int) -> np.ndarray:
+    """lam[:, None] * u[None, :] mod d, for residues in [0, d): int64 up to
+    d = 2^53, Python ints past it.
+
+    Up to 2^53 every residue and d are exact doubles, so q = floor(lam * (u / d))
+    is near the true quotient t = lam * u / d: two roundings of relative error
+    2^-53 move t < d <= 2^53 by just over 2 at most, so |t - q| < 4 and
+    |lam * u - q * d| < 4d <= 2^55 < 2^63.  That difference is formed in
+    uint64, whose products wrap modulo 2^64, and read as int64 it is the
+    integer itself; one floor mod by d then gives the residue.
+    """
+    if d > _EXACT_DOUBLE_LIMIT:
+        r = np.outer(lam.astype(object), u.astype(object))
+        r %= d
+        return r
+    q = np.multiply.outer(lam.astype(float), u / d).astype(np.uint64)  # floor, as both are >= 0
+    q *= np.uint64(d)
+    r = np.multiply.outer(lam.view(np.uint64), u.view(np.uint64))
+    r -= q
+    r = r.view(np.int64)
+    r %= d
+    return r
+
+
 def orthonormality_gram(measure: DiscreteMeasure, Lambda: Sequence[int]) -> float:
     """Max entrywise deviation of the exponential Gram matrix from identity.
 
@@ -87,9 +113,13 @@ def orthonormality_gram(measure: DiscreteMeasure, Lambda: Sequence[int]) -> floa
     Those residues are the support of the pair counts, the autocorrelation
     of the lambdas' histogram mod D, by a second FFT.  Otherwise the
     deviation comes from the matrix product of the exponentials at
-    (lambda * u mod D) / D, reduced in Python ints a chunk of rows at a
-    time.  A check whose estimate passes the budget raises ValueError
-    before it starts.
+    (lambda * u mod D) / D, a chunk of rows at a time (_products_mod): in
+    int64 up to D = 2^53, where the residue and D are exact doubles and one
+    IEEE division rounds their quotient as Python's int / int does, so the
+    floats are those of the Python-int reduction, which runs past 2^53.
+    The estimate counts the exponentials e, G and the largest of a chunk,
+    e * w and |G| beside them.  A check whose estimate passes the budget
+    raises ValueError before it starts.
     """
     d = measure.denominator
     lam = _residues(Lambda if isinstance(Lambda, np.ndarray) else tuple(Lambda), d, "Lambda")
@@ -97,10 +127,17 @@ def orthonormality_gram(measure: DiscreteMeasure, Lambda: Sequence[int]) -> floa
         raise ValueError("Lambda must be nonempty")
     n, k = lam.size, len(measure)
     fft = d <= n * k
-    _check_budget(
-        f"a Gram check of {n} lambdas on {k} atoms over D = {d}",
-        _FFT_BYTES * (d + n) if fft else 2 * _RESIDUE_CHUNK_BYTES + 16 * n * (2 * k + n),
-    )
+    if fft:
+        need = _FFT_BYTES * (d + n)
+    else:
+        # a chunk's bytes per pair: two int64 or float arrays up to 2^53; past
+        # it a boxed product of twice the bits of D, then a boxed residue, a
+        # Python float with its pointer and the float64 phase
+        pair = 16 if d <= _EXACT_DOUBLE_LIMIT else _int_bytes(2 * d.bit_length()) + 40
+        parts = _part_count(n, pair * n * k, _RESIDUE_CHUNK_BYTES)
+        chunk = pair * -(-n // parts) * k
+        need = 16 * n * (k + n) + max(chunk, 16 * n * k, 8 * n * n) + _GRAM_WORD_BYTES * (n + k)
+    _check_budget(f"a Gram check of {n} lambdas on {k} atoms over D = {d}", need)
     u = _residues(measure.numerators, d, "numerators")
     w = measure.weights()
     if fft:
@@ -116,13 +153,13 @@ def orthonormality_gram(measure: DiscreteMeasure, Lambda: Sequence[int]) -> floa
             raise RuntimeError(f"pair counts of {n} lambdas mod {d} are not integers")
         off = 1.0 if h.max() > 1 else 0.0
         return max(off, float(c[counts > 0].max(initial=0.0)))
-    uo = u.astype(object)
     e = np.empty((n, k), dtype=complex)
-    rows = max(1, _RESIDUE_CHUNK_BYTES // (_BOXED_INT_BYTES * k))
-    for i in range(0, n, rows):
-        r = np.outer(lam[i : i + rows].astype(object), uo)
-        r %= d
-        np.exp(np.asarray(r / d, dtype=float) * (-2j * np.pi), out=e[i : i + rows])
+    start = 0
+    for rows in np.array_split(lam, parts):
+        part = e[start : start + rows.size]
+        np.multiply(np.asarray(_products_mod(rows, u, d) / d, dtype=float), -2j * np.pi, out=part)
+        np.exp(part, out=part)
+        start += rows.size
     g = (e * w) @ np.conj(e, out=e).T  # e * w is formed before e is conjugated
     g.flat[:: n + 1] -= 1.0  # minus the identity
     return float(np.max(np.abs(g)))

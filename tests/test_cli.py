@@ -140,6 +140,23 @@ def test_spectrum_then_verify_roundtrip(capsys, tmp_path):
     assert payload["completeness_defect"] <= 1e-9
 
 
+def test_mixed_preset_is_its_config(tmp_path):
+    # the preset names the gcd-1 family that config files used to spell out
+    cfg = tmp_path / "mixed.json"
+    cfg.write_text(json.dumps({
+        "triples": [{"N": 2, "B": [0, 1], "L": [0, 1]}, {"N": 3, "B": [0, 1, 2], "L": [0, 1, 2]}],
+        "word": {"period": [1, 2]},
+    }))
+    out = {}
+    for name, source in (("preset", ["--preset", "mixed"]), ("config", ["--config", str(cfg)])):
+        levels, report = tmp_path / f"{name}_levels.json", tmp_path / f"{name}_verify.json"
+        assert main(["spectrum", *source, "--levels", "3", "--out", str(levels)]) == 0
+        assert main(["verify", *source, "--levels-file", str(levels), "--out", str(report)]) == 0
+        out[name] = levels.read_bytes(), report.read_bytes()
+    assert out["preset"] == out["config"]
+    assert json.loads(out["preset"][1])["passed"] is True
+
+
 def test_verify_grid_override_same_verdict(capsys, tmp_path):
     levels_path = tmp_path / "levels.json"
     main(["spectrum", "--preset", "jp", "--levels", "3", "--out", str(levels_path)])

@@ -77,7 +77,7 @@ def exact_phase_gram_deviation(mu, lam):
 def test_gram_deviation_is_the_identity_subtraction(jp_spec, mixed_spec, monkeypatch):
     # both sides of the FFT / matrix choice, D <= |Lambda| * #atoms, with
     # D^2 below and past 2^63 on the matrix side, in one chunk of rows and
-    # in one row per chunk
+    # in chunks of two or three rows (_part_count's least)
     jp3 = ConvolutionSpec(jp_spec.family, SelectionWord(exp_period=(3,)))
     jp5 = ConvolutionSpec(jp_spec.family, SelectionWord(exp_period=(5,)))
     sides = set()
@@ -96,14 +96,83 @@ def test_gram_deviation_is_the_identity_subtraction(jp_spec, mixed_spec, monkeyp
     assert sides == {(True, True), (False, True), (False, False)}
 
 
+# the deviations of the Python-int reduction at jp exponent 3 and 5, levels 1..8
+JP_EXPONENT_DEVIATIONS = {
+    3: (6.123233995736766e-17, 1.0408340855860843e-16, 1.1102230246251565e-16, 1.3548623466035522e-16,
+        4.440892098500626e-16, 4.440892098500626e-16, 1.1102230246251565e-15, 1.1102230246251565e-15),
+    5: (6.123233995736766e-17, 1.1102230246251565e-16, 1.1102230246251565e-16, 2.220446049250313e-16,
+        3.3306690738754696e-16, 4.440892098500626e-16, 1.3322676295501878e-15, 1.3322676295501878e-15),
+}
+
+
 def test_gram_jp_higher_exponents_up_to_level_8(jp_spec):
-    # float phases lambda * x read 5e-4 at jp exponent 3 level 8, 1.0 at exponent 5
+    # float phases lambda * x read 5e-4 at jp exponent 3 level 8, 1.0 at exponent 5;
+    # the matrix path runs throughout, D = 2^5 .. 2^47 (exponent 3) and 2^9 .. 2^79
+    # (exponent 5), and its floats are those of the Python-int reduction
     for e in (3, 5):
         spec = ConvolutionSpec(jp_spec.family, SelectionWord(exp_period=(e,)))
         levels = build_quiet(spec, 8)
         for i in range(1, 9):
             mu = finite_level(spec, levels.m(i))
-            assert orthonormality_gram(mu, levels.level(i)) <= 1e-10
+            dev = orthonormality_gram(mu, levels.level(i))
+            assert dev <= 1e-10
+            assert dev == JP_EXPONENT_DEVIATIONS[e][i - 1], (e, i)
+
+
+@pytest.mark.parametrize("d", [2, 3, 2**31 - 1, 6**20, 2**53 - 1, 2**53, 2**53 + 1])
+def test_products_mod_matches_python_ints(d):
+    # up to D = 2^53 the residues come from int64 arithmetic, past it from Python ints
+    rng = random.Random(d)
+    lam = [0, 1, d - 1] + [rng.randrange(d) for _ in range(29)]
+    u = [d - 1, 0, 1] + [rng.randrange(d) for _ in range(13)]
+    r = verify._products_mod(np.array(lam, dtype=np.int64), np.array(u, dtype=np.int64), d)
+    assert r.dtype == (np.int64 if d <= 2**53 else object)
+    assert r.tolist() == [[a * b % d for b in u] for a in lam]
+
+
+def spy_products_mod(monkeypatch):
+    """The dtypes of every chunk of residues the Gram check forms."""
+    dtypes, products_mod = [], verify._products_mod
+
+    def spy(lam, u, d):
+        r = products_mod(lam, u, d)
+        dtypes.append(r.dtype)
+        return r
+
+    monkeypatch.setattr(verify, "_products_mod", spy)
+    return dtypes
+
+
+@pytest.fixture(scope="module")
+def jp3_levels():
+    return build_quiet(ConvolutionSpec((JP_TRIPLE,), SelectionWord(exp_period=(3,))), 10)
+
+
+def test_gram_reduces_in_int64_up_to_2_53(jp3_levels, monkeypatch):
+    # jp exponent 3: D = 2^47 at L8 and 2^53 at L9, the last int64 level; the
+    # deviations are the floats of the Python-int reduction
+    spec = ConvolutionSpec((JP_TRIPLE,), SelectionWord(exp_period=(3,)))
+    monkeypatch.setattr(np, "outer", lambda *a, **k: pytest.fail("object outer product formed"))
+    dtypes = spy_products_mod(monkeypatch)
+    for i, d in ((8, 2**47), (9, 2**53)):
+        mu = finite_level(spec, jp3_levels.m(i))
+        assert mu.denominator == d
+        assert orthonormality_gram(mu, jp3_levels.level(i)) == 1.1102230246251565e-15
+    assert set(dtypes) == {np.dtype(np.int64)}
+
+
+def test_gram_reduces_in_python_ints_past_2_53(jp3_levels, monkeypatch):
+    # jp exponent 3 L10: D = 2^59, where the residues are Python ints
+    spec = ConvolutionSpec((JP_TRIPLE,), SelectionWord(exp_period=(3,)))
+    mu = finite_level(spec, jp3_levels.m(10))
+    assert mu.denominator == 2**59
+    lam = jp3_levels.level(10)
+    dtypes = spy_products_mod(monkeypatch)
+    assert orthonormality_gram(mu, lam) == 1.1102230246251565e-15
+    assert dtypes and set(dtypes) == {np.dtype(object)}
+    # the oracle takes every pair's phases as Fractions, so it checks 16 of the lambdas
+    few = lam[:: len(lam) // 16].tolist()
+    assert orthonormality_gram(mu, few) == pytest.approx(exact_phase_gram_deviation(mu, few), rel=0, abs=1e-14)
 
 
 def test_finite_level_and_gram_form_no_fraction(mixed_spec, monkeypatch):
@@ -247,6 +316,22 @@ def test_gram_memory_stays_within_its_estimate(gram_levels, jp_spec, monkeypatch
         finally:
             tracemalloc.stop()
         assert peak <= need, (mu.denominator, peak, need)
+
+
+def test_gram_matrix_estimate_is_tight(jp3_levels, monkeypatch):
+    # the matrix path's estimate counts what it forms: within 1.2x of the
+    # traced peak in int64 (jp exponent 3 L8 and L9, D = 2^47 and 2^53)
+    spec = ConvolutionSpec((JP_TRIPLE,), SelectionWord(exp_period=(3,)))
+    for i in (8, 9):
+        mu, lam = finite_level(spec, jp3_levels.m(i)), jp3_levels.level(i)
+        need = gram_bytes(mu, lam, monkeypatch)
+        tracemalloc.start()
+        try:
+            orthonormality_gram(mu, lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= need <= 1.2 * peak, (i, peak, need)
 
 
 def test_gram_memory_budget(jp_spec, mixed_spec, monkeypatch):
