@@ -215,20 +215,15 @@ class SpectrumLevels:
         return cls(levels=((0,),), indices=(), shifts=(), params=params)
 
 
-def _normalized_spec(spec: ConvolutionSpec) -> ConvolutionSpec:
-    return ConvolutionSpec(
-        tuple(normalize_frequencies(t) for t in spec.family), spec.word
-    )
-
-
 def block_frequencies(spec: ConvolutionSpec, p: int, q: int) -> HadamardTriple:
     """Composite triple over factor positions p+1..q (frequencies normalized)."""
     if not 0 <= p < q:
         raise ValueError(f"invalid range: need 0 <= p < q, got p={p}, q={q}")
+    normalized = {t: normalize_frequencies(t).L for t in spec.family}
     # position k as a plain triple: (N^e, B, N^(e-1) L)
     return compose_triples([
-        HadamardTriple(s, t.B, tuple(s // t.N * l for l in t.L))
-        for t, s, _ in _normalized_spec(spec).factors(q)[p:]
+        HadamardTriple(s, t.B, tuple(s // t.N * l for l in normalized[t]))
+        for t, s, _ in spec.factors(q)[p:]
     ])
 
 
@@ -238,7 +233,8 @@ def next_level(spec: ConvolutionSpec, state: SpectrumLevels) -> SpectrumLevels:
     m_i is the least index past the current one, up to max_m, whose
     accumulated scale shrinks every current element below delta/2; the shift
     of each block frequency comes from the tail-transform search, with the
-    achieved value required to reach epsilon.
+    achieved value required to reach epsilon.  A spec runs the search of each
+    distinct step once and keeps it for the steps that repeat it.
     """
     params = state.params
     prev = state.levels[-1]
@@ -266,16 +262,24 @@ def next_level(spec: ConvolutionSpec, state: SpectrumLevels) -> SpectrumLevels:
     blocks = block_frequencies(spec, m_prev, m_i)
     n0_prev = spec.scale_product(m_prev)
 
-    # one shift search over every block frequency, each at x = frac(lambda/N)
+    # one shift search over every block frequency, each at x = frac(lambda/N);
+    # equal tail words spell equal tails, so the spec keeps each search, outside
+    # its dataclass fields as its factor table is, for the steps that repeat it
     ratios = [Fraction(lam, blocks.N) for lam in blocks.L]
     xs = [float(r - math.floor(r)) for r in ratios]
-    ks, achieved = choose_k(TailSpec(spec, m_i), xs, K=params.K, depth=params.depth)
-    for lam, x, value in zip(blocks.L, xs, achieved.tolist()):
+    tail = TailSpec(spec, m_i)
+    key = (tail.word, params.K, params.depth, tuple(xs))
+    searches = spec.__dict__.setdefault("_searches", {})
+    if key not in searches:
+        ks, achieved = choose_k(tail, xs, K=params.K, depth=params.depth)
+        searches[key] = ks.tolist(), achieved.tolist()
+    ks, achieved = searches[key]
+    for lam, x, value in zip(blocks.L, xs, achieved):
         if lam != 0 and value < params.epsilon:  # k = 0 is forced at lambda = 0
             raise EquiPositivityViolation(
                 lam=lam, m=m_i, x=x, achieved=value, epsilon=params.epsilon
             )
-    shift_map = {lam: k - math.floor(r) for lam, k, r in zip(blocks.L, ks.tolist(), ratios)}
+    shift_map = {lam: k - math.floor(r) for lam, k, r in zip(blocks.L, ks, ratios)}
 
     block_points = [n0_prev * (lam + shift_map[lam] * blocks.N) for lam in blocks.L]
     bound = reach + max(abs(b) for b in block_points)

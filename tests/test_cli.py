@@ -346,7 +346,10 @@ def test_spectrum_level_past_atom_budget_exits_3(capsys, monkeypatch):
     # jp levels double: under a budget between the L2 and L3 estimates, read
     # from the code, level 3 is refused before its shift search runs.  At
     # depth 2 the shift search's factor tables stay under that budget too.
-    argv = ["spectrum", "--preset", "jp", "--levels", "3", "--depth", "2"]
+    # Exponents 1, 2, 3 give each step its own tail, so no step reads back
+    # the search of an earlier one and each search that runs is counted.
+    argv = ["spectrum", "--preset", "jp", "--exponents", "123:4", "--levels", "3",
+            "--depth", "2"]
     calls, needs = [], []
     search = convspec.spectrum.choose_k
     monkeypatch.setattr(convspec.spectrum, "choose_k",
@@ -354,7 +357,7 @@ def test_spectrum_level_past_atom_budget_exits_3(capsys, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(convspec.spectrum, "_check_budget", lambda what, need: needs.append(need))
         assert main(argv) == 0
-    assert len(needs) == 3 and needs[1] < needs[2]
+    assert len(needs) == 3 and needs[1] < needs[2] and len(calls) == 3
     monkeypatch.setattr(convspec.convolution, "_BUDGET_BYTES", needs[2] - 1)
     calls.clear()
     capsys.readouterr()

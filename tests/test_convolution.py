@@ -5,6 +5,7 @@ import math
 import random
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 from itertools import product
 
@@ -14,10 +15,12 @@ import pytest
 from convspec import (
     ConvolutionSpec,
     DiscreteMeasure,
+    GcdNotCertifiedWarning,
     HadamardTriple,
     SelectionWord,
     TailSpec,
     block_frequencies,
+    build_spectrum,
     cdf,
     compose_triples,
     convolve,
@@ -633,9 +636,16 @@ def test_factor_table_is_memoised_per_spec(jp_spec, mixed_spec):
         table.clear()
         spec.factors(5).append(None)
         assert spec.factors(9) == fresh_factors(spec, 9)
-        # the table is not a field: equality and hashing do not see it
+        # the table is not a field: equality and hashing do not see it, nor
+        # the shift searches a build keeps, which a copy does not carry
         other = ConvolutionSpec(spec.family, spec.word)
         assert spec == other and hash(spec) == hash(other)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GcdNotCertifiedWarning)
+            build_spectrum(spec, 4)
+        copy = ConvolutionSpec.from_json(spec.to_json())
+        assert spec.__dict__["_searches"] and "_searches" not in copy.__dict__
+        assert spec == other == copy and hash(spec) == hash(other) == hash(copy)
     with pytest.raises(ValueError):
         jp_spec.factors(-1)
 

@@ -1,6 +1,7 @@
 """Inductive spectrum construction: blocks, levels, shifts, gcd certificate."""
 
 import math
+import random
 import warnings
 from itertools import product
 
@@ -24,6 +25,8 @@ from convspec import (
     orthonormality_gram,
     verify_triple,
 )
+import convspec.spectrum
+from conftest import random_spec
 
 
 def eq11_truncation(n):
@@ -253,6 +256,57 @@ def test_next_level_keeps_the_parameters_of_its_state(mixed_spec):
     state = next_level(mixed_spec, build_quiet(mixed_spec, 2, params=params))
     assert state.params == params
     assert state == build_quiet(mixed_spec, 3, params=params)
+
+
+def every_search(spec, depth_i, params):
+    """depth_i levels, each step on a new spec, so that no step reads back a search."""
+    state = SpectrumLevels.initial(params)
+    for _ in range(depth_i):
+        state = next_level(ConvolutionSpec(spec.family, spec.word), state)
+    return state
+
+
+def or_refusal(build):
+    """build(), or the message of the equi-positivity violation it raises."""
+    try:
+        return build()
+    except EquiPositivityViolation as err:
+        return str(err)
+
+
+def test_next_level_searches_each_distinct_step_once(jp_spec, mixed_spec, monkeypatch):
+    calls = []
+    search = convspec.spectrum.choose_k
+    monkeypatch.setattr(convspec.spectrum, "choose_k",
+                        lambda *a, **kw: calls.append(1) or search(*a, **kw))
+    jp3 = ConvolutionSpec(jp_spec.family, SelectionWord(exp_period=(3,)))
+    jp123 = ConvolutionSpec(jp_spec.family, SelectionWord(exp_prefix=(1, 2, 3), exp_period=(4,)))
+    rng = random.Random(83)
+    cases = [(jp_spec, 9, 1), (jp3, 8, 1), (mixed_spec, 8, 2), (mixed_spec, 5, 2), (jp123, 3, 3)]
+    cases += [(random_spec(rng), 4, None) for _ in range(8)]
+    for spec, depth_i, searches in cases:
+        shared = ConvolutionSpec(spec.family, spec.word)
+        for params in (BuildParams(), BuildParams(delta=0.25, K=5, depth=33)):
+            calls.clear()
+            fresh = ConvolutionSpec(spec.family, spec.word)
+            levels = or_refusal(lambda: build_quiet(fresh, depth_i, params=params))
+            alone = len(calls)
+            assert levels == or_refusal(lambda: every_search(spec, depth_i, params))
+            # a spec that has searched under other parameters searches again
+            calls.clear()
+            assert or_refusal(lambda: build_quiet(shared, depth_i, params=params)) == levels
+            assert len(calls) == alone
+            if searches is not None and params == BuildParams():
+                assert alone == searches
+    # epsilon is not in the key: a spec that has searched every jp step
+    # still refuses a level below a demanded floor, as a fresh spec does
+    first = build_quiet(jp_spec, 9)
+    strict = SpectrumLevels(first.levels[:2], first.indices[:1], first.shifts[:1],
+                            BuildParams(epsilon=0.99))
+    for spec in (jp_spec, ConvolutionSpec(jp_spec.family, jp_spec.word)):
+        with pytest.raises(EquiPositivityViolation) as err:
+            next_level(spec, strict)
+        assert (err.value.lam, err.value.m) == (1, 2)
 
 
 @pytest.mark.parametrize(
