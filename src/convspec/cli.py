@@ -109,6 +109,17 @@ def parse_word_arg(word: str | None, exponents: str | None) -> SelectionWord | N
     return SelectionWord(wp, wq, ep, eq or (1,))
 
 
+def _read_json(path: str, what: str):
+    """The JSON value in the file at path; an unreadable or malformed file
+    raises ValueError naming what it is (exit 3)."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ValueError(f"cannot read {what}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed {what}: {exc}") from exc
+
+
 def load_spec(args) -> ConvolutionSpec:
     """Resolve the convolution spec from --preset/--config plus overrides."""
     if args.preset is None and args.config is None:
@@ -118,12 +129,7 @@ def load_spec(args) -> ConvolutionSpec:
     if args.preset is not None:
         obj = PRESETS[args.preset]
     else:
-        try:
-            obj = json.loads(Path(args.config).read_text())
-        except OSError as exc:
-            raise ValueError(f"cannot read config {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed JSON in {args.config}: {exc}") from exc
+        obj = _read_json(args.config, f"config {args.config}")
     try:
         spec = ConvolutionSpec.from_json(obj)
     except (KeyError, TypeError, ValueError) as exc:
@@ -190,12 +196,7 @@ def cmd_spectrum(args) -> Report:
 
 def cmd_verify(args) -> Report:
     spec = load_spec(args)
-    try:
-        obj = json.loads(Path(args.levels_file).read_text())
-    except OSError as exc:
-        raise ValueError(f"cannot read levels file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed levels file: {exc}") from exc
+    obj = _read_json(args.levels_file, "levels file")
     if not isinstance(obj, dict):
         raise ValueError(f"invalid levels file: a {type(obj).__name__}, not a JSON object")
     if "error" in obj:

@@ -19,13 +19,13 @@ import bisect
 import collections
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .triples import HadamardTriple, _integers
+from .triples import HadamardTriple, _fields_json, _integers
 
 __all__ = [
     "DEFAULT_TAIL_DEPTH",
@@ -71,14 +71,26 @@ def _int_bytes(bits: int) -> int:
     return 8 if bits < 64 else 32 + 4 * -(-bits // 30)
 
 
-def _int_array(ints: Sequence[int]) -> np.ndarray:
-    """Python ints as an int64 array when all fit, else as an object array.
+def _int_array(values: Sequence[int] | np.ndarray, name: str) -> np.ndarray:
+    """values as a read-only int64 array, or an object array of Python ints
+    once one passes int64; a read-only int64 array comes back as it is.
 
-    The bounds choose the dtype: numpy would infer float64 for [0, 2**63],
-    and how it converts an out-of-range int has changed between versions.
+    numpy infers int64 only when every value is an integer that fits, so
+    that result is kept.  Anything else (floats, ragged lists, narrower
+    arrays, ints past int64, which numpy reads as uint64 or float64) is
+    checked value by value by _integers, and the bounds choose the dtype.
     """
-    fits = -_INT64_LIMIT <= min(ints, default=0) and max(ints, default=0) < _INT64_LIMIT
-    return np.array(ints, dtype=np.int64 if fits else object)
+    read_only = isinstance(values, np.ndarray) and not values.flags.writeable
+    try:
+        a = values if read_only else np.array(values)
+    except ValueError:  # a ragged list
+        a = None
+    if a is None or a.dtype != np.int64 or a.ndim != 1:
+        ints = _integers(values, name)
+        fits = -_INT64_LIMIT <= min(ints, default=0) and max(ints, default=0) < _INT64_LIMIT
+        a = np.array(ints, dtype=np.int64 if fits else object)
+    a.flags.writeable = False
+    return a
 
 
 def _eventually_periodic(pre: tuple[int, ...], per: tuple[int, ...], k: int) -> int:
@@ -151,21 +163,12 @@ class SelectionWord:
         return f"word={sym} exp={exp}"
 
     def to_json(self) -> dict:
-        return {
-            "prefix": list(self.prefix),
-            "period": list(self.period),
-            "exp_prefix": list(self.exp_prefix),
-            "exp_period": list(self.exp_period),
-        }
+        return _fields_json(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "SelectionWord":
-        return cls(
-            tuple(obj.get("prefix", ())),
-            tuple(obj.get("period", (1,))),
-            tuple(obj.get("exp_prefix", ())),
-            tuple(obj.get("exp_period", (1,))),
-        )
+        """Inverse of to_json; a missing field takes its default."""
+        return cls(**{f.name: tuple(obj[f.name]) for f in fields(cls) if f.name in obj})
 
 
 class Factor(NamedTuple):
@@ -288,7 +291,8 @@ class DiscreteMeasure:
     positive.  The form is kept reduced, gcd(denominator, numerators) = 1
     and gcd(counts) = 1, so two measures are equal exactly when their
     fields are.  Every construction checks and reduces the fields, which
-    may come as integer arrays (:func:`finite_level` passes them).
+    must be integers: sequences by _int_array's rule, but for the integer
+    and object arrays :func:`finite_level` passes, which are taken as such.
     """
 
     numerators: tuple[int, ...]
@@ -296,20 +300,21 @@ class DiscreteMeasure:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        u, c = (v if isinstance(v, np.ndarray) else np.array(v, dtype=object)
-                for v in (self.numerators, self.counts))
+        u, c = (v if isinstance(v, np.ndarray) and v.dtype.kind in "iO" else _int_array(v, name)
+                for v, name in ((self.numerators, "numerators"), (self.counts, "counts")))
         if u.ndim != 1 or not u.size or u.shape != c.shape:
             raise ValueError(f"need equal nonzero lengths, got {u.shape} and {c.shape}")
-        if self.denominator < 1:
-            raise ValueError(f"denominator must be >= 1, got {self.denominator}")
+        (den,) = _integers((self.denominator,), "denominator")
+        if den < 1:
+            raise ValueError(f"denominator must be >= 1, got {den}")
         if np.any(u[1:] <= u[:-1]):
             raise ValueError("numerators must strictly increase")
         if np.any(c < 1):
             raise ValueError("counts must be positive")
-        g = math.gcd(self.denominator, int(np.gcd.reduce(u)))
+        g = math.gcd(den, int(np.gcd.reduce(u)))
         h = int(np.gcd.reduce(c))
         object.__setattr__(self, "numerators", tuple((u // g if g > 1 else u).tolist()))
-        object.__setattr__(self, "denominator", self.denominator // g)
+        object.__setattr__(self, "denominator", den // g)
         object.__setattr__(self, "counts", tuple((c // h if h > 1 else c).tolist()))
 
     @property

@@ -39,6 +39,7 @@ from .convolution import (
 from .equipos import choose_k
 from .triples import (
     HadamardTriple,
+    _fields_json,
     _integers,
     compose_triples,
     difference_gcd,
@@ -112,32 +113,7 @@ class BuildParams:
             raise ValueError("K, depth and max_m must be >= 1")
 
     def to_json(self) -> dict:
-        return {
-            "delta": self.delta,
-            "epsilon": self.epsilon,
-            "K": self.K,
-            "depth": self.depth,
-            "max_m": self.max_m,
-        }
-
-
-def _level_array(values) -> np.ndarray:
-    """values as a read-only int64 array, or an object array of Python ints
-    once one passes int64; a read-only int64 array is returned as it is.
-
-    numpy infers int64 only when every value is an integer that fits, so
-    that result is kept; anything else (floats, ragged lists, ints past
-    int64, which numpy makes float64 and rounds) is checked value by value.
-    """
-    read_only = isinstance(values, np.ndarray) and not values.flags.writeable
-    try:
-        a = values if read_only else np.array(values)
-    except ValueError:  # a ragged list
-        a = None
-    if a is None or a.dtype != np.int64 or a.ndim != 1:
-        a = _int_array(_integers(values, "levels"))
-    a.flags.writeable = False
-    return a
+        return _fields_json(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,7 +122,8 @@ class SpectrumLevels:
     and the parameters that built them.
 
     Each level is a read-only int64 array, or an object array of Python ints
-    once a value passes int64; any integer sequence is turned into that form.
+    once a value passes int64: any integer sequence is turned into that form
+    by convolution._int_array, the rule the Gram check and measures share.
     Equality compares every level by value, and the class is unhashable.
     """
 
@@ -156,7 +133,7 @@ class SpectrumLevels:
     params: BuildParams
 
     def __post_init__(self):
-        object.__setattr__(self, "levels", tuple(map(_level_array, self.levels)))
+        object.__setattr__(self, "levels", tuple(_int_array(lv, "levels") for lv in self.levels))
         n = len(self.indices)
         if not len(self.levels) == n + 1 == len(self.shifts) + 1:
             raise ValueError(f"{len(self.levels)} levels, {n} indices, {len(self.shifts)} shifts")
@@ -341,12 +318,7 @@ class GcdReport:
     note: str | None = None
 
     def to_json(self) -> dict:
-        return {
-            "certified": self.certified,
-            "gcds": list(self.gcds),
-            "offending": list(self.offending),
-            "note": self.note,
-        }
+        return _fields_json(self)
 
 
 def certify_gcd_condition(family: Sequence[HadamardTriple]) -> GcdReport:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 from typing import Sequence
 
@@ -41,6 +41,14 @@ def _integers(values: Sequence[int], name: str = "digits") -> tuple[int, ...]:
         return tuple(operator.index(v) for v in values)
     except TypeError:
         raise ValueError(f"{name} must be integers, got {list(values)}") from None
+
+
+def _fields_json(obj, **extra) -> dict:
+    """A dataclass report's JSON: its fields by name, tuples as lists, then extra."""
+    return {
+        f.name: list(v) if isinstance(v := getattr(obj, f.name), tuple) else v
+        for f in fields(obj)
+    } | extra
 
 
 def _tolerance(value: float, name: str = "tol") -> float:
@@ -95,7 +103,7 @@ class HadamardTriple:
         return _unitarity_deviation(self.N, self.B, self.L)
 
     def to_json(self) -> dict:
-        return {"N": self.N, "B": list(self.B), "L": list(self.L)}
+        return _fields_json(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "HadamardTriple":
@@ -111,7 +119,7 @@ class TripleReport:
     reason: str | None = None
 
     def to_json(self) -> dict:
-        return {"ok": self.ok, "deviation": self.deviation, "reason": self.reason}
+        return _fields_json(self)
 
 
 def verify_triple(

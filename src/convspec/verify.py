@@ -27,6 +27,7 @@ from .convolution import (
     _INT64_LIMIT,
     _check_budget,
     _delta_count,
+    _int_array,
     _int_bytes,
     _inv_float,
     _mask_power,
@@ -38,7 +39,7 @@ from .convolution import (
     tail_truncation_bound,
 )
 from .spectrum import SpectrumLevels
-from .triples import _integers
+from .triples import _fields_json, _integers
 
 __all__ = [
     "QReport",
@@ -59,17 +60,9 @@ _TILE_BYTES = 1 << 20  # bytes of a Q tile's pairs, 16 each for the mask kernel'
 _FFT_BYTES = 64  # peak bytes per residue bin or lambda on the Gram check's FFT path
 
 
-def _residues(values: Sequence[int] | np.ndarray, d: int, name: str) -> np.ndarray:
-    """values mod d, as int64 when d fits in int64 and as Python ints past it.
-
-    A 1-d integer array reduces in numpy; anything else goes through
-    _integers, which rejects non-integers, and reduces in Python ints.
-    """
-    a = np.asarray(values)
-    if a.ndim != 1 or a.dtype.kind != "i":
-        a = np.array(_integers(values, name), dtype=object)
-    elif a.dtype != np.int64:  # a narrower array cannot hold d
-        a = a.astype(np.int64)
+def _residues(a: np.ndarray, d: int) -> np.ndarray:
+    """An _int_array's values mod d, as int64 when d fits in int64 and as
+    Python ints past it."""
     if d >= _INT64_LIMIT:
         return a.astype(object) % d
     return (a % d).astype(np.int64, copy=False)
@@ -122,7 +115,7 @@ def orthonormality_gram(measure: DiscreteMeasure, Lambda: Sequence[int]) -> floa
     raises ValueError before it starts.
     """
     d = measure.denominator
-    lam = _residues(Lambda if isinstance(Lambda, np.ndarray) else tuple(Lambda), d, "Lambda")
+    lam = _residues(_int_array(Lambda, "Lambda"), d)
     if not lam.size:
         raise ValueError("Lambda must be nonempty")
     n, k = lam.size, len(measure)
@@ -138,7 +131,7 @@ def orthonormality_gram(measure: DiscreteMeasure, Lambda: Sequence[int]) -> floa
         chunk = pair * -(-n // parts) * k
         need = 16 * n * (k + n) + max(chunk, 16 * n * k, 8 * n * n) + _GRAM_WORD_BYTES * (n + k)
     _check_budget(f"a Gram check of {n} lambdas on {k} atoms over D = {d}", need)
-    u = _residues(measure.numerators, d, "numerators")
+    u = _residues(_int_array(measure.numerators, "numerators"), d)
     w = measure.weights()
     if fft:
         c = np.abs(np.fft.fft(np.bincount(u, weights=w, minlength=d)))
@@ -359,18 +352,7 @@ class QReport:
     passed: bool
 
     def to_json(self) -> dict:
-        return {
-            "level": self.level,
-            "truncation_depth": self.truncation_depth,
-            "max_defect": self.max_defect,
-            "tail_bound": self.tail_bound,
-            "completeness_defect": self.completeness_defect,
-            "min_q": self.min_q,
-            "passed": self.passed,
-            "xi_grid": list(self.xi_grid),
-            "q_values": list(self.q_values),
-            "q_bounds": list(self.q_bounds),
-        }
+        return _fields_json(self)
 
     def to_csv(self) -> str:
         lines = ["xi,q,bound"]

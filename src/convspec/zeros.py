@@ -28,7 +28,7 @@ from .convolution import (
     fourier_tail,
     mask,
 )
-from .triples import _integers, _tolerance
+from .triples import _fields_json, _integers, _tolerance
 
 __all__ = [
     "ZeroEnclosure",
@@ -382,18 +382,7 @@ class ZeroProbeVerdict:
         return self.witness_k is not None
 
     def to_json(self) -> dict:
-        return {
-            "xi": self.xi,
-            "verdict": "witness" if self.is_witness else "candidate-zero",
-            "witness_k": self.witness_k,
-            "witness_value": self.witness_value,
-            "max_value": self.max_value,
-            "max_k": self.max_k,
-            "tol": self.tol,
-            "K": self.K,
-            "depth": self.depth,
-            "evidence": self.evidence,
-        }
+        return _fields_json(self, verdict="witness" if self.is_witness else "candidate-zero")
 
 
 def integral_periodic_zero_probe(

@@ -10,16 +10,28 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import dataclasses
+
 import convspec.cli
 import convspec.convolution
 import convspec.spectrum
 from convspec import (
+    BuildParams,
+    ConvolutionSpec,
     EquiPositivityCertificate,
+    HadamardTriple,
     QReport,
+    SelectionWord,
     TailSpec,
+    ZeroProbeVerdict,
     ZeroSetReport,
+    build_spectrum,
+    certify_gcd_condition,
     choose_k,
+    integral_periodic_zero_probe,
     probe_family,
+    spectral_report,
+    verify_triple,
 )
 from convspec.cli import _dumps, _int_text, _Table, build_parser, load_spec, main
 
@@ -649,6 +661,43 @@ def test_report_rendering_matches_the_stdlib_encoder(tmp_path, argv):
     out = tmp_path / "report.json"
     main([str(files.get(a, a)) for a in argv] + ["--out", str(out)])
     assert out.read_text() == stdlib_dumps(payload) + "\n"
+
+
+JP_SPEC = ConvolutionSpec((HadamardTriple(4, (0, 2), (0, 1)),), SelectionWord())
+WORDS = [SelectionWord(), SelectionWord((1,), (2,)), SelectionWord((2, 1), (1, 2, 2), (3,), (1, 2))]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: HadamardTriple(4, (0, 2), (0, 1)),
+    lambda: verify_triple(4, (0, 2), (0, 1)),
+    lambda: verify_triple(4, (0, 2), (0, 1, 2)),  # with a reason
+    lambda: WORDS[2],
+    lambda: BuildParams(delta=0.25, K=5),
+    lambda: certify_gcd_condition(JP_SPEC.family),  # with a note
+    lambda: spectral_report(mixed := ConvolutionSpec.from_json(MIXED_CONFIG),
+                            build_spectrum(mixed, 2), grid_n=4, depth=8),
+    lambda: integral_periodic_zero_probe(JP_SPEC, 0.3),  # a witness
+    # example14 :2 is uniform on [0, 3]: its transform vanishes on 1/3 + Z
+    lambda: integral_periodic_zero_probe(ConvolutionSpec.from_json(
+        {**convspec.cli.PRESETS["example14"], "word": {"period": [2]}}), 1 / 3),
+], ids=["triple", "report", "mismatch", "word", "params", "gcd", "q", "witness", "candidate"])
+def test_field_shaped_reports_write_exactly_their_fields(make):
+    obj = make()
+    js = obj.to_json()
+    names = {f.name for f in dataclasses.fields(obj)}
+    assert set(js) == names | ({"verdict"} if isinstance(obj, ZeroProbeVerdict) else set())
+    assert not any(isinstance(v, tuple) for v in js.values())
+    assert all(js[n] == (list(v) if isinstance(v := getattr(obj, n), tuple) else v) for n in names)
+    if isinstance(obj, ZeroProbeVerdict):
+        assert js["verdict"] == ("witness" if obj.is_witness else "candidate-zero")
+
+
+def test_selection_word_json_round_trips_with_dataclass_defaults():
+    for w in WORDS:
+        assert SelectionWord.from_json(w.to_json()) == w
+        assert SelectionWord.from_json(json.loads(json.dumps(w.to_json()))) == w
+    assert SelectionWord.from_json({}) == SelectionWord()
+    assert SelectionWord.from_json({"period": [2, 1]}) == SelectionWord(period=(2, 1))
 
 
 @pytest.mark.parametrize("grid", [2, 48])  # both include the forced x = 0 row

@@ -303,6 +303,11 @@ def test_weights_sum_exactly_one_past_the_double_range():
         (((2**70, 0), 1, (1, 1)), "strictly increase"),
         (((0, 1), 2, (1, 0)), "counts must be positive"),
         (((0, 1), 2, (1, -1)), "counts must be positive"),
+        # fields that are not integers: the first once became two atoms at 0
+        (((0.5, 1.5), 2, (1, 1)), "must be integers"),
+        (((1, 3), 4, (1.5, 1.5)), "must be integers"),
+        (((0, 1), 2.0, (1, 1)), "must be integers"),
+        ((np.array([0.5, 1.5]), 2, (1, 1)), "must be integers"),
     ],
 )
 def test_lattice_fields_are_checked_on_construction(fields, message):
