@@ -15,7 +15,7 @@ import math
 import sys
 import warnings
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -191,7 +191,7 @@ def cmd_spectrum(args) -> Report:
             parts += [f"{i},", *_int_text(lv, f"\n{i},"), "\n"]
         return "".join(parts)
 
-    return {"warnings": gcd_warnings, **levels.to_json(_Ints)}, csv, EXIT_OK
+    return {"warnings": gcd_warnings, **levels.to_json(np.asarray)}, csv, EXIT_OK
 
 
 def cmd_verify(args) -> Report:
@@ -252,53 +252,7 @@ def cmd_equipos(args) -> Report:
         depth=args.depth,
         failure_threshold=args.threshold,
     )
-    return cert.to_json(_Table(cert)), cert.to_csv, EXIT_OK if cert.ok else EXIT_VERIFICATION
-
-
-class _Table(list):
-    """A certificate's table rows, formed each time the value is iterated.
-
-    The stdlib's indented encoder iterates a list, so it writes every row,
-    while the list's own storage stays empty.  _dumps calls its json
-    method instead, which joins the certificate's formatted columns.
-    """
-
-    def __init__(self, cert: EquiPositivityCertificate):
-        super().__init__()
-        self.cert = cert
-
-    def __len__(self) -> int:
-        return len(self.cert.grid) * len(self.cert.skips)
-
-    def __iter__(self) -> Iterator[list]:
-        return self.cert.table()
-
-    def json(self, newline: str) -> str:
-        """``json.dumps(list(self), indent=2)`` for a table that starts after newline."""
-        inner = newline + "  "
-        deep = inner + "  "
-        # the lines are freed once joined, before the last copy is formed
-        rows = ("," + inner).join(self.cert.lines("," + deep, "[" + deep, inner + "]"))
-        return "".join(["[", inner, rows, newline, "]"])
-
-
-class _Ints(list):
-    """A level's integers, read from its array each time the value is iterated.
-
-    The stdlib's indented encoder iterates a list, so it writes every
-    integer, while the list's own storage stays empty.  _write sends the
-    array to _int_text instead, so no level goes through Python ints.
-    """
-
-    def __init__(self, a: np.ndarray):
-        super().__init__()
-        self.a = a
-
-    def __len__(self) -> int:
-        return self.a.size
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.a.tolist())
+    return cert.to_json(cert), cert.to_csv, EXIT_OK if cert.ok else EXIT_VERIFICATION
 
 
 def _parse_symbols_signed(text: str) -> tuple[int, ...]:
@@ -382,22 +336,22 @@ def _int_text(a: np.ndarray, sep: str) -> list[str]:
     return blocks
 
 
-def _dumps(obj, newline: str = "\n") -> str:
+def _dumps(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)`` for str-keyed payloads.
 
     With an indent, CPython's json falls back to its pure-Python encoder,
     one generator frame per item.  This writes a list of exact ints and
     finite floats with one repr, and recurses only into the other
-    containers, which add their pieces to one list that is joined once.  A
-    _Table writes itself, and an _Ints hands its array to _int_text.
+    containers, which add their pieces to one list that is joined once.  An
+    integer array goes to _int_text, and a certificate writes its table's lines.
     """
     out: list[str] = []
-    _write(obj, newline, out)
+    _write(obj, "\n", out)
     return "".join(out)
 
 
 def _write(obj, newline: str, out: list[str]) -> None:
-    """Append the pieces of ``_dumps(obj, newline)`` to out."""
+    """Append the pieces of obj's JSON to out, obj starting after newline."""
     if isinstance(obj, str):
         out.append(_encode_str(obj))
     elif obj is None:
@@ -411,11 +365,6 @@ def _write(obj, newline: str, out: list[str]) -> None:
             out.append(float.__repr__(obj))
         else:
             out.append("NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity")
-    elif isinstance(obj, _Table):
-        out.append(obj.json(newline))
-    elif isinstance(obj, _Ints) and obj:
-        inner = newline + "  "
-        out += "[", inner, *_int_text(obj.a, "," + inner), newline, "]"
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -442,6 +391,15 @@ def _write(obj, newline: str, out: list[str]) -> None:
                 _write(v, inner, out)
                 out.append("," + inner)
             out[-1] = newline + "]"
+    elif isinstance(obj, np.ndarray) and obj.ndim == 1 and (obj.dtype == np.int64 or (
+            obj.dtype == object and {*map(type, obj)} <= {int})):
+        inner = newline + "  "
+        out += ["[", inner, *_int_text(obj, "," + inner), newline, "]"] if obj.size else ["[]"]
+    elif isinstance(obj, EquiPositivityCertificate):
+        inner, deep = newline + "  ", newline + "    "
+        # the lines are freed once joined, before the payload's text is formed
+        rows = ("," + inner).join(obj.lines("," + deep, "[" + deep, inner + "]"))
+        out += "[", inner, rows, newline, "]"
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 

@@ -19,6 +19,7 @@ import bisect
 import collections
 import itertools
 import math
+import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
@@ -237,8 +238,10 @@ class ConvolutionSpec:
         return table[:n]
 
     def scale_product(self, n: int) -> int:
-        """Signed exact product P_n of the first n factor scales N^e (1 for n = 0)."""
-        return self.factors(n)[-1].product if n > 0 else 1
+        """Signed exact product P_n of the first n factor scales N^e (1 for n = 0),
+        read in place from a table already n long."""
+        table = self.__dict__.get("_factor_table", [])
+        return 1 if n < 1 else (table if n <= len(table) else self.factors(n))[n - 1].product
 
     def describe(self) -> str:
         fam = ",".join(
@@ -291,8 +294,8 @@ class DiscreteMeasure:
     positive.  The form is kept reduced, gcd(denominator, numerators) = 1
     and gcd(counts) = 1, so two measures are equal exactly when their
     fields are.  Every construction checks and reduces the fields, which
-    must be integers: sequences by _int_array's rule, but for the integer
-    and object arrays :func:`finite_level` passes, which are taken as such.
+    must be integers: an integer array as it is, an object array value by
+    value in place, and any other sequence by _int_array's rule.
     """
 
     numerators: tuple[int, ...]
@@ -302,6 +305,12 @@ class DiscreteMeasure:
     def __post_init__(self):
         u, c = (v if isinstance(v, np.ndarray) and v.dtype.kind in "iO" else _int_array(v, name)
                 for v, name in ((self.numerators, "numerators"), (self.counts, "counts")))
+        for v, name in ((u, "numerators"), (c, "counts")):
+            if v.dtype == object:  # checked in place: finite_level's estimate counts no copy
+                try:
+                    collections.deque(map(operator.index, v.flat), maxlen=0)
+                except TypeError:
+                    raise ValueError(f"{name} must be integers, got {v!r}") from None
         if u.ndim != 1 or not u.size or u.shape != c.shape:
             raise ValueError(f"need equal nonzero lengths, got {u.shape} and {c.shape}")
         (den,) = _integers((self.denominator,), "denominator")

@@ -12,6 +12,7 @@ on B/N.  Scales may be negative; only |N| >= 2 is required.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 from dataclasses import dataclass, fields
@@ -40,7 +41,9 @@ def _integers(values: Sequence[int], name: str = "digits") -> tuple[int, ...]:
     try:
         return tuple(operator.index(v) for v in values)
     except TypeError:
-        raise ValueError(f"{name} must be integers, got {list(values)}") from None
+        with contextlib.suppress(TypeError):  # values that cannot be listed are named by repr
+            values = list(values)
+        raise ValueError(f"{name} must be integers, got {values!r}") from None
 
 
 def _fields_json(obj, **extra) -> dict:

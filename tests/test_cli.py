@@ -33,7 +33,7 @@ from convspec import (
     spectral_report,
     verify_triple,
 )
-from convspec.cli import _dumps, _int_text, _Table, build_parser, load_spec, main
+from convspec.cli import _dumps, _int_text, build_parser, load_spec, main
 
 
 def run(capsys, *argv):
@@ -593,8 +593,17 @@ def test_config_file_spec(capsys, tmp_path):
     assert payload["gcd"]["certified"] is True
 
 
+def plain(obj):
+    """The plain data the stdlib encoder writes for an array or a certificate."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, EquiPositivityCertificate):
+        return list(obj.table())
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def stdlib_dumps(obj):
-    return json.dumps(obj, sort_keys=True, indent=2)
+    return json.dumps(obj, sort_keys=True, indent=2, default=plain)
 
 
 @pytest.mark.parametrize("payload", [
@@ -765,9 +774,9 @@ def test_lazy_table_writes_what_the_stdlib_writes(tmp_path, grid, argv):
     rows = cert.to_json()["table"]
     # at the top level and nested one and two levels deep
     for wrap in (lambda t: t, lambda t: {"table": t}, lambda t: [{"a": [1], "table": t}, 2]):
-        assert _dumps(wrap(_Table(cert))) == stdlib_dumps(wrap(rows))
-        assert stdlib_dumps(wrap(_Table(cert))) == stdlib_dumps(wrap(rows))
-    assert isinstance(payload["table"], _Table) and not list.__len__(payload["table"])
+        assert _dumps(wrap(cert)) == stdlib_dumps(wrap(rows))
+        assert stdlib_dumps(wrap(cert)) == stdlib_dumps(wrap(rows))
+    assert payload["table"] == cert
     assert json.loads(_dumps(payload))["table"] == rows
     assert json.loads(_dumps(payload)) == cert.to_json()
     assert csv() == cert.to_csv()
@@ -777,6 +786,8 @@ INT64_BOUNDARIES = [
     0, 1, -1, 9, -9, 10, -10, 9999, -9999, 10000, -10000, 10**8 - 1, -(10**8 - 1),
     10**8, -(10**8), 2**32 - 1, 2**32, 2**63 - 1, -(2**63 - 1), -(2**63),
 ]
+INT64_ARRAY = np.array(INT64_BOUNDARIES, dtype=np.int64)
+BIG_ARRAY = np.array([*INT64_BOUNDARIES, 2**63, -(2**63) - 1, 3**90], dtype=object)
 
 
 @pytest.mark.parametrize("payload", [
@@ -790,19 +801,37 @@ INT64_BOUNDARIES = [
     [-(2**63) - 1, 0],
     [[0, 3**90], [-(2**63), 2**63 - 1]],
     [0.5, 1, -(2**63)],
+    # arrays, as levels reach the writer, at depths 0, 1 and 2 (empty ones too)
+    INT64_ARRAY,
+    [INT64_ARRAY, INT64_ARRAY[:1], INT64_ARRAY[:0]],
+    {"levels": [[0], INT64_ARRAY[::-1]], "x": [{"a": INT64_ARRAY}]},
+    BIG_ARRAY,  # past int64: an object array of Python ints
+    [BIG_ARRAY, BIG_ARRAY[:0]],
+    {"levels": [[0], BIG_ARRAY], "x": [{"a": BIG_ARRAY[::-1]}]},
 ])
 def test_int_lists_match_the_stdlib_encoder(payload):
     assert _dumps(payload) == stdlib_dumps(payload)
-    assert _dumps(payload, "\n    ") == stdlib_dumps(payload).replace("\n", "\n    ")
+
+
+@pytest.mark.parametrize("a", [
+    np.array([0.5, 1.0]),
+    np.array([1, 2], dtype=np.int32),
+    np.array([[1, 2], [3, 4]], dtype=np.int64),
+    np.array([1, 0.5], dtype=object),
+    np.array([1, True], dtype=object),  # json writes true, int.__repr__ would write 1
+])
+def test_dumps_raises_on_other_arrays(a):
+    with pytest.raises(TypeError):
+        _dumps({"a": [a]})
 
 
 def test_only_int_lists_go_through_the_int_kernel(monkeypatch):
-    # a level's _Ints array takes the block kernel; a plain int list takes one repr
+    # a level's array takes the block kernel; a plain int list takes one repr
     seen = []
     monkeypatch.setattr(convspec.cli, "_int_text",
                         lambda ints, sep: seen.append(ints) or _int_text(ints, sep))
     level = np.array([0, -1, 7], dtype=np.int64)
-    payload = {"levels": [[0], (0, -1), convspec.cli._Ints(level)],
+    payload = {"levels": [[0], (0, -1), level],
                "bools": [True, 1], "floats": [0.5, 1], "e": []}
     assert _dumps(payload) == stdlib_dumps(payload)
     assert len(seen) == 1 and seen[0] is level

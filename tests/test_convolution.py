@@ -34,7 +34,7 @@ from convspec import (
 )
 import convspec.convolution
 from convspec.convolution import _inv_float
-from conftest import random_spec
+from conftest import JP_TRIPLE, MIXED_TRIPLES, random_spec
 
 F = Fraction
 
@@ -308,6 +308,11 @@ def test_weights_sum_exactly_one_past_the_double_range():
         (((1, 3), 4, (1.5, 1.5)), "must be integers"),
         (((0, 1), 2.0, (1, 1)), "must be integers"),
         ((np.array([0.5, 1.5]), 2, (1, 1)), "must be integers"),
+        # an object array is checked value by value, as finite_level's boxed ints are
+        ((np.array([0.5, 1.5], dtype=object), 2, (1, 1)), "numerators must be integers"),
+        # a field that is not a sequence at all
+        ((5, 1, 1), "numerators must be integers, got 5"),
+        (((0,), 1, 1), "counts must be integers, got 1"),
     ],
 )
 def test_lattice_fields_are_checked_on_construction(fields, message):
@@ -617,6 +622,22 @@ def test_factor_table_matches_word_random():
         assert spec.scale_product(n) == p
         skip = rng.randint(0, 5)
         assert TailSpec(spec, skip) == ConvolutionSpec(spec.family, spec.word.shifted(skip))
+
+
+@pytest.mark.parametrize("family, word", [
+    ((JP_TRIPLE,), SelectionWord()),
+    (MIXED_TRIPLES, SelectionWord(period=(1, 2))),
+    ((JP_TRIPLE,), SelectionWord(exp_prefix=(1, 2, 3), exp_period=(4,))),
+], ids=["jp", "mixed :12", "jp 123:4"])
+def test_scale_product_is_the_last_factor_product(family, word):
+    # read from a table already formed, and growing one position at a time
+    for formed in (40, 0):
+        spec = ConvolutionSpec(family, word)
+        spec.factors(formed)
+        for n in range(41):
+            got = spec.scale_product(n)
+            assert got == (spec.factors(n)[-1].product if n else 1)
+            assert got == (fresh_factors(spec, n)[-1][2] if n else 1)
 
 
 def fresh_factors(spec, n):

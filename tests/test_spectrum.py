@@ -312,7 +312,8 @@ def test_next_level_searches_each_distinct_step_once(jp_spec, mixed_spec, monkey
 @pytest.mark.parametrize(
     "field, value",
     [("levels", [[0], [0, 1.5]]), ("indices", [1.0]), ("shifts", [[[1, 0.5]]]),
-     ("levels", [[0], [[0, 1]]]), ("levels", [[0], [[0], [1, 2]]]), ("levels", [[0], ["0", "1"]])],
+     ("levels", [[0], [[0, 1]]]), ("levels", [[0], [[0], [1, 2]]]), ("levels", [[0], ["0", "1"]]),
+     ("levels", [5])],  # a level that is not a sequence
 )
 def test_levels_json_rejects_non_integers(mixed_spec, field, value):
     js = build_quiet(mixed_spec, 1).to_json()
