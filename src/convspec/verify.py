@@ -33,10 +33,10 @@ from .convolution import (
     _mask_power,
     _part_count,
     _table_walk,
+    _tail_series_coefficient,
     # unused here, but bench/tracing.py requires both names bound in this module
     fourier_finite,
     fourier_tail,
-    tail_truncation_bound,
 )
 from .spectrum import SpectrumLevels
 from .triples import _fields_json, _integers
@@ -253,13 +253,13 @@ def _grid_pass(
     _pass_bytes(spec, levels, i, depth, xi.size)
     factors = [(f.triple.B, f.product) for f in spec.factors(depth)]
     inv = _inv_float(spec.scale_product(m_i))
-    tail = TailSpec(spec, m_i)
+    coef = _tail_series_coefficient(TailSpec(spec, m_i), depth - m_i)
     level = np.asarray(levels.level(i), dtype=float)
     q = mass = t_sum = level_part = 0.0
     for lam in np.array_split(level, _part_count(level.size, 16 * level.size * xi.size, _TILE_BYTES)):
         f2 = _mask_power(factors[:m_i], lam, xi)
         t2 = _mask_power(factors[m_i:], lam, xi)
-        t = tail_truncation_bound(tail, np.add.outer(lam * inv, xi * inv), depth - m_i)
+        t = coef * np.abs(np.add.outer(lam * inv, xi * inv))
         low = np.clip(np.sqrt(t2) - t, 0.0, 1.0)
         level_part = np.maximum(level_part, np.max(1.0 - low**2, axis=0))
         t *= f2  # |F|^2 t, summed for the depth part

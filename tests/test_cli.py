@@ -501,15 +501,23 @@ def test_json_reports_render_no_csv(capsys, tmp_path, monkeypatch):
         assert payload["command"] == argv[0]
 
 
-def test_byte_identical_output(capsys):
-    _, first = run(capsys, "equipos", "--preset", "jp", "--skips", "0,1",
-                   "--grid", "32")
-    _, second = run(capsys, "equipos", "--preset", "jp", "--skips", "0,1",
-                    "--grid", "32")
-    assert first == second
-    _, s1 = run(capsys, "spectrum", "--preset", "jp", "--levels", "3")
-    _, s2 = run(capsys, "spectrum", "--preset", "jp", "--levels", "3")
-    assert s1 == s2
+def run_and_write(capsys, tmp_path, *argv):
+    """Exit code and report of argv on stdout, checked to be the bytes --out writes."""
+    code, out = run(capsys, *argv)
+    path = tmp_path / "report"
+    assert main([*argv, "--out", str(path)]) == code
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == out.encode()
+    assert out.endswith("\n")
+    return code, out
+
+
+def test_byte_identical_output(capsys, tmp_path):
+    for argv in (["equipos", "--preset", "jp", "--skips", "0,1", "--grid", "32"],
+                 ["spectrum", "--preset", "jp", "--levels", "3"]):
+        for output in ("json", "csv"):
+            first = run_and_write(capsys, tmp_path, *argv, "--output", output)
+            assert run_and_write(capsys, tmp_path, *argv, "--output", output) == first
 
 
 MIXED_CONFIG = {
@@ -546,9 +554,10 @@ def test_spectrum_golden_digests(capsys, tmp_path, argv, want_code, digest):
     cfg = tmp_path / "mixed.json"
     cfg.write_text(json.dumps(MIXED_CONFIG))
     argv = [str(cfg) if a == "MIXED" else a for a in argv]
-    code, payload = run_json(capsys, "spectrum", *argv)
+    assert run_and_write(capsys, tmp_path, "spectrum", *argv, "--output", "csv")[0] == want_code
+    code, out = run_and_write(capsys, tmp_path, "spectrum", *argv)
     assert code == want_code
-    text = json.dumps(integer_part(payload), sort_keys=True)
+    text = json.dumps(integer_part(json.loads(out)), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -977,6 +986,22 @@ def test_past_the_budget_exits_3(capsys, tmp_path, monkeypatch, case):
     assert code == 3
     assert peak < 8 << 20
     assert f"{what} needs more than its budget of 1073741824 bytes" in capsys.readouterr().err
+
+
+def test_report_is_written_without_a_copy_of_its_text(tmp_path):
+    # the report goes out piece by piece, so at mixed :12 L8, whose 9.3 MB
+    # of text is the largest object, the traced peak stays below two texts
+    cfg, out = tmp_path / "mixed.json", tmp_path / "levels.json"
+    cfg.write_text(json.dumps(MIXED_CONFIG))
+    tracemalloc.start()
+    try:
+        code = main(["spectrum", "--config", str(cfg), "--word", ":12", "--levels", "8",
+                     "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 2 * out.stat().st_size
 
 
 def test_depth_within_the_factor_table_budget_runs(capsys):

@@ -309,6 +309,59 @@ def test_next_level_searches_each_distinct_step_once(jp_spec, mixed_spec, monkey
         assert (err.value.lam, err.value.m) == (1, 2)
 
 
+def sorted_outer_sum(spec, levels, i, prev=None):
+    """Level i as np.sort of the outer sum of prev (level i - 1 by default)
+    and the block points, row-major in the dtype of the level."""
+    prev = levels.level(i - 1) if prev is None else prev
+    m_prev = levels.m(i - 1) if i > 1 else 0
+    n = block_frequencies(spec, m_prev, levels.m(i)).N
+    n0 = spec.scale_product(m_prev)
+    dtype = levels.level(i).dtype
+    points = np.array([n0 * (lam + k * n) for lam, k in levels.shifts[i - 1]], dtype=dtype)
+    return np.sort(np.add.outer(prev.astype(dtype), points), axis=None)
+
+
+def test_next_level_equals_the_sorted_outer_sum(jp_spec, mixed_spec):
+    # the level is merged from its block-major sorted runs; it must be the
+    # array a full sort of the row-major sum gives, past int64 too
+    jp3 = ConvolutionSpec(jp_spec.family, SelectionWord(exp_period=(3,)))
+    rng = random.Random(3101)
+    cases = [(jp3, 12), (mixed_spec, 6)] + [(random_spec(rng), 4) for _ in range(10)]
+    built = 0
+    for spec, depth_i in cases:
+        levels = or_refusal(lambda: build_quiet(spec, depth_i))
+        if isinstance(levels, str):
+            continue
+        built += 1
+        for i in range(1, depth_i + 1):
+            want = sorted_outer_sum(spec, levels, i)
+            assert want.dtype == levels.level(i).dtype
+            assert np.array_equal(levels.level(i), want)
+    assert built >= 8
+    assert build_quiet(jp3, 12).level(12).dtype == object
+    # an unsorted previous level gives the same level, as the full sort does
+    levels = build_quiet(mixed_spec, 6)
+    for i in (2, 6):
+        shuffled = levels.level(i - 1).copy()
+        np.random.default_rng(i).shuffle(shuffled)
+        state = SpectrumLevels(levels.levels[: i - 1] + (shuffled,), levels.indices[: i - 1],
+                               levels.shifts[: i - 1], levels.params)
+        got = next_level(mixed_spec, state).level(i)
+        assert np.array_equal(got, levels.level(i))
+        assert np.array_equal(got, sorted_outer_sum(mixed_spec, levels, i, shuffled))
+
+
+def test_non_hadamard_block_collapses_the_level(jp_spec, monkeypatch):
+    # normalization refuses frequencies equal mod N, so the block is patched:
+    # (4, {0, 2}, {0, 4}) is no Hadamard triple, and its two frequencies
+    # meet at one block point
+    bad = HadamardTriple(4, (0, 2), (0, 4))
+    assert not verify_triple(bad.N, bad.B, bad.L).ok
+    monkeypatch.setattr(convspec.spectrum, "block_frequencies", lambda spec, p, q: bad)
+    with pytest.raises(RuntimeError, match="level cardinality collapsed"):
+        build_quiet(jp_spec, 1)
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("levels", [[0], [0, 1.5]]), ("indices", [1.0]), ("shifts", [[[1, 0.5]]]),
