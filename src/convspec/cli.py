@@ -343,7 +343,7 @@ def _dumps(obj) -> str:
     one generator frame per item.  This writes a list of exact ints and
     finite floats with one repr, and recurses only into the other
     containers, which add their pieces to one list (main writes it unjoined).
-    An integer array goes to _int_text, a certificate its table's lines.
+    An integer array goes to _int_text, a certificate to its table's text.
     """
     out: list[str] = []
     _write(obj, "\n", out)
@@ -397,9 +397,7 @@ def _write(obj, newline: str, out: list[str]) -> None:
         out += ["[", inner, *_int_text(obj, "," + inner), newline, "]"] if obj.size else ["[]"]
     elif isinstance(obj, EquiPositivityCertificate):
         inner, deep = newline + "  ", newline + "    "
-        # the lines are freed once joined, before the payload's text is formed
-        rows = ("," + inner).join(obj.lines("," + deep, "[" + deep, inner + "]"))
-        out += "[", inner, rows, newline, "]"
+        out += "[", inner, obj.text("," + deep, "[" + deep, inner + "]", "," + inner), newline, "]"
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 

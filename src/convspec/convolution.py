@@ -49,6 +49,7 @@ ArrayLike = Union[float, Sequence[float], np.ndarray]
 _INT64_LIMIT = 1 << 63
 _BUDGET_BYTES = 1 << 30  # bytes any one estimate may reach: see _check_budget
 _ATOM_BYTES = 80  # per atom of a finite level besides its numerators: counts, inverse, indices
+_HORIZON = 2.0**-27  # a kernel phase below it leaves its factor exactly 1.0: see _mask_power
 
 
 def _check_budget(what: str, need: int, walk: Callable[[], Iterable[int]] | None = None) -> int:
@@ -463,10 +464,17 @@ def _mask_power(
     is 1 minus their sum, so at y = 0 the terms add up to exactly 1 in any
     order the matrix product takes.  The cosines and sines of every factor
     are taken in one call per side.  The product is clipped to [0, 1] once,
-    at the end, as rounding may leave it.
+    at the end, as rounding may leave it.  A factor past the double-precision
+    horizon, #delta >= 1 and 2*pi*max(delta)*R/|P| < _HORIZON = 2^-27 with
+    R = max(max|x|, max|o|), is left out: as |M_B(y)|^2 = 1 - sum_delta w_delta
+    (1 - cos 2*pi*delta*y), sum w_delta < 1, its phases a, b < 2^-27 put cos a,
+    cos b within 2^-55 of 1 and the sine term below 2^-54, and the weights and
+    constant sum to exactly 1, so its sum rounds to exactly 1.0.  Where a libm
+    rounds cos near 0 to 1 - 2^-53, leaving it out gives the correctly rounded product.
     """
     xs = x.reshape(-1)
     o = offsets.reshape(-1)
+    reach = max(np.abs(xs).max(initial=0.0), np.abs(o).max(initial=0.0))
     digit_pairs: dict[Sequence[int], tuple[list[int], list[float], float]] = {}
     freq, weight, const = [], [], []
     cos_at, sin_at, one_at = [], [], []  # each factor's columns of u and rows of v
@@ -477,11 +485,13 @@ def _mask_power(
             w = [i * 2.0**-52 for i in k]
             digit_pairs[B] = (sorted(pairs), w, ((1 << 52) - sum(k)) * 2.0**-52)
         deltas, w, c = digit_pairs[B]
+        scale = 2.0 * np.pi * _inv_float(p)
+        if deltas and deltas[-1] * abs(scale) * reach < _HORIZON:
+            continue
         start, r = 2 * len(freq) + len(const), len(deltas)
         cos_at += range(start, start + r)
         sin_at += range(start + r, start + 2 * r)
         one_at.append(start + 2 * r)
-        scale = 2.0 * np.pi * _inv_float(p)
         freq += [d * scale for d in deltas]
         weight += w
         const.append(c)

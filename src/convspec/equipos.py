@@ -40,6 +40,10 @@ DEFAULT_FAILURE_THRESHOLD = 1e-4
 _SHIFT_PAIRS = 17 << 13  # (point, shift) pairs per part and chunk: 8,192 points at K = 8
 
 
+def _reprs(column: tuple) -> list[str]:  # each int or finite float's repr, from one repr
+    return repr(list(column))[1:-1].split(", ")
+
+
 class ProbeRow(NamedTuple):
     """Best shift found for one grid point and one tail index."""
 
@@ -86,22 +90,25 @@ class EquiPositivityCertificate:
         rows[self.worst_index] = self.worst
         return tuple(rows)
 
-    def lines(self, sep: str = ",", start: str = "", end: str = "") -> list[str]:
-        """The table as text, one line per row: start, x, skip, k, value, end.
+    def text(self, sep: str = ",", start: str = "", end: str = "", join: str = "\n") -> str:
+        """The table as text, rows start, x, skip, k, value, end joined by join.
 
-        The fields are joined by sep and the floats, all finite (x = j /
-        grid_n, values are moduli), written by repr as JSON writes them.
-        Each grid point is formatted once, and each search's (k, value)
-        pairs once, found by identity, never by float equality (0.0 == -0.0).
+        The fields are joined by sep and the floats, all finite (x = j / grid_n,
+        values are moduli), written by repr as JSON writes them, one repr per
+        column.  Each search's row tails are formed once (by identity, never by
+        float equality: 0.0 == -0.0), and one join takes every row's pieces.
         """
-        heads = [start + x + sep for x in map(float.__repr__, self.grid)]
-        texts: dict[int, list[str]] = {}
-        for found in self.columns:
-            if id(found) not in texts:
-                k, value = found
-                texts[id(found)] = [f"{sep}{a}{sep}{b!r}{end}" for a, b in zip(k, value)]
-        cols = [(str(s), texts[id(found)]) for s, found in zip(self.skips, self.columns)]
-        return [head + s + tails[i] for i, head in enumerate(heads) for s, tails in cols]
+        heads = [join + start + x + sep for x in _reprs(self.grid)]
+        tails: dict[int, list[str]] = {}
+        step = 3 * len(self.skips)
+        pieces = [""] * (step * len(heads))  # head, skip and tail of each row, in row order
+        for j, (s, found) in enumerate(zip(self.skips, self.columns)):
+            if id(found) not in tails:
+                tails[id(found)] = [sep + a + sep + b + end for a, b in zip(*map(_reprs, found))]
+            pieces[3 * j :: step], pieces[3 * j + 1 :: step], pieces[3 * j + 2 :: step] = (
+                heads, [str(s)] * len(heads), tails[id(found)])
+        pieces[0] = pieces[0][len(join) :]  # no join before the first row
+        return "".join(pieces)
 
     def table(self) -> Iterator[list]:
         """The rows as [x, skip, k, value] lists, in row order, each formed when reached."""
@@ -125,7 +132,7 @@ class EquiPositivityCertificate:
         }
 
     def to_csv(self) -> str:
-        return "\n".join(["x,skip,k,value", *self.lines()]) + "\n"
+        return "x,skip,k,value\n" + self.text() + "\n"
 
 
 def choose_k(

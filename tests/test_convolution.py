@@ -22,6 +22,7 @@ from convspec import (
     block_frequencies,
     build_spectrum,
     cdf,
+    choose_k,
     compose_triples,
     convolve,
     finite_level,
@@ -33,6 +34,8 @@ from convspec import (
     zero_propagation,
 )
 import convspec.convolution
+import convspec.verify
+import convspec.zeros
 from convspec.convolution import _inv_float
 from conftest import JP_TRIPLE, MIXED_TRIPLES, random_spec
 
@@ -526,6 +529,79 @@ def test_squared_moduli_match_the_complex_kernel_random():
         B = tuple(rng.sample(range(-20, 40), size))
         zero = np.zeros(1)
         assert convspec.convolution._mask_power([(B, 5)], zero, zero).tolist() == [[1.0]], B
+
+
+def kernel_calls(module, monkeypatch, run):
+    """The (factors, x, offsets) of every _mask_power call run() makes through module."""
+    calls = []
+
+    def spy(factors, x, offsets):
+        calls.append((factors, x, offsets))
+        return convspec.convolution._mask_power(factors, x, offsets)
+
+    with monkeypatch.context() as m:
+        m.setattr(module, "_mask_power", spy)
+        run()
+    return calls
+
+
+def left_out(factors, x, offsets, monkeypatch):
+    """The factors one _mask_power call leaves out.
+
+    The kept ones are read from the phases it takes cosines of: its second
+    np.cos call is on np.multiply.outer(freq, offsets), whose rows are each
+    kept factor's 2*pi*delta/P_k, ascending in delta, in factor order.
+    """
+    seen, cos = [], np.cos
+    with monkeypatch.context() as m:
+        m.setattr(np, "cos", lambda a: seen.append(a) or cos(a))
+        convspec.convolution._mask_power(factors, x, offsets)
+    phases = seen[1] if seen else np.empty((0, offsets.size))
+    out, at = [], 0
+    for B, p in factors:
+        deltas = np.array(sorted({b - c for b in B for c in B if b > c}), dtype=float)
+        rows = np.multiply.outer(deltas * (2.0 * np.pi * _inv_float(p)), offsets.reshape(-1))
+        if np.array_equal(phases[at : at + deltas.size], rows):
+            at += deltas.size
+        else:
+            out.append((B, p))
+    assert at == phases.shape[0]  # every kept row is accounted for
+    return out
+
+
+def test_factors_past_the_horizon_are_exactly_one(jp_spec, e14_tail_spec, mixed_spec, monkeypatch):
+    # the kernel leaves out a factor whose phases stay below 2^-27 at every
+    # point of the call: there the complex mask reads |M_B|^2 == 1.0 exactly
+    # (of B - min B, as |M_B| does not see a translation, while mask's phase
+    # exp(-2*pi*i*min B*xi) rounds the modulus of a large min B)
+    rng = random.Random(3201)
+    tails = [jp_spec, mixed_spec, e14_tail_spec] + [random_spec(rng) for _ in range(50)]
+    xs = np.arange(256) / 256
+    calls = []
+    for tail in tails:  # the equipos window: K = 8, grid_n = 256
+        calls += kernel_calls(convspec.zeros, monkeypatch, lambda: choose_k(tail, xs, 8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", GcdNotCertifiedWarning)
+        for spec, i in ((jp_spec, 9), (mixed_spec, 5)):  # verify's lattice rows at depth 30
+            levels = build_spectrum(spec, i)
+            calls += kernel_calls(convspec.verify, monkeypatch,
+                                  lambda: convspec.verify._lattice_q(spec, levels, i, 30, 64))
+    dropped = 0
+    for factors, x, offsets in calls:
+        pts = np.add.outer(x, offsets)
+        for B, p in left_out(factors, x, offsets, monkeypatch):
+            digits = [b - min(B) for b in B]
+            assert np.all(np.abs(mask(digits, pts * _inv_float(p))) ** 2 == 1.0), (B, p)
+            dropped += 1
+    assert dropped > 1000, dropped
+
+
+def test_shift_search_reads_no_bit_past_the_horizon(jp_spec):
+    xs = np.arange(512) / 512
+    k, value = choose_k(jp_spec, xs, depth=40)
+    for depth in (80, 200):
+        deep_k, deep_value = choose_k(jp_spec, xs, depth=depth)
+        assert deep_k.tolist() == k.tolist() and deep_value.tobytes() == value.tobytes()
 
 
 # --- tails ------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 
 import convspec.equipos
 import convspec.zeros
-from conftest import random_spec
+from conftest import E14_TRIPLES, JP_TRIPLE, MIXED_TRIPLES, random_spec
 from convspec import (
     ConvolutionSpec,
     SelectionWord,
@@ -433,19 +433,34 @@ def test_table_text_formats_each_search_by_identity(jp_spec):
     # skips 0 and 1 of jp share one search, so one pair of column tuples
     cert = probe_family(jp_spec, (1, 0), grid_n=4, K=2, depth=10)
     assert cert.columns[0] is cert.columns[1]
-    want = [f"{r.x!r},{r.skip},{r.k},{r.value!r}" for r in cert.rows]
-    assert cert.lines() == want
-    assert cert.to_csv() == "\n".join(["x,skip,k,value", *want]) + "\n"
+    want = "\n".join(f"{r.x!r},{r.skip},{r.k},{r.value!r}" for r in cert.rows)
+    assert cert.text() == want
+    assert cert.to_csv() == "x,skip,k,value\n" + want + "\n"
     # the same columns as separate objects: an equal certificate, the same text
     apart = dataclasses.replace(
         cert, columns=tuple((tuple(list(k)), tuple(list(v))) for k, v in cert.columns)
     )
     assert apart.columns[0] is not apart.columns[1]
-    assert apart == cert and apart.lines() == want and apart.to_json() == cert.to_json()
+    assert apart == cert and apart.text() == want and apart.to_json() == cert.to_json()
     # 0.0 == -0.0, so columns that differ only in that sign are equal, yet
     # each keeps its own text
     k = cert.columns[0][0]
     signed = dataclasses.replace(cert, columns=((k, (0.0,) * 4), (k, (-0.0,) * 4)))
     assert signed.columns[0] == signed.columns[1]
-    assert [line.rsplit(",", 1)[1] for line in signed.lines()] == ["0.0", "-0.0"] * 4
-    assert signed.lines(";", "<", ">")[1] == f"<0.0;1;{k[0]};-0.0>"
+    assert [line.rsplit(",", 1)[1] for line in signed.text().split("\n")] == ["0.0", "-0.0"] * 4
+    assert signed.text(";", "<", ">", "|").split("|")[1] == f"<0.0;1;{k[0]};-0.0>"
+
+
+@pytest.mark.parametrize("triples, word, skips, grid_n", [
+    (E14_TRIPLES, SelectionWord(prefix=(1,), period=(2,)), (0, 1, 2), 12),  # two searches
+    (E14_TRIPLES, SelectionWord(period=(2,)), (0, 1, 2), 12),  # one search for three skips
+    (MIXED_TRIPLES, SelectionWord(period=(1, 2)), (2, 0, 1, 0), 10),  # a repeated skip
+    ((JP_TRIPLE,), SelectionWord(), (0, 3), 2),  # the smallest grid
+])
+def test_table_text_is_the_join_of_its_rows(triples, word, skips, grid_n):
+    cert = probe_family(ConvolutionSpec(triples, word), skips, grid_n=grid_n, K=3, depth=12)
+    for sep, start, end, join in ((",", "", "", "\n"), (",\n    ", "[\n    ", "\n  ]", ",\n  "),
+                                  (";", "<", ">", "")):
+        want = join.join(f"{start}{r.x!r}{sep}{r.skip}{sep}{r.k}{sep}{r.value!r}{end}"
+                         for r in cert.rows)
+        assert cert.text(sep, start, end, join) == want, (sep, start, end, join)
