@@ -45,10 +45,8 @@ from .triples import (
 )
 from .verify import (
     QReport,
-    QValue,
     level_completeness,
     orthonormality_gram,
-    q_function,
     spectral_report,
 )
 from .zeros import (
@@ -76,7 +74,6 @@ __all__ = [
     "ProbeRow",
     "PropagationTrace",
     "QReport",
-    "QValue",
     "SelectionWord",
     "SpectrumLevels",
     "TailSpec",
@@ -104,7 +101,6 @@ __all__ = [
     "normalize_frequencies",
     "orthonormality_gram",
     "probe_family",
-    "q_function",
     "reduce_frequencies",
     "spectral_report",
     "tail_truncation_bound",

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .triples import HadamardTriple, _fields_json, _integers
+from .triples import HadamardTriple, _digits, _fields_json, _DigitTable, _integers
 
 __all__ = [
     "DEFAULT_TAIL_DEPTH",
@@ -422,31 +422,27 @@ def finite_level(spec: ConvolutionSpec, n: int) -> DiscreteMeasure:
     return DiscreteMeasure(num, abs(p), count.astype(np.int64))
 
 
+def _mask_sum(t: _DigitTable, xs: np.ndarray) -> np.ndarray:
+    """mean_b exp(-2*pi*i*(b - min B)*xs) over a 1-d xs, one matrix-vector
+    product over the offsets in B's order: M_B without its min B phase, so
+    its modulus is the same for every translate of B."""
+    d = np.array(t.offsets, dtype=float) * (-2j * np.pi)
+    return np.exp(np.multiply.outer(xs, d)) @ np.full(len(d), 1.0 / len(d))
+
+
 def mask(B: Sequence[int], xi: ArrayLike) -> complex | np.ndarray:
     """Mask polynomial M_B(xi) = mean_b exp(-2*pi*i*b*xi); period 1, |M| <= 1.
 
-    #B exponentials per point of the digits d = b - min B, averaged by one
-    matrix-vector product, times the phase exp(-2*pi*i*min B*xi) when
-    min B != 0.  M_B(-xi) == conj(M_B(xi)) holds exactly.
+    _mask_sum of B's digit table, times the phase exp(-2*pi*i*min B*xi)
+    when min B != 0.  M_B(-xi) == conj(M_B(xi)) holds exactly.
     """
-    B = _integers(B)
-    if not B:
-        raise ValueError("digit set must be nonempty")
+    t = _digits(B)
     x = np.asarray(xi, dtype=float)
-    xs, lo = x.reshape(-1), min(B)
-    d = np.array([b - lo for b in B], dtype=float) * (-2j * np.pi)
-    out = np.exp(np.multiply.outer(xs, d)) @ np.full(len(B), 1.0 / len(B))
-    if lo:
-        out *= np.exp(xs * (-2j * np.pi * lo))
+    xs = x.reshape(-1)
+    out = _mask_sum(t, xs)
+    if t.lo:
+        out *= np.exp(xs * (-2j * np.pi * t.lo))
     return complex(out[0]) if x.ndim == 0 else out.reshape(x.shape)
-
-
-def _delta_count(B: Sequence[int]) -> int:
-    """#delta, the distinct differences b - b' > 0 of B.
-
-    A factor of _mask_power has rank 1 + 2 #delta.
-    """
-    return len({b - c for b in B for c in B if b > c})
 
 
 def _mask_power(
@@ -455,7 +451,7 @@ def _mask_power(
     """prod_k |M_{B_k}((x + o) / P_k)|^2 over the factors (B_k, P_k), for every x and o.
 
     The result has shape x.shape + offsets.shape.  With c_delta the number
-    of digit pairs b - b' = delta > 0, a factor is
+    of digit pairs b - b' = delta > 0 (from B's digit table), a factor is
     |M_B(y)|^2 = 1/#B + (2/#B^2) sum_delta c_delta cos(2*pi*delta*y), and
     cos(a + b) = cos a cos b - sin a sin b makes it one real matrix product
     over (x, o) of rank 1 + 2 * #delta: columns cos a, sin a and 1 of x
@@ -475,16 +471,10 @@ def _mask_power(
     xs = x.reshape(-1)
     o = offsets.reshape(-1)
     reach = max(np.abs(xs).max(initial=0.0), np.abs(o).max(initial=0.0))
-    digit_pairs: dict[Sequence[int], tuple[list[int], list[float], float]] = {}
     freq, weight, const = [], [], []
     cos_at, sin_at, one_at = [], [], []  # each factor's columns of u and rows of v
     for B, p in factors:
-        if B not in digit_pairs:
-            pairs = collections.Counter(b - c for b in B for c in B if b > c)
-            k = [round(2 * pairs[d] * 2.0**52 / len(B) ** 2) for d in sorted(pairs)]
-            w = [i * 2.0**-52 for i in k]
-            digit_pairs[B] = (sorted(pairs), w, ((1 << 52) - sum(k)) * 2.0**-52)
-        deltas, w, c = digit_pairs[B]
+        _, _, deltas, w, c, _ = _digits(B)
         scale = 2.0 * np.pi * _inv_float(p)
         if deltas and deltas[-1] * abs(scale) * reach < _HORIZON:
             continue

@@ -12,12 +12,14 @@ on B/N.  Scales may be negative; only |N| >= 2 is required.
 
 from __future__ import annotations
 
+import collections
 import contextlib
+import functools
 import math
 import operator
 from dataclasses import dataclass, fields
 from itertools import product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,6 +46,40 @@ def _integers(values: Sequence[int], name: str = "digits") -> tuple[int, ...]:
         with contextlib.suppress(TypeError):  # values that cannot be listed are named by repr
             values = list(values)
         raise ValueError(f"{name} must be integers, got {values!r}") from None
+
+
+class _DigitTable(NamedTuple):
+    """What every mask reads of a digit set B: lo = min B, the offsets
+    b - min B in B's order, the distinct differences b - b' > 0 ascending
+    with the squared kernel's weights 2 c_delta / #B^2 (c_delta pairs at
+    delta) rounded to multiples of 2^-52 and const = 1 - sum(weights)
+    exactly, and gcd(B - B), 0 for a singleton."""
+
+    lo: int
+    offsets: tuple[int, ...]
+    deltas: tuple[int, ...]
+    weights: tuple[float, ...]
+    const: float
+    gcd: int
+
+
+def _digits(B: Sequence[int]) -> _DigitTable:
+    """B's digit table, formed once per B; B is checked by _integers before
+    the cache is read, as (0.0, 2.0) hashes and compares like (0, 2)."""
+    return _digit_table(_integers(B))
+
+
+@functools.lru_cache(maxsize=1024)
+def _digit_table(B: tuple[int, ...]) -> _DigitTable:
+    if not B:
+        raise ValueError("digit set must be nonempty")
+    lo = min(B)
+    offsets = tuple(b - lo for b in B)
+    pairs = collections.Counter(b - c for b in B for c in B if b > c)
+    deltas = tuple(sorted(pairs))
+    k = [round(2 * pairs[d] * 2.0**52 / len(B) ** 2) for d in deltas]
+    return _DigitTable(lo, offsets, deltas, tuple(i * 2.0**-52 for i in k),
+                       ((1 << 52) - sum(k)) * 2.0**-52, math.gcd(*offsets))
 
 
 def _fields_json(obj, **extra) -> dict:
@@ -206,10 +242,4 @@ def compose_triples(ts: Sequence[HadamardTriple]) -> HadamardTriple:
 
 def difference_gcd(B: Sequence[int]) -> int:
     """gcd of all pairwise differences of B; 0 for a singleton."""
-    B = _integers(B)
-    if not B:
-        raise ValueError("digit set must be nonempty")
-    g = 0
-    for b in B[1:]:
-        g = math.gcd(g, abs(b - B[0]))
-    return g
+    return _digits(B).gcd

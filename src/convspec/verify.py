@@ -26,7 +26,6 @@ from .convolution import (
     TailSpec,
     _INT64_LIMIT,
     _check_budget,
-    _delta_count,
     _int_array,
     _int_bytes,
     _inv_float,
@@ -39,14 +38,12 @@ from .convolution import (
     fourier_tail,
 )
 from .spectrum import SpectrumLevels
-from .triples import _fields_json, _integers
+from .triples import _digits, _fields_json, _integers
 
 __all__ = [
     "QReport",
-    "QValue",
     "orthonormality_gram",
     "level_completeness",
-    "q_function",
     "spectral_report",
 ]
 
@@ -200,7 +197,7 @@ def _pass_bytes(
     base = 8 * (8 * (n_xi + tile) + pair * tile * n_xi + words)
     width = [0, 0]  # the first m_i factors, the rest
     for k, (t, _, table) in enumerate(_table_walk(spec, depth), start=1):
-        width[k > m_i] += 5 * _delta_count(t.B) + 1
+        width[k > m_i] += 5 * len(_digits(t.B).deltas) + 1
         need = _check_budget(what, base + 8 * (n_xi + tile) * max(width) + table)
     return need
 
@@ -316,24 +313,6 @@ def level_completeness(
     _check_level(levels, i)
     xi = np.asarray(xi_grid, dtype=float)
     return _grid_pass(spec, levels, i, levels.m(i), xi).completeness_defect
-
-
-class QValue(NamedTuple):
-    q: float
-    tail_bound: float
-
-
-def q_function(
-    spec: ConvolutionSpec,
-    levels: SpectrumLevels,
-    i: int,
-    depth: int,
-    xi: float,
-) -> QValue:
-    """Q over level i at a single point, with its accumulated truncation bound."""
-    _check_level(levels, i)
-    res = _grid_pass(spec, levels, i, depth, np.asarray([float(xi)]))
-    return QValue(float(res.q[0]), float(res.bound[0]))
 
 
 @dataclass(frozen=True)

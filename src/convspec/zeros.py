@@ -2,8 +2,9 @@
 
 A mask M_B is z^min(B) times a polynomial in z = exp(-2*pi*i*xi), so its
 real zeros are the unit-circle roots of that polynomial, at most diam(B)
-per unit period.  They are eigenvalues (numpy.roots) of the polynomial's
-exact square-free part, where every root is simple, each polished by one
+per unit period.  The polynomial is q(z^g) for g = gcd(B - B), and they
+are the g-th roots of the eigenvalues (numpy.roots) of q's exact
+square-free part, where every root is simple, each polished by one
 Newton step.  The finite enumeration of scaled zero products and the
 numeric probes for integral periodic zeros build on this; probe verdicts
 are numerical evidence, not proofs.
@@ -21,14 +22,14 @@ from .convolution import (
     DEFAULT_TAIL_DEPTH,
     ConvolutionSpec,
     _check_budget,
-    _delta_count,
     _mask_power,
+    _mask_sum,
     _part_count,
-    # unused here, but bench/tracing.py requires the name bound in this module
+    # unused here, but bench/tracing.py requires both names bound in this module
     fourier_tail,
     mask,
 )
-from .triples import _fields_json, _integers, _tolerance
+from .triples import _digits, _fields_json, _integers, _tolerance
 
 __all__ = [
     "ZeroEnclosure",
@@ -133,9 +134,9 @@ class _Window(NamedTuple):
         if depth < 1:  # over the empty product every shift ties at 1
             raise ValueError(f"depth must be >= 1, got {depth}")
         factors = [(f.triple.B, f.product) for f in tail.factors(depth)]
-        deltas = {B: _delta_count(B) for B, _ in factors}
-        width = sum(5 * deltas[B] + 1 for B, _ in factors)
-        return cls(ks, factors, max(1 + 2 * d for d in deltas.values()) * 2.0**-51, width)
+        deltas = [len(_digits(B).deltas) for B, _ in factors]
+        width = sum(5 * d + 1 for d in deltas)
+        return cls(ks, factors, max(1 + 2 * d for d in deltas) * 2.0**-51, width)
 
     @property
     def chunks(self) -> int:
@@ -232,36 +233,40 @@ def _square_free_part(p: list[int]) -> list[int]:
 
 
 def _zeros_in_unit_period(B, residual_tol: float) -> list[ZeroEnclosure]:
-    """Zeros of M_B in [0, 1) with enclosure radii.
+    """Zeros of M_B in [0, 1) with enclosure radii, ascending.
 
     With z = exp(-2*pi*i*xi), M_B(xi) = z^min(B) * p(z) / #B for the digit
-    count polynomial p(z) = sum_b z^(b - min B), so the zeros are
-    xi = -arg(z)/(2*pi) mod 1 over the roots z of p on the unit circle.
-    They are taken from the square-free part s of p, where every root is
-    simple, polished by one Newton step in xi and kept only if
-    |M_B(xi)| <= residual_tol; the radius is twice the next step, |s/s'|/pi.
-    numpy.roots takes the eigenvalues of a span x span companion matrix,
-    span = max B - min B, so a span whose ~16 * span^2 bytes pass the
-    budget raises ValueError before p is formed.
+    count polynomial p(z) = sum_b z^(b - min B) = q(z^g), g = gcd(B - B)
+    and q(w) = sum_b w^((b - min B)/g) of degree span/g, so the zeros are
+    xi = (y + j)/g, j = 0..g-1, over y = -arg(w)/(2*pi) mod 1 for the roots
+    w of q on the unit circle.  They are taken from the square-free part s
+    of q, where every root is simple, polished by one Newton step in y and
+    kept only if |M_B(xi)| <= residual_tol (its modulus by _mask_sum); the
+    radius is twice the next step, |s/s'|/(pi g).  numpy.roots takes the
+    eigenvalues of a companion matrix of q's degree, so a degree whose
+    ~16 * degree^2 bytes pass the budget raises ValueError before q is formed.
     """
-    hi, span = max(B), max(B) - min(B)
-    _check_budget(f"root finding on a mask of span {span}", 16 * span**2)
-    p = [0] * (span + 1)
-    for b in B:
-        p[hi - b] += 1
-    s = np.array([float(c) for c in _square_free_part(p)])
+    t = _digits(B)
+    g, span = t.gcd, max(t.offsets)
+    degree = span // g
+    _check_budget(f"root finding on a mask of span {span} and degree {degree}", 16 * degree**2)
+    q = [0] * (degree + 1)
+    for d in t.offsets:
+        q[degree - d // g] += 1
+    s = np.array([float(c) for c in _square_free_part(q)])
     ds = np.polyder(s)
 
-    def newton_step(x):  # -f/f' for f(x) = s(exp(-2*pi*i*x))
-        w = np.exp(-2j * np.pi * x)
+    def newton_step(y):  # -f/f' for f(y) = s(exp(-2*pi*i*y))
+        w = np.exp(-2j * np.pi * y)
         return np.polyval(s, w) / (2j * np.pi * w * np.polyval(ds, w))
 
-    z = np.roots(s)
-    z = z[np.abs(np.abs(z) - 1.0) <= _CIRCLE_TOL]
-    xs = -np.angle(z) / (2 * np.pi) % 1.0
-    xs = np.sort(xs + newton_step(xs).real)
-    radii = 2.0 * np.abs(newton_step(xs))
-    residuals = np.abs(mask(B, xs))
+    w = np.roots(s)
+    w = w[np.abs(np.abs(w) - 1.0) <= _CIRCLE_TOL]
+    ys = -np.angle(w) / (2 * np.pi) % 1.0
+    ys = np.sort(ys + newton_step(ys).real)  # inside (0, 1), as M_B(0) = 1
+    xs = (np.add.outer(np.arange(g), ys) / g).ravel()
+    radii = np.tile(2.0 * np.abs(newton_step(ys)) / g, g)
+    residuals = np.abs(_mask_sum(t, xs))
     return [
         ZeroEnclosure(float(x), max(float(r), 1e-15))
         for x, r, m in zip(xs, radii, residuals)
@@ -295,9 +300,7 @@ def mask_zeros(
 ) -> ZeroSetReport:
     """All zeros of M_B in [lo, hi], located per unit period and translated."""
     B = _integers(B)
-    if not B:
-        raise ValueError("digit set must be nonempty")
-    if len(set(B)) == 1:
+    if not _digits(B).deltas:
         raise ValueError("no zeros by definition: mask of a singleton never vanishes")
     if not -math.inf < lo < hi < math.inf:
         raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
@@ -468,7 +471,8 @@ def zero_propagation(spec: ConvolutionSpec, xi0: float, steps: int) -> Propagati
     for t, scale, _ in spec.factors(steps):
         l_eff = [float(scale // t.N * (l % abs(t.N))) for l in t.L]
         tau = np.add.outer(y, l_eff).ravel() / float(scale)
-        y = _merge_close(np.sort(tau[np.abs(mask(t.B, tau)) > DEFAULT_PROBE_TOL], kind="stable"))
+        alive = np.abs(_mask_sum(_digits(t.B), tau)) > DEFAULT_PROBE_TOL
+        y = _merge_close(np.sort(tau[alive], kind="stable"))
         ys.append(tuple(y.tolist()))
         flags.append(bool(np.any(np.abs(y - np.round(y)) <= DEFAULT_INTEGER_TOL)))
     return PropagationTrace(

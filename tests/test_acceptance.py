@@ -32,10 +32,10 @@ from convspec import (
     mask,
     mask_zeros,
     probe_family,
-    q_function,
     verify_triple,
     zero_propagation,
 )
+from convspec.verify import _grid_pass
 from conftest import random_spec, random_triple
 
 F = Fraction
@@ -129,18 +129,14 @@ def test_criterion_06_bessel_and_monotonicity():
         t0 = time.perf_counter()
         levels = build_quiet(JP, 3)
         grid = np.linspace(-2.0, 2.0, 64)
-        worst_bound = 0.0
         q_prev = np.zeros_like(grid)
         q_by_level = {}
         for i in (1, 2, 3):
-            qs = []
-            for xi in grid:
-                qv = q_function(JP, levels, i, 30, float(xi))
-                assert qv.q <= 1 + 1e-9
-                qs.append(qv.q)
-                if i == 3:
-                    worst_bound = max(worst_bound, qv.tail_bound)
-            q_by_level[i] = np.array(qs)
+            res = _grid_pass(JP, levels, i, 30, grid)
+            assert np.all(res.q <= 1 + 1e-9)
+            q_by_level[i] = res.q
+            if i == 3:
+                worst_bound = float(res.bound.max())
         assert np.all(q_by_level[1] <= q_by_level[2] + 1e-9)
         assert np.all(q_by_level[2] <= q_by_level[3] + 1e-9)
         assert np.min(q_by_level[3]) >= 0.99 - worst_bound

@@ -948,10 +948,11 @@ PAST_THE_BUDGET = {  # argv, and what the message names
                     "a table of 10000000 factors"),
     "zeros-kmax": (["zeros", *JP, "--probe-xi", "0.3", "--kmax", "1000000000"],
                    "a shift window of K = 1000000000"),
-    # span 10^5 would need an 80 GB companion matrix
-    "zeros-mask": (["zeros", "--mask", "0,100000"], "root finding on a mask of span 100000"),
+    # span 10^5 with gcd(B - B) = 1 would need an 80 GB companion matrix
+    "zeros-mask": (["zeros", "--mask", "0,1,100000"],
+                   "root finding on a mask of span 100000 and degree 100000"),
     "zeros-products": (["zeros", "--config", "{wide}", "--products-h", "5"],
-                       "root finding on a mask of span 100000"),
+                       "root finding on a mask of span 100001 and degree 100001"),
 }
 
 
@@ -963,7 +964,7 @@ def test_past_the_budget_exits_3(capsys, tmp_path, monkeypatch, case):
     argv, what = PAST_THE_BUDGET[case]
     levels, wide = tmp_path / "levels.json", tmp_path / "wide.json"
     assert main(["spectrum", *JP, "--levels", "3", "--out", str(levels)]) == 0
-    wide.write_text(json.dumps({"triples": [{"N": 200000, "B": [0, 100000], "L": [0, 1]}]}))
+    wide.write_text(json.dumps({"triples": [{"N": 3, "B": [0, 1, 100001], "L": [0, 1, 2]}]}))
     monkeypatch.setattr(np, "roots", lambda *a: pytest.fail("np.roots was called"))
     compose = convspec.spectrum.block_frequencies
 

@@ -4,17 +4,20 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from convspec import (
     HadamardTriple,
     compose_triples,
     difference_gcd,
+    mask,
     normalize_frequencies,
     reduce_frequencies,
     translate_triple,
     verify_triple,
 )
+from convspec.triples import _digits
 from conftest import random_triple
 
 
@@ -202,6 +205,36 @@ def test_difference_gcd_invariances():
         shift = rng.randint(-40, 40)
         assert difference_gcd([x + shift for x in b]) == g
         assert difference_gcd([-x for x in b]) == g
+
+
+def test_digit_table_never_admits_floats():
+    # (0.0, 2.0) hashes and compares like (0, 2): it must be refused before
+    # the cache is read, also once (0, 2) is in it
+    assert _digits((0, 2)).gcd == difference_gcd([0, 2]) == 2
+    mask([0, 2], 0.25)
+    for bad in ([0.0, 2.0], (0.0, 2.0), [0, 2.0]):
+        with pytest.raises(ValueError, match="must be integers"):
+            mask(bad, 0.25)
+        with pytest.raises(ValueError, match="must be integers"):
+            difference_gcd(bad)
+        with pytest.raises(ValueError, match="must be integers"):
+            _digits(bad)
+    with pytest.raises(ValueError, match="nonempty"):
+        _digits([])
+
+
+def test_digit_table_fields():
+    for B in ((5,), (7, 7)):
+        t = _digits(B)
+        assert (t.lo, t.deltas, t.weights, t.const, t.gcd) == (B[0], (), (), 1.0, 0)
+        assert t.offsets == (0,) * len(B)
+    t = _digits(np.array([3, -1, 5]))  # numpy ints are read as Python ints
+    assert t.lo == -1 and t.offsets == (4, 0, 6) and t.deltas == (2, 4, 6)
+    assert all(type(v) is int for v in (t.lo, t.gcd, *t.offsets, *t.deltas))
+    assert t.gcd == 2 and t.const + sum(t.weights) == 1.0
+    assert t.weights == (round(2 * 2.0**52 / 9) * 2.0**-52,) * 3
+    # a translate has the same table but for min B
+    assert _digits((1003, 999, 1005))._replace(lo=-1) == t
 
 
 def test_triple_json_round_trip():

@@ -25,7 +25,6 @@ from convspec import (
     level_completeness,
     mask,
     orthonormality_gram,
-    q_function,
     spectral_report,
 )
 from conftest import E14_TRIPLES, JP_TRIPLE, MIXED_TRIPLES, random_spec
@@ -373,23 +372,23 @@ def test_level_completeness_small_on_grids(jp_spec, mixed_spec):
 
 def test_q_at_zero_is_one(jp_spec):
     levels = build_quiet(jp_spec, 2)
-    qv = q_function(jp_spec, levels, 2, 30, 0.0)
-    assert qv.q >= 1 - 1e-3
-    assert qv.q <= 1 + 1e-9
+    (q,) = verify._grid_pass(jp_spec, levels, 2, 30, np.array([0.0])).q
+    assert q >= 1 - 1e-3
+    assert q <= 1 + 1e-9
 
 
 def test_q_depth_equal_m_reproduces_completeness(jp_spec, mixed_spec):
     for spec in (jp_spec, mixed_spec):
         levels = build_quiet(spec, 2)
         m2 = levels.m(2)
-        for xi in (0.0, 0.37, -1.4):
-            qv = q_function(spec, levels, 2, m2, xi)
-            lam = np.asarray(levels.level(2), float)
+        grid = np.array([0.0, 0.37, -1.4])
+        lam = np.asarray(levels.level(2), float)
+        for xi, q in zip(grid, verify._grid_pass(spec, levels, 2, m2, grid).q):
             direct = float(
                 (np.abs(fourier_finite(spec, m2, lam + xi)) ** 2).sum()
             )
-            assert qv.q == pytest.approx(direct, abs=1e-12)
-            assert abs(qv.q - 1.0) <= 1e-9  # same formula as completeness
+            assert q == pytest.approx(direct, abs=1e-12)
+            assert abs(q - 1.0) <= 1e-9  # same formula as completeness
 
 
 coefficient = convspec.convolution._tail_series_coefficient
@@ -457,21 +456,20 @@ def test_depth_part_bounds_the_change_in_q_with_depth(jp_spec, mixed_spec):
 def test_q_bessel_and_monotone_in_level(jp_spec):
     levels = build_quiet(jp_spec, 3)
     grid = np.linspace(-2, 2, 33)
-    for xi in grid:
-        prev = 0.0
-        for i in (1, 2, 3):
-            qv = q_function(jp_spec, levels, i, 30, float(xi))
-            assert qv.q <= 1 + 1e-9
-            assert qv.q >= prev - 1e-9
-            prev = qv.q
+    prev = np.zeros_like(grid)
+    for i in (1, 2, 3):
+        q = verify._grid_pass(jp_spec, levels, i, 30, grid).q
+        assert np.all(q <= 1 + 1e-9)
+        assert np.all(q >= prev - 1e-9)
+        prev = q
 
 
 def test_q_bound_covers_true_deficit(jp_spec):
     # recorded baseline: Q_3 at xi = 2 is about 0.9442 and the bound covers it
     levels = build_quiet(jp_spec, 3)
-    qv = q_function(jp_spec, levels, 3, 30, 2.0)
-    assert qv.q == pytest.approx(0.944172, abs=5e-6)
-    assert qv.q >= 1.0 - qv.tail_bound - 1e-9
+    res = verify._grid_pass(jp_spec, levels, 3, 30, np.array([2.0]))
+    assert res.q[0] == pytest.approx(0.944172, abs=5e-6)
+    assert res.q[0] >= 1.0 - res.bound[0] - 1e-9
 
 
 def test_orthogonality_persists_at_double_depth(jp_spec, mixed_spec):
@@ -552,9 +550,8 @@ def test_report_q_matches_full_depth_product(jp_spec, mixed_spec):
         pts = lam[:, None] + np.asarray(rep.xi_grid)[None, :]
         direct = (np.abs(fourier_finite(spec, 30, pts)) ** 2).sum(axis=0)
         assert np.max(np.abs(np.asarray(rep.q_values) - direct)) <= 1e-12
-        for xi in rep.xi_grid[::7]:
-            qv = q_function(spec, levels, depth_i, 30, xi)
-            assert qv.q == pytest.approx(rep.q_values[rep.xi_grid.index(xi)], abs=1e-15)
+        q = verify._grid_pass(spec, levels, depth_i, 30, np.array(rep.xi_grid[::7])).q
+        np.testing.assert_allclose(q, rep.q_values[::7], rtol=0, atol=1e-15)
 
 
 @pytest.fixture(scope="module")

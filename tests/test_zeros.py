@@ -2,18 +2,23 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from convspec import (
+    ConvolutionSpec,
     HadamardTriple,
+    SelectionWord,
     enumerate_zero_products,
     integral_periodic_zero_probe,
     mask,
     mask_zeros,
+    translate_triple,
     zero_propagation,
 )
 import convspec.zeros
@@ -25,6 +30,8 @@ from convspec.zeros import (
     _zeros_in_unit_period,
     search_order,
 )
+from convspec.convolution import _mask_sum
+from convspec.triples import _digits
 from conftest import random_spec
 
 
@@ -176,6 +183,71 @@ def test_mask_zeros_translation_invariant():
     for s in range(-3, 4):
         got = mask_zeros([b + s for b in digits], 0.0, 1.0)
         assert got.roots == pytest.approx(base.roots, abs=1e-15), s
+
+
+@pytest.mark.parametrize("B", [(0, 2), (0, 3, 6), (-7, -4, -1)])
+def test_roots_are_taken_on_the_reduced_polynomial(B, monkeypatch):
+    # p(z) = q(z^g) for g = gcd(B - B): numpy.roots gets q, of degree span/g,
+    # and the zeros match the full-degree path's, taken with g read as 1
+    degrees, roots = [], np.roots
+    monkeypatch.setattr(np, "roots", lambda s: degrees.append(len(s) - 1) or roots(s))
+    reduced = _zeros_in_unit_period(B, DEFAULT_RESIDUAL_TOL)
+    with monkeypatch.context() as m:
+        m.setattr(convspec.zeros, "_digits", lambda b: _digits(b)._replace(gcd=1))
+        full = _zeros_in_unit_period(B, DEFAULT_RESIDUAL_TOL)
+    span, g = max(B) - min(B), _digits(B).gcd
+    assert g > 1 and degrees == [span // g, span]
+    assert len(reduced) == len(full) == span
+    for got, want in zip(reduced, full):
+        assert got.root == pytest.approx(want.root, abs=4e-16)
+        assert got.radius == pytest.approx(want.radius, rel=1e-6)
+
+
+def test_root_finding_budget_counts_the_reduced_degree(monkeypatch):
+    # span 10^5 at gcd 1 is past the budget; at gcd 10^5 it is a linear q
+    monkeypatch.setattr(np, "roots", lambda *a: pytest.fail("np.roots was called"))
+    with pytest.raises(ValueError, match="span 100000 and degree 100000 needs more"):
+        mask_zeros([0, 1, 100000], 0.0, 1.0)
+    monkeypatch.undo()
+    want = [(2 * j + 1) / 200000 for j in range(10)]
+    assert mask_zeros([0, 100000], 0.0, 1e-4).roots == pytest.approx(want, abs=1e-15)
+
+
+@pytest.mark.parametrize("B", [(11, 13), (1000, 1002), (-7, -4, -1)])
+def test_moduli_do_not_see_a_translation(B, monkeypatch):
+    # the residual check and the survivor test read |sum_b exp(-2 pi i (b - min B) xi)|,
+    # which has no min B phase to round: bit-equal for B and B + s
+    monkeypatch.setattr(convspec.zeros, "mask", lambda *a: pytest.fail("mask was called"))
+    y = np.random.default_rng(95).uniform(-1, 1, 100_000)
+    base = np.abs(_mask_sum(_digits(B), y))
+    roots = _zeros_in_unit_period(B, DEFAULT_RESIDUAL_TOL)
+    for s in (-min(B), 1, -40, 10**6):
+        moved = tuple(b + s for b in B)
+        assert np.array_equal(np.abs(_mask_sum(_digits(moved), y)), base), s
+        assert _zeros_in_unit_period(moved, DEFAULT_RESIDUAL_TOL) == roots, s
+    family = (HadamardTriple(len(B), tuple(range(len(B))), tuple(range(len(B)))),
+              HadamardTriple(2 * len(B), B, tuple(range(0, 2 * len(B), 2))))
+    spec = ConvolutionSpec(family, SelectionWord(period=(1, 2)))
+    trace = zero_propagation(spec, 0.3, 6)
+    for s in (-min(B), 1, 10**6):
+        moved = ConvolutionSpec((family[0], translate_triple(family[1], s, 0)), spec.word)
+        assert zero_propagation(moved, 0.3, 6) == trace, s
+
+
+def test_propagation_counts_match_the_benchmark_reference(tmp_path):
+    # the benchmark's known answer: counts from a cmath loop over the digits
+    # b themselves, at every seed's translated mixed family and start point
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    steps = workloads.FULL.propagation_steps
+    for seed in range(1, 21):
+        ctx = workloads.make_context(seed, workloads.FULL, tmp_path)
+        want = workloads.reference_orbit_counts(
+            ctx.families["mixed"], workloads.WORDS["mixed"]["period"], ctx.xi0, steps)
+        assert zero_propagation(ctx.spec("mixed"), ctx.xi0, steps).counts == want, seed
 
 
 def test_mask_zeros_rejects_non_integer_digits():
