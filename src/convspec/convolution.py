@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .triples import HadamardTriple, _digits, _fields_json, _DigitTable, _integers
+from .triples import HadamardTriple, _digits, _fields_json, _integers, _pairs
 
 __all__ = [
     "DEFAULT_TAIL_DEPTH",
@@ -422,24 +422,20 @@ def finite_level(spec: ConvolutionSpec, n: int) -> DiscreteMeasure:
     return DiscreteMeasure(num, abs(p), count.astype(np.int64))
 
 
-def _mask_sum(t: _DigitTable, xs: np.ndarray) -> np.ndarray:
-    """mean_b exp(-2*pi*i*(b - min B)*xs) over a 1-d xs, one matrix-vector
-    product over the offsets in B's order: M_B without its min B phase, so
-    its modulus is the same for every translate of B."""
-    d = np.array(t.offsets, dtype=float) * (-2j * np.pi)
-    return np.exp(np.multiply.outer(xs, d)) @ np.full(len(d), 1.0 / len(d))
-
-
 def mask(B: Sequence[int], xi: ArrayLike) -> complex | np.ndarray:
     """Mask polynomial M_B(xi) = mean_b exp(-2*pi*i*b*xi); period 1, |M| <= 1.
 
-    _mask_sum of B's digit table, times the phase exp(-2*pi*i*min B*xi)
-    when min B != 0.  M_B(-xi) == conj(M_B(xi)) holds exactly.
+    #B exponentials per point of B's offsets b - min B (see triples._digits),
+    averaged in B's order by one matrix-vector product, times the phase
+    exp(-2*pi*i*min B*xi) when min B != 0.  M_B(-xi) == conj(M_B(xi)) holds
+    exactly.  mask(offsets, xi) has no phase, so its modulus is the same for
+    every translate of B.
     """
     t = _digits(B)
     x = np.asarray(xi, dtype=float)
     xs = x.reshape(-1)
-    out = _mask_sum(t, xs)
+    d = np.array(t.offsets, dtype=float) * (-2j * np.pi)
+    out = np.exp(np.multiply.outer(xs, d)) @ np.full(len(d), 1.0 / len(d))
     if t.lo:
         out *= np.exp(xs * (-2j * np.pi * t.lo))
     return complex(out[0]) if x.ndim == 0 else out.reshape(x.shape)
@@ -451,7 +447,7 @@ def _mask_power(
     """prod_k |M_{B_k}((x + o) / P_k)|^2 over the factors (B_k, P_k), for every x and o.
 
     The result has shape x.shape + offsets.shape.  With c_delta the number
-    of digit pairs b - b' = delta > 0 (from B's digit table), a factor is
+    of digit pairs b - b' = delta > 0 (from triples._pairs), a factor is
     |M_B(y)|^2 = 1/#B + (2/#B^2) sum_delta c_delta cos(2*pi*delta*y), and
     cos(a + b) = cos a cos b - sin a sin b makes it one real matrix product
     over (x, o) of rank 1 + 2 * #delta: columns cos a, sin a and 1 of x
@@ -474,17 +470,17 @@ def _mask_power(
     freq, weight, const = [], [], []
     cos_at, sin_at, one_at = [], [], []  # each factor's columns of u and rows of v
     for B, p in factors:
-        _, _, deltas, w, c, _ = _digits(B)
+        pw = _pairs(_digits(B))
         scale = 2.0 * np.pi * _inv_float(p)
-        if deltas and deltas[-1] * abs(scale) * reach < _HORIZON:
+        if pw.deltas and pw.deltas[-1] * abs(scale) * reach < _HORIZON:
             continue
-        start, r = 2 * len(freq) + len(const), len(deltas)
+        start, r = 2 * len(freq) + len(const), len(pw.deltas)
         cos_at += range(start, start + r)
         sin_at += range(start + r, start + 2 * r)
         one_at.append(start + 2 * r)
-        freq += [d * scale for d in deltas]
-        weight += w
-        const.append(c)
+        freq += [d * scale for d in pw.deltas]
+        weight += pw.weights
+        const.append(pw.const)
     if not const:
         return np.ones(x.shape + offsets.shape)
     f = np.array(freq)

@@ -49,18 +49,23 @@ def _integers(values: Sequence[int], name: str = "digits") -> tuple[int, ...]:
 
 
 class _DigitTable(NamedTuple):
-    """What every mask reads of a digit set B: lo = min B, the offsets
-    b - min B in B's order, the distinct differences b - b' > 0 ascending
-    with the squared kernel's weights 2 c_delta / #B^2 (c_delta pairs at
-    delta) rounded to multiples of 2^-52 and const = 1 - sum(weights)
-    exactly, and gcd(B - B), 0 for a singleton."""
+    """What every mask reads of a digit set B, in O(#B): lo = min B, the
+    offsets b - min B in B's order, and gcd(B - B), 0 for a singleton."""
 
     lo: int
     offsets: tuple[int, ...]
+    gcd: int
+
+
+class _PairWeights(NamedTuple):
+    """What the squared-mask kernel reads of B, in O(#B^2): the distinct
+    differences b - b' > 0 ascending with the weights 2 c_delta / #B^2
+    (c_delta pairs at delta) rounded to multiples of 2^-52, and
+    const = 1 - sum(weights) exactly."""
+
     deltas: tuple[int, ...]
     weights: tuple[float, ...]
     const: float
-    gcd: int
 
 
 def _digits(B: Sequence[int]) -> _DigitTable:
@@ -75,11 +80,17 @@ def _digit_table(B: tuple[int, ...]) -> _DigitTable:
         raise ValueError("digit set must be nonempty")
     lo = min(B)
     offsets = tuple(b - lo for b in B)
-    pairs = collections.Counter(b - c for b in B for c in B if b > c)
+    return _DigitTable(lo, offsets, math.gcd(*offsets))
+
+
+@functools.lru_cache(maxsize=1024)
+def _pairs(t: _DigitTable) -> _PairWeights:
+    """The pair weights of the digit set whose table (from _digits) is t."""
+    pairs = collections.Counter(b - c for b in t.offsets for c in t.offsets if b > c)
     deltas = tuple(sorted(pairs))
-    k = [round(2 * pairs[d] * 2.0**52 / len(B) ** 2) for d in deltas]
-    return _DigitTable(lo, offsets, deltas, tuple(i * 2.0**-52 for i in k),
-                       ((1 << 52) - sum(k)) * 2.0**-52, math.gcd(*offsets))
+    k = [round(2 * pairs[d] * 2.0**52 / len(t.offsets) ** 2) for d in deltas]
+    return _PairWeights(deltas, tuple(i * 2.0**-52 for i in k),
+                        ((1 << 52) - sum(k)) * 2.0**-52)
 
 
 def _fields_json(obj, **extra) -> dict:

@@ -38,7 +38,7 @@ from .convolution import (
     fourier_tail,
 )
 from .spectrum import SpectrumLevels
-from .triples import _digits, _fields_json, _integers
+from .triples import _digits, _fields_json, _integers, _pairs
 
 __all__ = [
     "QReport",
@@ -197,7 +197,7 @@ def _pass_bytes(
     base = 8 * (8 * (n_xi + tile) + pair * tile * n_xi + words)
     width = [0, 0]  # the first m_i factors, the rest
     for k, (t, _, table) in enumerate(_table_walk(spec, depth), start=1):
-        width[k > m_i] += 5 * len(_digits(t.B).deltas) + 1
+        width[k > m_i] += 5 * len(_pairs(_digits(t.B)).deltas) + 1
         need = _check_budget(what, base + 8 * (n_xi + tile) * max(width) + table)
     return need
 

@@ -23,13 +23,12 @@ from .convolution import (
     ConvolutionSpec,
     _check_budget,
     _mask_power,
-    _mask_sum,
     _part_count,
-    # unused here, but bench/tracing.py requires both names bound in this module
+    # unused here, but bench/tracing.py requires the name bound in this module
     fourier_tail,
     mask,
 )
-from .triples import _digits, _fields_json, _integers, _tolerance
+from .triples import _digits, _fields_json, _integers, _pairs, _tolerance
 
 __all__ = [
     "ZeroEnclosure",
@@ -134,7 +133,7 @@ class _Window(NamedTuple):
         if depth < 1:  # over the empty product every shift ties at 1
             raise ValueError(f"depth must be >= 1, got {depth}")
         factors = [(f.triple.B, f.product) for f in tail.factors(depth)]
-        deltas = [len(_digits(B).deltas) for B, _ in factors]
+        deltas = [len(_pairs(_digits(B)).deltas) for B, _ in factors]
         width = sum(5 * d + 1 for d in deltas)
         return cls(ks, factors, max(1 + 2 * d for d in deltas) * 2.0**-51, width)
 
@@ -241,15 +240,19 @@ def _zeros_in_unit_period(B, residual_tol: float) -> list[ZeroEnclosure]:
     xi = (y + j)/g, j = 0..g-1, over y = -arg(w)/(2*pi) mod 1 for the roots
     w of q on the unit circle.  They are taken from the square-free part s
     of q, where every root is simple, polished by one Newton step in y and
-    kept only if |M_B(xi)| <= residual_tol (its modulus by _mask_sum); the
-    radius is twice the next step, |s/s'|/(pi g).  numpy.roots takes the
-    eigenvalues of a companion matrix of q's degree, so a degree whose
-    ~16 * degree^2 bytes pass the budget raises ValueError before q is formed.
+    kept only if |M_B(xi)| <= residual_tol (its modulus read as mask of
+    the offsets, with no min B phase); the radius is twice the next step,
+    |s/s'|/(pi g).  numpy.roots takes the eigenvalues of a companion matrix
+    of q's degree, ~16 * degree^2 bytes, and the up to span zeros take a
+    #B-column complex exponential matrix (32 * #B bytes each, as the outer
+    product and its exp) and ~256 bytes of enclosure each, so a sum of
+    these past the budget raises ValueError before q is formed.
     """
     t = _digits(B)
     g, span = t.gcd, max(t.offsets)
     degree = span // g
-    _check_budget(f"root finding on a mask of span {span} and degree {degree}", 16 * degree**2)
+    _check_budget(f"root finding on a mask of span {span} and degree {degree}",
+                  16 * degree**2 + (32 * len(t.offsets) + 256) * span)
     q = [0] * (degree + 1)
     for d in t.offsets:
         q[degree - d // g] += 1
@@ -266,7 +269,7 @@ def _zeros_in_unit_period(B, residual_tol: float) -> list[ZeroEnclosure]:
     ys = np.sort(ys + newton_step(ys).real)  # inside (0, 1), as M_B(0) = 1
     xs = (np.add.outer(np.arange(g), ys) / g).ravel()
     radii = np.tile(2.0 * np.abs(newton_step(ys)) / g, g)
-    residuals = np.abs(_mask_sum(t, xs))
+    residuals = np.abs(mask(t.offsets, xs))
     return [
         ZeroEnclosure(float(x), max(float(r), 1e-15))
         for x, r, m in zip(xs, radii, residuals)
@@ -300,7 +303,7 @@ def mask_zeros(
 ) -> ZeroSetReport:
     """All zeros of M_B in [lo, hi], located per unit period and translated."""
     B = _integers(B)
-    if not _digits(B).deltas:
+    if not _digits(B).gcd:
         raise ValueError("no zeros by definition: mask of a singleton never vanishes")
     if not -math.inf < lo < hi < math.inf:
         raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
@@ -471,7 +474,7 @@ def zero_propagation(spec: ConvolutionSpec, xi0: float, steps: int) -> Propagati
     for t, scale, _ in spec.factors(steps):
         l_eff = [float(scale // t.N * (l % abs(t.N))) for l in t.L]
         tau = np.add.outer(y, l_eff).ravel() / float(scale)
-        alive = np.abs(_mask_sum(_digits(t.B), tau)) > DEFAULT_PROBE_TOL
+        alive = np.abs(mask(_digits(t.B).offsets, tau)) > DEFAULT_PROBE_TOL
         y = _merge_close(np.sort(tau[alive], kind="stable"))
         ys.append(tuple(y.tolist()))
         flags.append(bool(np.any(np.abs(y - np.round(y)) <= DEFAULT_INTEGER_TOL)))

@@ -953,6 +953,11 @@ PAST_THE_BUDGET = {  # argv, and what the message names
                    "root finding on a mask of span 100000 and degree 100000"),
     "zeros-products": (["zeros", "--config", "{wide}", "--products-h", "5"],
                        "root finding on a mask of span 100001 and degree 100001"),
+    # a linear q still has up to span zeros: 10^10 of them, or 10^9 at gcd 10^9
+    "zeros-mask-gcd": (["zeros", "--mask", "0,10000000000"],
+                       "root finding on a mask of span 10000000000 and degree 1"),
+    "zeros-products-gcd": (["zeros", "--config", "{gcd_wide}", "--products-h", "5"],
+                           "root finding on a mask of span 1000000000 and degree 1"),
 }
 
 
@@ -965,7 +970,12 @@ def test_past_the_budget_exits_3(capsys, tmp_path, monkeypatch, case):
     levels, wide = tmp_path / "levels.json", tmp_path / "wide.json"
     assert main(["spectrum", *JP, "--levels", "3", "--out", str(levels)]) == 0
     wide.write_text(json.dumps({"triples": [{"N": 3, "B": [0, 1, 100001], "L": [0, 1, 2]}]}))
+    gcd_wide = tmp_path / "gcd_wide.json"
+    gcd_wide.write_text(json.dumps(
+        {"triples": [{"N": 2000000000, "B": [0, 1000000000], "L": [0, 1]}]}))
     monkeypatch.setattr(np, "roots", lambda *a: pytest.fail("np.roots was called"))
+    if what.startswith("root finding"):  # nor is any zero spread over the period
+        monkeypatch.setattr(np, "arange", lambda *a: pytest.fail("np.arange was called"))
     compose = convspec.spectrum.block_frequencies
 
     def guarded(spec, p, q):
@@ -979,7 +989,7 @@ def test_past_the_budget_exits_3(capsys, tmp_path, monkeypatch, case):
     start = time.perf_counter()
     tracemalloc.start()
     try:
-        code = main([a.format(levels=levels, wide=wide) for a in argv])
+        code = main([a.format(levels=levels, wide=wide, gcd_wide=gcd_wide) for a in argv])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -17,7 +17,7 @@ from convspec import (
     translate_triple,
     verify_triple,
 )
-from convspec.triples import _digits
+from convspec.triples import _digits, _pairs
 from conftest import random_triple
 
 
@@ -226,15 +226,30 @@ def test_digit_table_never_admits_floats():
 def test_digit_table_fields():
     for B in ((5,), (7, 7)):
         t = _digits(B)
-        assert (t.lo, t.deltas, t.weights, t.const, t.gcd) == (B[0], (), (), 1.0, 0)
-        assert t.offsets == (0,) * len(B)
+        assert (t.lo, t.offsets, t.gcd) == (B[0], (0,) * len(B), 0)
+        assert _pairs(t) == ((), (), 1.0)
     t = _digits(np.array([3, -1, 5]))  # numpy ints are read as Python ints
-    assert t.lo == -1 and t.offsets == (4, 0, 6) and t.deltas == (2, 4, 6)
-    assert all(type(v) is int for v in (t.lo, t.gcd, *t.offsets, *t.deltas))
-    assert t.gcd == 2 and t.const + sum(t.weights) == 1.0
-    assert t.weights == (round(2 * 2.0**52 / 9) * 2.0**-52,) * 3
-    # a translate has the same table but for min B
+    pw = _pairs(t)
+    assert t.lo == -1 and t.offsets == (4, 0, 6) and pw.deltas == (2, 4, 6)
+    assert all(type(v) is int for v in (t.lo, t.gcd, *t.offsets, *pw.deltas))
+    assert t.gcd == 2 and pw.const + sum(pw.weights) == 1.0
+    assert pw.weights == (round(2 * 2.0**52 / 9) * 2.0**-52,) * 3
+    # a translate has the same table but for min B, and the same pair weights
     assert _digits((1003, 999, 1005))._replace(lo=-1) == t
+    assert _pairs(_digits((1003, 999, 1005))) == pw
+
+
+def test_digit_table_forms_no_pairs():
+    # lo, offsets and gcd are O(#B): mask and difference_gcd of 20,000 digits
+    # count none of their 2 * 10^8 pairs; the squared kernel counts them once
+    B = tuple(range(0, 60000, 3))
+    before = _pairs.cache_info().misses
+    assert difference_gcd(B) == 3 and abs(mask(B, 0.5)) < 1e-12
+    assert _pairs.cache_info().misses == before
+    assert _pairs(_digits((0, 1, 3, 977))).deltas == (1, 2, 3, 974, 976, 977)
+    assert _pairs.cache_info().misses == before + 1
+    _pairs(_digits([0, 1, 3, 977]))
+    assert _pairs.cache_info().misses == before + 1
 
 
 def test_triple_json_round_trip():

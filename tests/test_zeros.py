@@ -30,8 +30,7 @@ from convspec.zeros import (
     _zeros_in_unit_period,
     search_order,
 )
-from convspec.convolution import _mask_sum
-from convspec.triples import _digits
+from convspec.triples import _digits, _pairs
 from conftest import random_spec
 
 
@@ -208,6 +207,15 @@ def test_root_finding_budget_counts_the_reduced_degree(monkeypatch):
     monkeypatch.setattr(np, "roots", lambda *a: pytest.fail("np.roots was called"))
     with pytest.raises(ValueError, match="span 100000 and degree 100000 needs more"):
         mask_zeros([0, 1, 100000], 0.0, 1.0)
+    # the up to span zeros count too: a linear q at span 10^10 is past it,
+    # and 20,000 digits are turned away before any pair of them is counted
+    monkeypatch.setattr(np, "arange", lambda *a: pytest.fail("np.arange was called"))
+    with pytest.raises(ValueError, match="span 10000000000 and degree 1 needs more"):
+        mask_zeros([0, 10**10], 0.0, 1.0)
+    misses = _pairs.cache_info().misses
+    with pytest.raises(ValueError, match="span 19999 and degree 19999 needs more"):
+        mask_zeros(range(20000), 0.0, 1.0)
+    assert _pairs.cache_info().misses == misses
     monkeypatch.undo()
     want = [(2 * j + 1) / 200000 for j in range(10)]
     assert mask_zeros([0, 100000], 0.0, 1e-4).roots == pytest.approx(want, abs=1e-15)
@@ -215,15 +223,17 @@ def test_root_finding_budget_counts_the_reduced_degree(monkeypatch):
 
 @pytest.mark.parametrize("B", [(11, 13), (1000, 1002), (-7, -4, -1)])
 def test_moduli_do_not_see_a_translation(B, monkeypatch):
-    # the residual check and the survivor test read |sum_b exp(-2 pi i (b - min B) xi)|,
-    # which has no min B phase to round: bit-equal for B and B + s
-    monkeypatch.setattr(convspec.zeros, "mask", lambda *a: pytest.fail("mask was called"))
+    # the residual check and the survivor test read |mask| of B's offsets,
+    # which has no min B phase to round: bit-equal for B and B + s, where
+    # |mask| of B itself moves in the last bits
+    lows, mask_ = [], convspec.zeros.mask
+    monkeypatch.setattr(convspec.zeros, "mask", lambda b, x: lows.append(min(b)) or mask_(b, x))
     y = np.random.default_rng(95).uniform(-1, 1, 100_000)
-    base = np.abs(_mask_sum(_digits(B), y))
+    base = np.abs(mask_(_digits(B).offsets, y))
     roots = _zeros_in_unit_period(B, DEFAULT_RESIDUAL_TOL)
     for s in (-min(B), 1, -40, 10**6):
         moved = tuple(b + s for b in B)
-        assert np.array_equal(np.abs(_mask_sum(_digits(moved), y)), base), s
+        assert np.array_equal(np.abs(mask_(_digits(moved).offsets, y)), base), s
         assert _zeros_in_unit_period(moved, DEFAULT_RESIDUAL_TOL) == roots, s
     family = (HadamardTriple(len(B), tuple(range(len(B))), tuple(range(len(B)))),
               HadamardTriple(2 * len(B), B, tuple(range(0, 2 * len(B), 2))))
@@ -232,6 +242,7 @@ def test_moduli_do_not_see_a_translation(B, monkeypatch):
     for s in (-min(B), 1, 10**6):
         moved = ConvolutionSpec((family[0], translate_triple(family[1], s, 0)), spec.word)
         assert zero_propagation(moved, 0.3, 6) == trace, s
+    assert lows and set(lows) == {0}
 
 
 def test_propagation_counts_match_the_benchmark_reference(tmp_path):
