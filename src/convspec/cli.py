@@ -442,7 +442,7 @@ def build_parser() -> _Parser:
     p = command("verify", cmd_verify, "Gram/completeness verification of levels")
     p.add_argument("--levels-file", required=True, help="SpectrumLevels JSON")
     p.add_argument("--grid", type=int, default=_default(spectral_report, "grid_n"),
-                   help="xi grid size on [-2,2]")
+                   help="g: Q and its bound at the 4g+1 points -2 + j/g")
     p.add_argument("--depth", type=int, default=_default(spectral_report, "depth"),
                    help="transform truncation")
 

@@ -463,12 +463,19 @@ def _mask_power(
     cos b within 2^-55 of 1 and the sine term below 2^-54, and the weights and
     constant sum to exactly 1, so its sum rounds to exactly 1.0.  Where a libm
     rounds cos near 0 to 1 - 2^-53, leaving it out gives the correctly rounded product.
+    Integer x (int64 or Python ints) is first reduced, for each factor with
+    |P_k| <= 2 max|x|, to its centred residue r mod |P_k| in integers: the
+    phases are the same mod 1, none grows with |x|, rows past 2^53 stay
+    distinct, and |r| <= min(|x|, |P_k|/2) keeps the horizon rule.
     """
     xs = x.reshape(-1)
     o = offsets.reshape(-1)
-    reach = max(np.abs(xs).max(initial=0.0), np.abs(o).max(initial=0.0))
+    xf = xs.astype(float, copy=False)
+    reach = max(np.abs(xf).max(initial=0.0), np.abs(o).max(initial=0.0))
+    top = max(-int(xs.min()), int(xs.max())) if xs.dtype.kind in "iO" and xs.size else 0
     freq, weight, const = [], [], []
     cos_at, sin_at, one_at = [], [], []  # each factor's columns of u and rows of v
+    moduli, owner, at = [], [], []  # the |P_k| that reduce x; their frequencies' modulus and column
     for B, p in factors:
         pw = _pairs(_digits(B))
         scale = 2.0 * np.pi * _inv_float(p)
@@ -478,6 +485,10 @@ def _mask_power(
         cos_at += range(start, start + r)
         sin_at += range(start + r, start + 2 * r)
         one_at.append(start + 2 * r)
+        if abs(p) <= 2 * top:
+            owner += [len(moduli)] * r
+            at += range(len(freq), len(freq) + r)
+            moduli.append(abs(p))
         freq += [d * scale for d in pw.deltas]
         weight += pw.weights
         const.append(pw.const)
@@ -486,7 +497,13 @@ def _mask_power(
     f = np.array(freq)
     w = np.array(weight)[:, None]
     u = np.empty((xs.size, 2 * f.size + len(const)))
-    a = np.multiply.outer(xs, f)
+    a = np.multiply.outer(xf, f)
+    if moduli:  # in int64, or in Python ints once a modulus passes it
+        xi = xs.astype(object) if xs.dtype != object and max(moduli) >= _INT64_LIMIT else xs
+        m = np.array(moduli, dtype=xi.dtype)
+        r = np.remainder.outer(xi, m)
+        r = np.where(r > m // 2, r - m, r).astype(float)
+        a[:, at] = r[:, owner] * f[at]
     u[:, cos_at] = np.cos(a)
     u[:, sin_at] = np.sin(a)
     u[:, one_at] = 1.0

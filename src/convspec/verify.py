@@ -49,7 +49,6 @@ __all__ = [
 
 DEFAULT_COMPLETENESS_TOL = 1e-9
 DEFAULT_Q_SLACK = 1e-3
-_EXTRA_WORST = 10  # worst points of the coarse scan added to the report grid
 _RESIDUE_CHUNK_BYTES = 8 << 20  # bytes of a Gram chunk's residues and phases
 _EXACT_DOUBLE_LIMIT = 1 << 53  # integers up to here are exact doubles
 _GRAM_WORD_BYTES = 64  # per lambda and atom on the Gram check's matrix path: residues, weights
@@ -160,45 +159,39 @@ def _check_level(levels: SpectrumLevels, i: int) -> None:
         raise ValueError(f"level index {i} out of range 1..{levels.level_count}")
 
 
-def _lattice_rows(level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _lattice_rows(level: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
     """The sorted level (Python ints near int64's ends, so lambda + n cannot
-    wrap) and the rows each lambda adds to U: its last min(4, gap) values."""
+    wrap) and the rows each lambda adds to U: its last min(span, gap) values."""
     lam = np.sort(level)
     if lam.dtype != object and max(-int(lam[0]), int(lam[-1])) >= _INT64_LIMIT - 2:
         lam = lam.astype(object)
-    return lam, np.minimum(np.diff(lam, prepend=lam[0] - 4), 4).astype(np.int8)
+    return lam, np.minimum(np.diff(lam, prepend=lam[0] - span), span).astype(np.int8)
 
 
-def _pass_bytes(
-    spec: ConvolutionSpec, levels: SpectrumLevels, i: int, depth: int, n_xi: int,
-    lattice: bool = False,
-) -> int:
-    """Estimated peak bytes of a grid pass over level i and n_xi points.
+def _pass_bytes(spec: ConvolutionSpec, m_i: int, depth: int, lam: np.ndarray, count: np.ndarray,
+                n_xi: int) -> int:
+    """Estimated peak bytes of a _pass over the rows U of _lattice_rows and n_xi columns.
 
     Per factor, the kernel's cosine and sine sides hold 5 * #delta + 1
-    floats per xi and per tile row (the larger of its two factor lists),
-    and the factor table takes what _table_walk estimates; a tile takes ~8
-    floats per pair, and the level a word per lambda.  A lattice scan
-    (_lattice_q) has the |U| rows of _lattice_rows, one list of all depth
-    factors, 2 floats per pair, 3 words per lambda and 2 per row of U.
+    floats per column and per tile row (the larger of its two factor
+    lists), its residues 3 more per tile row, and the factor table takes
+    what _table_walk estimates; a tile takes 6 floats per pair, the level
+    and U 4 entries per row, and the sums 6 floats per column and shift.
     Tiles keep two rows, so a large grid or depth cannot fit: past the
     budget, or at a depth below m_i, ValueError (the walk forms no P_k).
     """
-    n, m_i = len(levels.level(i)), levels.m(i)
     if depth < m_i:
         raise ValueError(f"depth {depth} must be >= m_i = {m_i}")
-    rows, pair, words = n, 8, n
-    if lattice:
-        rows = int(_lattice_rows(levels.level(i))[1].sum())
-        m_i, pair, words = depth, 2, 3 * n + 2 * rows
+    n, rows, shifts = lam.size, int(count.sum()), int(count.max())
+    word = 8 if lam.dtype != object else _int_bytes(max(-lam[0], lam[-1]).bit_length() + 2)
     tile = -(-rows // _part_count(rows, 16 * rows * n_xi, _TILE_BYTES))
-    kind = "lattice scan" if lattice else "grid pass"
+    kind = "lattice scan" if shifts > 1 else "grid pass"
     what = f"a Q {kind} of {n} frequencies over {n_xi} points at depth {depth}"
-    base = 8 * (8 * (n_xi + tile) + pair * tile * n_xi + words)
+    base = 8 * (6 * tile * n_xi + 6 * shifts * n_xi) + 4 * word * (n + rows)
     width = [0, 0]  # the first m_i factors, the rest
     for k, (t, _, table) in enumerate(_table_walk(spec, depth), start=1):
         width[k > m_i] += 5 * len(_pairs(_digits(t.B)).deltas) + 1
-        need = _check_budget(what, base + 8 * (n_xi + tile) * max(width) + table)
+        need = _check_budget(what, base + 8 * (n_xi + tile) * max(width) + 24 * tile * k + table)
     return need
 
 
@@ -208,95 +201,86 @@ def _carry_sum(rows: np.ndarray, acc: np.ndarray | float) -> np.ndarray:
     numpy sums axis 0 of a C-order array row by row when it has two or
     more columns, so adding acc into the first row first gives the same
     floats as a single sum over every tile's rows (one column is summed
-    pairwise, so there a split may move the last bits).  Overwrites rows[0].
+    pairwise, so there a split may move the last bits).  rows[0] is put
+    back, so rows may be a view.
     """
+    first = rows[0].copy()
     rows[0] += acc
-    return rows.sum(axis=0)
+    out = rows.sum(axis=0)
+    rows[0] = first
+    return out
 
 
-class _GridPass(NamedTuple):
+class _Pass(NamedTuple):
     q: np.ndarray
     bound: np.ndarray
     completeness_defect: float
 
 
-def _grid_pass(
-    spec: ConvolutionSpec,
-    levels: SpectrumLevels,
-    i: int,
-    depth: int,
-    xi: np.ndarray,
-) -> _GridPass:
-    """Q over the grid, its per-point truncation bounds and the level completeness.
+def _pass(spec: ConvolutionSpec, levels: SpectrumLevels, i: int, depth: int, shifts: range,
+          cols: Sequence[float], den: int = 1) -> _Pass:
+    """Q over level i, its truncation bound and completeness defect at the points
+    n + c/den, n in shifts and c in cols; the last column of a shift but the
+    last is left out (with cols r in 0..g over g, it is n + 1, the next's first).
 
-    Two squared mask products over (lambda, xi), both real: |F|^2 with
-    F = mu^_{m_i}(lambda + xi) over the first m_i factors and |T|^2 with
-    T = the tail transform at (lambda + xi) / P_{m_i}, factors m_i + 1 to
-    depth (1 when depth = m_i), so Q = sum |F|^2 |T|^2 is the depth-factor
-    truncation, and |T| = sqrt(|T|^2).  Each factor is
-    |M_B(y)|^2 = 1/#B + (2/#B^2) sum_{delta > 0} c_delta cos(2*pi*delta*y),
-    c_delta the digit pairs at difference delta: one real matrix product of
-    rank 1 + 2 * #delta (see convolution._mask_power, which clips its
-    product to [0, 1]).
-    Both parts of the bound come from T's bound t = c(depth) * |lambda + xi|:
-    level part = worst 1 - (|T| - t)^2, depth part = 2 * sum |F|^2 t, over
-    the level, since |T|, |T_depth| <= 1 give
+    The rows are the distinct integers U = {lambda + n} of _lattice_rows, so
+    Q(n + c) = sum over lambda of G[lambda + n, c], and lambda + n is found by
+    position.  The pass is estimated before U or a column is formed.  A row
+    tile takes two squared mask products over (u, c), both real (see
+    convolution._mask_power, which reduces integer rows mod |P_k| first):
+    |F|^2 over the first m_i factors, F = mu^_{m_i}(u + c), and |T|^2 over
+    factors m_i + 1 to depth, T the tail transform at (u + c) / P_{m_i} (1
+    when depth = m_i), so Q = sum |F|^2 |T|^2, and |T| = sqrt(|T|^2).  Both
+    parts of the bound come from T's bound t = c(depth) * |u + c|: level
+    part = 1 - (min clip(|T| - t))^2, the worst 1 - (|T| - t)^2, and depth
+    part = 2 * sum |F|^2 t over the level, since |T|, |T_depth| <= 1 give
     |sum |F|^2 (|T|^2 - |T_depth|^2)| <= 2 * sum |F|^2 t.  The completeness
-    defect is max |sum |F|^2 - 1| over the grid.
-    Each row tile of the level is reduced into the per-xi sums and the
-    worst level part before the next is formed.
+    defect is max |sum |F|^2 - 1|.  Each shift's rows of a tile are reduced
+    into its running sums and least |T| - t before the next tile is formed,
+    in ascending lambda through _carry_sum, so no float depends on the tiling.
     """
     m_i = levels.m(i)
-    _pass_bytes(spec, levels, i, depth, xi.size)
+    lam, count = _lattice_rows(levels.level(i), len(shifts))
+    _pass_bytes(spec, m_i, depth, lam, count, len(cols))
+    cols = np.asarray(cols) / den
     factors = [(f.triple.B, f.product) for f in spec.factors(depth)]
     inv = _inv_float(spec.scale_product(m_i))
     coef = _tail_series_coefficient(TailSpec(spec, m_i), depth - m_i)
-    level = np.asarray(levels.level(i), dtype=float)
-    q = mass = t_sum = level_part = 0.0
-    for lam in np.array_split(level, _part_count(level.size, 16 * level.size * xi.size, _TILE_BYTES)):
-        f2 = _mask_power(factors[:m_i], lam, xi)
-        t2 = _mask_power(factors[m_i:], lam, xi)
-        t = coef * np.abs(np.add.outer(lam * inv, xi * inv))
-        low = np.clip(np.sqrt(t2) - t, 0.0, 1.0)
-        level_part = np.maximum(level_part, np.max(1.0 - low**2, axis=0))
-        t *= f2  # |F|^2 t, summed for the depth part
-        t_sum = _carry_sum(t, t_sum)
-        t2 *= f2
-        q = _carry_sum(t2, q)
-        mass = _carry_sum(f2, mass)
-    return _GridPass(q, level_part + 2.0 * t_sum, float(np.max(np.abs(mass - 1.0))))
-
-
-def _lattice_q(
-    spec: ConvolutionSpec, levels: SpectrumLevels, i: int, depth: int, grid_n: int
-) -> np.ndarray:
-    """Q at -2 + j/g, j = 0..4g (g = grid_n), with each point lambda + xi once.
-
-    The points are n + r/g, n in -2..1 and r in 0..g, so Q(n + r/g) is the
-    sum over lambda of G[lambda + n, r], the product of the depth factors
-    |M_{B_k}((u + r/g) / P_k)|^2 on the rows u in U = {lambda + n}, formed in
-    integers.  A row tile is one _mask_power call; each n's rows are summed in
-    ascending lambda through _carry_sum, so the floats do not depend on the
-    tiling.  The values only rank points: no bound is formed.
-    """
-    _pass_bytes(spec, levels, i, depth, grid_n + 1, lattice=True)
-    factors = [(f.triple.B, f.product) for f in spec.factors(depth)]
-    lam, count = _lattice_rows(levels.level(i))
-    end = np.cumsum(count, dtype=np.int64) - 1  # lambda_j + n is row end_j - 1 + n
+    top = shifts[-1]
+    end = np.cumsum(count, dtype=np.int64)  # lambda_j + n is row end_j - 1 - (top - n)
     u = np.repeat(lam, count)
     u -= np.repeat(end, count)
-    u += np.arange(1, u.size + 1)
-    u = u.astype(float)
-    cols = np.arange(grid_n + 1) / grid_n
-    q, start = [0.0] * 4, 0
+    u += np.arange(top + 1, top + 1 + u.size)
+    sums = np.zeros((len(shifts), 3, cols.size))  # per shift: Q, sum |F|^2 t, sum |F|^2
+    low = np.ones((len(shifts), cols.size))
+    start = 0
     for rows in np.array_split(u, _part_count(u.size, 16 * u.size * cols.size, _TILE_BYTES)):
-        g2 = _mask_power(factors, rows, cols)
-        for k in range(4):  # n = k - 2
-            lo, hi = np.searchsorted(end, (start + 3 - k, start + rows.size + 3 - k))
+        f2 = _mask_power(factors[:m_i], rows, cols)
+        t2 = _mask_power(factors[m_i:], rows, cols)
+        t = coef * np.abs(np.add.outer(rows.astype(float) * inv, cols * inv))
+        gap = np.clip(np.sqrt(t2) - t, 0.0, 1.0)
+        t *= f2  # |F|^2 t, summed for the depth part
+        t2 *= f2
+        for k, n in enumerate(shifts):
+            first = start + 1 + top - n
+            lo, hi = np.searchsorted(end, (first, first + rows.size))
             if hi > lo:
-                q[k] = _carry_sum(g2[end[lo:hi] - (start + 3 - k)], q[k])
+                at = end[lo:hi] - first
+                if np.all(count[lo + 1 : hi] == 1):  # a run of rows: read in place
+                    at = slice(at[0], at[-1] + 1)
+                for s, part in zip(sums[k], (t2, t, f2)):
+                    s[:] = _carry_sum(part[at], s)
+                np.minimum(low[k], gap[at].min(axis=0), out=low[k])
         start += rows.size
-    return np.concatenate([q[0][:-1], q[1][:-1], q[2][:-1], q[3]])
+    parts = (*sums.transpose(1, 0, 2), 1.0 - low**2)  # the level part is 1 - (least |T| - t)^2
+    q, t_sum, mass, level_part = (np.concatenate([*x[:-1, :-1], x[-1]]) for x in parts)
+    return _Pass(q, level_part + 2.0 * t_sum, float(np.max(np.abs(mass - 1.0))))
+
+
+def _grid_pass(spec: ConvolutionSpec, levels: SpectrumLevels, i: int, depth: int,
+               xi: np.ndarray) -> _Pass:
+    """_pass over level i and the points xi: the one shift n = 0, whose rows are the lambdas."""
+    return _pass(spec, levels, i, depth, range(1), xi)
 
 
 def level_completeness(
@@ -348,10 +332,12 @@ def spectral_report(
 ) -> QReport:
     """Evaluate the deepest level on [-2, 2]: completeness plus Q with bounds.
 
-    The grid is grid_n uniform points plus the _EXTRA_WORST worst of the
-    4 * grid_n + 1 points of a coarse scan, _lattice_q: Q alone, with each
-    distinct lambda + xi evaluated once.  Pass requires the completeness defect
-    within DEFAULT_COMPLETENESS_TOL and min Q >= 1 - (tail_bound + DEFAULT_Q_SLACK).
+    The 4 * grid_n + 1 points -2 + j/grid_n are n + r/grid_n, n in -2..1 and
+    r in 0..grid_n: one _pass over the rows lambda + n and the columns
+    r/grid_n gives Q and its bound at each and the completeness defect over
+    them, every lambda + xi evaluated once.  Pass requires the completeness
+    defect within DEFAULT_COMPLETENESS_TOL and min Q >= 1 - (tail_bound +
+    DEFAULT_Q_SLACK).
     """
     (grid_n,) = _integers((grid_n,), "grid_n")
     (depth,) = _integers((depth,), "depth")
@@ -360,21 +346,18 @@ def spectral_report(
     if levels.level_count < 1:
         raise ValueError("no levels to verify")
     i = levels.level_count
-    q_coarse = _lattice_q(spec, levels, i, depth, grid_n)
-    coarse = np.linspace(-2.0, 2.0, 4 * grid_n + 1)
-    worst = coarse[np.argsort(q_coarse, kind="stable")[:_EXTRA_WORST]]
-    grid = np.unique(np.concatenate([np.linspace(-2.0, 2.0, grid_n), worst]))
-    q, bounds, comp = _grid_pass(spec, levels, i, depth, grid)
-    tail_bound = float(np.max(bounds))
-    min_q = float(np.min(q))
+    res = _pass(spec, levels, i, depth, range(-2, 2), range(grid_n + 1), grid_n)
+    tail_bound = float(np.max(res.bound))
+    min_q = float(np.min(res.q))
+    comp = res.completeness_defect
     passed = comp <= DEFAULT_COMPLETENESS_TOL and min_q >= 1.0 - (tail_bound + DEFAULT_Q_SLACK)
     return QReport(
-        xi_grid=tuple(float(x) for x in grid),
-        q_values=tuple(float(v) for v in q),
-        q_bounds=tuple(float(b) for b in bounds),
+        xi_grid=tuple((np.arange(-2 * grid_n, 2 * grid_n + 1) / grid_n).tolist()),
+        q_values=tuple(res.q.tolist()),
+        q_bounds=tuple(res.bound.tolist()),
         level=i,
         truncation_depth=depth,
-        max_defect=float(np.max(np.abs(q - 1.0))),
+        max_defect=float(np.max(np.abs(res.q - 1.0))),
         tail_bound=tail_bound,
         completeness_defect=comp,
         min_q=min_q,

@@ -585,7 +585,7 @@ def test_factors_past_the_horizon_are_exactly_one(jp_spec, e14_tail_spec, mixed_
         for spec, i in ((jp_spec, 9), (mixed_spec, 5)):  # verify's lattice rows at depth 30
             levels = build_spectrum(spec, i)
             calls += kernel_calls(convspec.verify, monkeypatch,
-                                  lambda: convspec.verify._lattice_q(spec, levels, i, 30, 64))
+                                  lambda: convspec.verify.spectral_report(spec, levels, 64, 30))
     dropped = 0
     for factors, x, offsets in calls:
         pts = np.add.outer(x, offsets)

@@ -144,7 +144,7 @@ def spy_products_mod(monkeypatch):
 
 @pytest.fixture(scope="module")
 def jp3_levels():
-    return build_quiet(ConvolutionSpec((JP_TRIPLE,), SelectionWord(exp_period=(3,))), 10)
+    return build_quiet(ConvolutionSpec((JP_TRIPLE,), SelectionWord(exp_period=(3,))), 12)
 
 
 def test_gram_reduces_in_int64_up_to_2_53(jp3_levels, monkeypatch):
@@ -534,11 +534,16 @@ def test_report_csv_and_json(jp_spec):
 
 
 def test_report_completeness_is_level_completeness(jp_spec, mixed_spec):
+    # sum |F|^2 does not see the depth, so the report's defect is the lattice
+    # pass's at depth m_i bit for bit; level_completeness takes the same
+    # points as (lambda, xi), so it reads the defect within rounding
     for spec, depth_i in ((jp_spec, 5), (mixed_spec, 3)):
         levels = build_quiet(spec, depth_i)
         rep = spectral_report(spec, levels, grid_n=32, depth=30)
+        at_m = spectral_report(spec, levels, grid_n=32, depth=levels.m(depth_i))
+        assert rep.completeness_defect == at_m.completeness_defect
         again = level_completeness(spec, levels, depth_i, rep.xi_grid)
-        assert rep.completeness_defect == again
+        assert again == pytest.approx(rep.completeness_defect, rel=0, abs=1e-15)
 
 
 def test_report_q_matches_full_depth_product(jp_spec, mixed_spec):
@@ -564,8 +569,8 @@ def deep_levels():
 
 @pytest.mark.parametrize("name", ["jp", "mixed"])
 def test_squared_moduli_match_the_complex_kernel(deep_levels, name):
-    # the grid pass's F^2, T^2 and their product against |product of masks|^2
-    # over the level's rows and the coarse scan's 257 points
+    # the pass's F^2, T^2 and their product against |product of masks|^2
+    # over the level's rows and the report's 257 points
     spec, levels = deep_levels[name]
     i = levels.level_count
     m = levels.m(i)
@@ -574,7 +579,7 @@ def test_squared_moduli_match_the_complex_kernel(deep_levels, name):
     factors = [(f.triple.B, f.product) for f in spec.factors(30)]
     pts, inv = np.add.outer(lam, xi), convspec.convolution._inv_float
     for part in (factors[:m], factors[m:], factors):
-        got = convspec.convolution._mask_power(part, lam, xi)
+        got = convspec.convolution._mask_power(part, levels.level(i), xi)  # integer rows, as the pass
         want = np.abs(math.prod(mask(B, pts * inv(p)) for B, p in part)) ** 2
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
         assert 0.0 <= got.min() and got.max() <= 1.0
@@ -588,7 +593,7 @@ def test_report_in_row_tiles_is_bit_identical(deep_levels, name, monkeypatch):
     spec, levels = deep_levels[name]
     m = levels.m(levels.level_count)
     grid_n = 8
-    cols = grid_n + 1  # the lattice scan's columns r / grid_n
+    cols = grid_n + 1  # the report's columns r / grid_n
     # a budget below two rows still gives tiles of two rows
     budgets = {2: 1, 3: 16 * 3 * cols, 7: 16 * 7 * cols}
     for depth in (m, m + 1, 30):
@@ -609,9 +614,13 @@ def test_report_in_row_tiles_is_bit_identical(deep_levels, name, monkeypatch):
 
 
 def coarse_q(spec, levels, depth, grid_n):
-    """The coarse scan's Q from the grid pass over linspace(-2, 2, 4 grid_n + 1)."""
-    xi = np.linspace(-2.0, 2.0, 4 * grid_n + 1)
+    """The grid pass's Q at the report's points -2 + j/grid_n."""
+    xi = np.arange(-2 * grid_n, 2 * grid_n + 1) / grid_n
     return verify._grid_pass(spec, levels, levels.level_count, depth, xi).q
+
+
+def report_q(spec, levels, depth, grid_n):
+    return np.array(spectral_report(spec, levels, grid_n=grid_n, depth=depth).q_values)
 
 
 @pytest.mark.parametrize("name", ["jp", "mixed"])
@@ -619,30 +628,23 @@ def test_lattice_scan_matches_the_grid_pass(deep_levels, name):
     spec, levels = deep_levels[name]
     i = levels.level_count
     for depth, grid_n in ((30, 64), (levels.m(i), 8), (levels.m(i) + 1, 5)):
-        got = verify._lattice_q(spec, levels, i, depth, grid_n)
-        np.testing.assert_allclose(got, coarse_q(spec, levels, depth, grid_n), rtol=0, atol=1e-14)
+        rep = spectral_report(spec, levels, grid_n=grid_n, depth=depth)
+        xi = np.arange(-2 * grid_n, 2 * grid_n + 1) / grid_n
+        assert rep.xi_grid == tuple(xi.tolist())
+        grid = verify._grid_pass(spec, levels, i, depth, xi)
+        np.testing.assert_allclose(rep.q_values, grid.q, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(rep.q_bounds, grid.bound, rtol=0, atol=1e-14)
         # a level read from a file need not be sorted: the same floats
         shuffled = np.random.default_rng(i).permutation(levels.level(i))
         moved = SpectrumLevels(levels.levels[:i] + (shuffled,), levels.indices, levels.shifts,
                                levels.params)
-        assert verify._lattice_q(spec, moved, i, depth, grid_n).tolist() == got.tolist()
-
-
-def lipschitz(spec, depth):
-    """Sum over the factors of the bound (4 pi / #B^2) sum_delta c_delta delta / |P_k|
-    on the slope of |M_B(y / P_k)|^2, c_delta the digit pairs at difference delta."""
-    total = 0.0
-    for f in spec.factors(depth):
-        B = f.triple.B
-        slope = sum(b - c for b in B for c in B if b > c)
-        total += 4 * math.pi * slope / len(B) ** 2 / abs(f.product)
-    return total
+        assert spectral_report(spec, moved, grid_n=grid_n, depth=depth) == rep
 
 
 def test_lattice_scan_matches_the_grid_pass_random():
-    # both passes round (lambda + xi) 2 pi delta / P_k in floats, an error of
-    # ~eps |lambda| in the point, so past small levels they part by up to
-    # ~eps |lambda| times the factors' slope bound (0.14 of it at worst)
+    # both passes reduce their integer rows mod |P_k| before any float, so
+    # they part only by the rounding of the (lambda + n, r/g) and (lambda, xi)
+    # splits, whatever the size of lambda
     rng = random.Random(7)
     built = 0
     for _ in range(40):
@@ -654,38 +656,22 @@ def test_lattice_scan_matches_the_grid_pass_random():
         built += 1
         i, grid_n = 3, rng.randint(2, 9)
         depth = rng.randint(levels.m(i), 30)
-        got = verify._lattice_q(spec, levels, i, depth, grid_n)
-        reach = int(np.abs(levels.level(i)).max()) + 2
-        atol = 1e-14 + 2.0**-52 * reach * lipschitz(spec, depth)
-        np.testing.assert_allclose(got, coarse_q(spec, levels, depth, grid_n), rtol=0, atol=atol)
+        got = report_q(spec, levels, depth, grid_n)
+        np.testing.assert_allclose(got, coarse_q(spec, levels, depth, grid_n), rtol=0, atol=1e-14)
     assert built >= 30
 
 
-# the ten worst points of the 257-point scan on the benchmark's two cases,
-# as the grid pass ranked them
-WORST_TEN = {
-    "jp": [1.203125, 1.21875, 1.234375, 1.25, 1.265625, 1.28125, 1.296875, 1.3125,
-           1.328125, 1.34375],
-    "mixed": [-1.5, -0.515625, -0.5, -0.484375, 0.484375, 0.5, 0.515625, 1.484375,
-              1.5, 1.515625],
-}
-
-
-@pytest.mark.parametrize("name", ["jp", "mixed"])
-def test_lattice_scan_picks_the_grid_pass_points(deep_levels, name):
-    spec, levels = deep_levels[name]
-    q = verify._lattice_q(spec, levels, levels.level_count, 30, 64)
-    order = np.argsort(q, kind="stable")
-    # no two of the 11 lowest values are within 1.6e-9, far above rounding
-    assert np.diff(q[order[:11]]).min() >= 1.6e-9
-    coarse = np.linspace(-2.0, 2.0, 257)
-    assert sorted(coarse[order[:10]].tolist()) == WORST_TEN[name]
-    grid = spectral_report(spec, levels, grid_n=64, depth=30).xi_grid
-    assert sorted(set(grid) - set(np.linspace(-2.0, 2.0, 64).tolist())) == WORST_TEN[name]
+def test_report_counts_a_repeated_lambda_twice(jp_spec):
+    # a level read from a file may repeat a lambda: it adds no row of U, and
+    # each shift reads its rows again, so no run of rows is read in place
+    levels = SpectrumLevels(((0,), (0, 0, 2, 3)), (1,), ((),), BuildParams())
+    got = report_q(jp_spec, levels, 30, 4)
+    np.testing.assert_allclose(got, coarse_q(jp_spec, levels, 30, 4), rtol=0, atol=1e-14)
 
 
 def kernel_rows(monkeypatch, spec, levels, depth, grid_n):
-    """The rows and columns of every _mask_power call of a lattice scan."""
+    """The rows and columns of every tile of a report's pass: a tile makes two
+    _mask_power calls on the same rows, |F|^2's and |T|^2's."""
     calls = []
 
     def spy(factors, lam, xi):
@@ -694,9 +680,10 @@ def kernel_rows(monkeypatch, spec, levels, depth, grid_n):
 
     with monkeypatch.context() as mp:
         mp.setattr(verify, "_mask_power", spy)
-        q = verify._lattice_q(spec, levels, levels.level_count, depth, grid_n)
+        q = report_q(spec, levels, depth, grid_n)
     assert q.shape == (4 * grid_n + 1,)
-    return calls
+    assert all(f[0] is t[0] for f, t in zip(calls[::2], calls[1::2]))
+    return calls[::2]
 
 
 def test_lattice_scan_evaluates_each_point_once(deep_levels, jp_spec, monkeypatch):
@@ -713,26 +700,93 @@ def test_lattice_scan_evaluates_each_point_once(deep_levels, jp_spec, monkeypatc
         assert np.all(rows[1:] > rows[:-1])  # each lambda + n once
 
 
-def test_lattice_scan_rows_past_int64(jp_spec, monkeypatch):
+def test_lattice_scan_rows_past_int64(jp_spec, jp3_levels, monkeypatch):
     # lambda + 1 past 2**63 is formed in Python ints, not wrapped to -2**63
     top = 2**63 - 1
     levels = SpectrumLevels(((0,), (0, top)), (1,), ((),), BuildParams())
     calls = kernel_rows(monkeypatch, jp_spec, levels, 30, 4)
     rows = np.concatenate([lam for lam, _ in calls])
-    assert rows.min() == -2.0 and rows.max() == float(top)
+    assert rows.dtype == object and rows.min() == -2 and rows.max() == top + 1
     # and so do the object arrays of levels past 2**63 (jp exponent 3, L12)
     sparse = ConvolutionSpec(jp_spec.family, SelectionWord(exp_period=(3,)))
-    deep = build_quiet(sparse, 12)
-    assert deep.level(12).dtype == object
-    got = verify._lattice_q(sparse, deep, 12, 30, 8)
-    np.testing.assert_allclose(got, coarse_q(sparse, deep, 30, 8), rtol=0, atol=1e-14)
+    assert jp3_levels.level(12).dtype == object
+    got = report_q(sparse, jp3_levels, 30, 8)
+    np.testing.assert_allclose(got, coarse_q(sparse, jp3_levels, 30, 8), rtol=0, atol=1e-14)
+
+
+def exact_squared_moduli(factors, v, g):
+    """prod_k |M_{B_k}(v / (g P_k))|^2 at an integer v, every phase reduced in Python ints.
+
+    |M_B(y)|^2 = (#B + 2 sum_{b > b'} cos(2 pi (b - b') y)) / #B^2, and
+    (b - b') v mod g |P_k|, over g |P_k|, is the phase's fraction, a
+    correctly rounded float, then math.cos.
+    """
+    prod = 1.0
+    for B, p in factors:
+        gp = g * abs(p)
+        pairs = math.fsum(math.cos(2 * math.pi * ((b - c) * v % gp / gp)) for b in B for c in B if b > c)
+        prod *= (len(B) + 2 * pairs) / len(B) ** 2
+    return prod
+
+
+def exact_phase_q(spec, levels, depth, grid_n):
+    """Q at -2 + j/g (g = grid_n) over the last level from exact_squared_moduli."""
+    lam = levels.level(levels.level_count).tolist()
+    factors = [(f.triple.B, f.product) for f in spec.factors(depth)]
+    return np.array([
+        math.fsum(exact_squared_moduli(factors, x * grid_n + j - 2 * grid_n, grid_n) for x in lam)
+        for j in range(4 * grid_n + 1)
+    ])
+
+
+def test_lattice_rows_past_2_53_are_exact(jp_spec, jp3_levels, monkeypatch):
+    # jp exponent 3 L12: 3,584 of 4,096 frequencies pass 2^53, so as doubles
+    # its 16,384 rows lambda + n would be 2,816 values; they reach the kernel
+    # as distinct integers, whose squared moduli (factor by factor, as the
+    # products near a lambda are below 1e-30) and Q match the exact-phase
+    # reference
+    sparse = ConvolutionSpec(jp_spec.family, SelectionWord(exp_period=(3,)))
+    calls = kernel_rows(monkeypatch, sparse, jp3_levels, 30, 2)
+    rows = np.concatenate([lam for lam, _ in calls])
+    assert rows.dtype == object and rows.size == 4 * len(jp3_levels.level(12)) == 16384
+    assert len(set(rows.tolist())) == 16384
+    assert len(set(rows.astype(float).tolist())) == 2816
+    factors = [(f.triple.B, f.product) for f in sparse.factors(30)]
+    few = rows[-256:]  # past 2^53, four rows lambda + n of each of 64 lambdas
+    assert few.min() > 2**53
+    for factor in factors:
+        got = convspec.convolution._mask_power([factor], few, np.arange(3) / 2)
+        want = [[exact_squared_moduli([factor], 2 * u + r, 2) for r in range(3)] for u in few]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+    want = exact_phase_q(sparse, jp3_levels, 30, 2)
+    np.testing.assert_allclose(report_q(sparse, jp3_levels, 30, 2), want, rtol=0, atol=1e-15 * 30)
+
+
+def test_report_q_matches_the_exact_phase_reference_random():
+    # Q within 1e-15 * depth of the Python-int reduction on random L3 levels,
+    # where float phases part from it by up to 1.4e-11
+    rng = random.Random(3431)
+    built = 0
+    while built < 12:
+        spec = random_spec(rng)
+        try:
+            levels = build_quiet(spec, 3)
+        except (EquiPositivityViolation, HorizonExhaustedError):
+            continue
+        built += 1
+        grid_n = rng.randint(2, 4)
+        depth = rng.randint(levels.m(3), 30)
+        want = exact_phase_q(spec, levels, depth, grid_n)
+        np.testing.assert_allclose(report_q(spec, levels, depth, grid_n), want, rtol=0,
+                                   atol=1e-15 * depth)
 
 
 def test_lattice_scan_checks_its_depth(deep_levels):
     spec, levels = deep_levels["mixed"]
-    m = levels.m(levels.level_count)
+    i = levels.level_count
+    m = levels.m(i)
     with pytest.raises(ValueError, match=f"depth {m - 1} must be >= m_i = {m}"):
-        verify._lattice_q(spec, levels, levels.level_count, m - 1, 8)
+        verify._grid_pass(spec, levels, i, m - 1, np.zeros(8))
     with pytest.raises(ValueError, match=f"depth {m - 1} must be >= m_i = {m}"):
         spectral_report(spec, levels, depth=m - 1)
 
@@ -760,6 +814,12 @@ def test_report_grid_and_depth_are_checked(jp_spec, kw):
         spectral_report(jp_spec, levels, **kw)
 
 
+def pass_bytes(spec, levels, depth, n_xi, span):
+    """_pass_bytes of the last level's rows lambda + n, n over span shifts."""
+    i = levels.level_count
+    return verify._pass_bytes(spec, levels.m(i), depth, *verify._lattice_rows(levels.level(i), span), n_xi)
+
+
 def test_grid_pass_memory_stays_within_its_estimate(deep_levels, jp_spec):
     # 257 points over jp L9 and mixed L5, a single point over mixed L5,
     # jp L3 at depth 300, and jp L3 over 8,001 points (two-row tiles)
@@ -768,7 +828,7 @@ def test_grid_pass_memory_stays_within_its_estimate(deep_levels, jp_spec):
              (*deep_levels["mixed"], 30, 1), (jp_spec, jp3, 300, 257), (jp_spec, jp3, 30, 8001)]
     for spec, levels, depth, n_xi in cases:
         i = levels.level_count
-        need = verify._pass_bytes(spec, levels, i, depth, n_xi)
+        need = pass_bytes(spec, levels, depth, n_xi, 1)
         xi = np.linspace(-2, 2, n_xi)
         fresh = ConvolutionSpec(spec.family, spec.word)  # its factor table is formed in the pass
         tracemalloc.start()
@@ -778,45 +838,44 @@ def test_grid_pass_memory_stays_within_its_estimate(deep_levels, jp_spec):
         finally:
             tracemalloc.stop()
         assert peak <= need, (i, depth, n_xi, peak, need)
-    # the lattice scans of jp L9 and mixed L5 over 65 columns, whose rows U
-    # are counted from the level's gaps: traced at 1.04x and 1.12x
+    # the reports of jp L9 and mixed L5 over 65 columns, whose rows U are
+    # counted from the level's gaps: traced at 1.21x and 1.18x
     for spec, levels in deep_levels.values():
-        i = levels.level_count
-        need = verify._pass_bytes(spec, levels, i, 30, 65, lattice=True)
+        need = pass_bytes(spec, levels, 30, 65, 4)
         fresh = ConvolutionSpec(spec.family, spec.word)
         tracemalloc.start()
         try:
-            verify._lattice_q(fresh, levels, i, 30, 64)
+            spectral_report(fresh, levels, grid_n=64, depth=30)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= need <= 1.5 * peak, (i, peak, need)
+        assert peak <= need <= 1.3 * peak, (peak, need)
 
 
 def test_grid_pass_memory_budget(jp_spec, monkeypatch):
     levels = build_quiet(jp_spec, 3)
     budget = convspec.convolution._BUDGET_BYTES
     over = f"needs more than its budget of {budget} bytes"
-    # 128,001 coarse points (--grid 32000) fit the budget, 4,000,001 do not:
+    # a grid pass over 128,001 points fits the budget, 4,000,001 do not:
     # a tile keeps two rows, so the kernel's sides grow with the grid
-    assert verify._pass_bytes(jp_spec, levels, 3, 30, 4 * 32000 + 1) <= budget
+    assert pass_bytes(jp_spec, levels, 30, 4 * 32000 + 1, 1) <= budget
     with pytest.raises(ValueError, match=over):
-        verify._pass_bytes(jp_spec, levels, 3, 30, 4 * 10**6 + 1)
-    # so do the lattice scan's 32,001 columns, and 10,000,001 do not
-    assert verify._pass_bytes(jp_spec, levels, 3, 30, 32001, lattice=True) <= budget
+        pass_bytes(jp_spec, levels, 30, 4 * 10**6 + 1, 1)
+    # so do the report's 32,001 columns (--grid 32000), and 10,000,001 do not
+    assert pass_bytes(jp_spec, levels, 30, 32001, 4) <= budget
     with pytest.raises(ValueError, match=over):
-        verify._pass_bytes(jp_spec, levels, 3, 30, 10**7 + 1, lattice=True)
-    # neither a huge grid nor a huge depth forms the grid, U or a P_k first
+        pass_bytes(jp_spec, levels, 30, 10**7 + 1, 4)
+    # neither a huge grid nor a huge depth forms the points, U or a P_k first
     deep = ConvolutionSpec(jp_spec.family, jp_spec.word)
     with monkeypatch.context() as m:
-        m.setattr(np, "linspace", lambda *a, **k: pytest.fail("allocated before the budget check"))
-        m.setattr(np, "repeat", lambda *a, **k: pytest.fail("allocated before the budget check"))
+        for name in ("linspace", "arange", "repeat"):
+            m.setattr(np, name, lambda *a, **k: pytest.fail("allocated before the budget check"))
         for kw in ({"grid_n": 10**7}, {"depth": 10**9}):
             with pytest.raises(ValueError, match=over):
                 spectral_report(deep, levels, **kw)
     assert "_factor_table" not in deep.__dict__
     # the error names the sizes, and a budget of exactly the estimate runs
-    need = verify._pass_bytes(jp_spec, levels, 3, 30, 1000)
+    need = pass_bytes(jp_spec, levels, 30, 1000, 1)
     xi = np.linspace(-2, 2, 1000)
     with monkeypatch.context() as m:
         m.setattr(convspec.convolution, "_BUDGET_BYTES", need - 1)
