@@ -274,65 +274,72 @@ _encode_str = json.encoder.encode_basestring_ascii
 
 
 @functools.cache
-def _digit_tables() -> np.ndarray:
-    """4-digit groups 0..9999 as little-endian uint32 words of ASCII digits.
-
-    Three tables of 10,000 words, one after the other: a leading group,
-    NUL-padded before its first digit (0 is all NUL); a group after the
-    leading one, with its zeros; and a leading group that is the last,
-    where 0 writes "0".  Built on first use, so an import pays nothing.
-    """
-    v = np.arange(10_000, dtype=np.uint32)
-    lead, full = np.zeros_like(v), np.zeros_like(v)
-    for k, p in enumerate((1000, 100, 10, 1)):
-        byte = (v // p % 10 + ord("0")) << (8 * k)
-        full |= byte
-        lead |= byte * (v >= p)
-    last = lead.copy()
-    last[0] = ord("0") << 24
-    return np.concatenate([lead, full, last]).astype("<u4")
+def _digit_tables() -> tuple[dict, np.ndarray]:
+    """lead[l]: (offset, table) pieces that store g < 10^l as l ASCII digits
+    in little-endian words of 1, 2, 1 + 2 or 4 bytes (lead[4] writes any
+    4-digit group); and the cuts 1 - 10^k, 0, 10^k between _RUNS."""
+    rows = (np.arange(10_000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
+    two = rows[:1000, 2:].copy().view("<u2").ravel()
+    lead = {1: [(0, rows[:10, 3].copy())], 2: [(0, two)], 3: [(0, rows[:1000, 1].copy()), (1, two)],
+            4: [(0, rows.view("<u4").ravel())]}
+    cuts = [1 - 10**k for k in range(18, 0, -1)] + [0] + [10**k for k in range(1, 19)]
+    return lead, np.array(cuts, np.int64)
 
 
-_GROUP = np.uint64(10_000)
-_INT_BLOCK = 1 << 15  # numbers per block of _int_text, about 1 MB of rows
+_RUNS = [(1, d) for d in range(19, 0, -1)] + [(0, d) for d in range(1, 20)]  # (sign, digits)
+_INT_BLOCK = 1 << 15  # numbers per block of _int_text, about 0.5 MB of text
+_JOIN_BELOW = 256  # shorter arrays are faster through int.__repr__ than a block's fixed cost
 
 
 def _int_text(a: np.ndarray, sep: str) -> list[str]:
     """The decimal text of the integers of a joined by sep, as blocks to join.
 
-    a is an int64 array or an object array of Python ints.  A block of
-    _INT_BLOCK numbers is a uint32 matrix with one row per number: a sign
-    column (left out when no number of the block is negative), the 4-digit
-    groups from _digit_tables, and sep's bytes (none after the last number).
-    It is filled a column at a time, so NUL pads the words before the
-    leading digits and after sep, and one translate drops it.  Past int64
-    the numbers go through int.__repr__.
+    a is an int64 array or an object array of Python ints.  A sorted int64
+    array (as every level is) is written _INT_BLOCK numbers at a time: the
+    cuts split a block into _RUNS, whose numbers are records of one width,
+    sign + digits + sep, so each part of a run's records (the "-", the
+    leading digits, each further 4-digit group, sep as 8, 4, 2 and 1-byte
+    words) is one strided store into the block's buffer.  Other arrays, and
+    short ones, go through int.__repr__.
     """
-    if a.dtype == object:
-        return [sep.join(map(int.__repr__, a))]
-    sep_words = np.frombuffer(sep.encode("ascii").ljust(-(-len(sep) // 4) * 4, b"\0"), "<u4")
-    digits, blocks = _digit_tables(), []
+    if a.dtype == object or a.size < _JOIN_BELOW or (a[1:] < a[:-1]).any():
+        return [sep.join(map(int.__repr__, a.tolist()))]
+    lead, cuts = _digit_tables()
+    four, ten4 = lead[4][0][1], np.uint64(10_000)  # numpy 1.x makes uint64 // int float64
+    raw, words, at = sep.encode("ascii"), [], 0
+    for k in [8] * (len(raw) // 8) + [k for k in (4, 2, 1) if len(raw) & k]:
+        # stored from an array: a scalar stored into unaligned words is several times slower
+        words.append((at, np.frombuffer(raw[at : at + k] * min(a.size, _INT_BLOCK), f"<u{k}")))
+        at += k
+    view, blocks = np.ndarray, []  # view(shape, dtype, buf, offset, strides)
     for start in range(0, a.size, _INT_BLOCK):
         v = a[start : start + _INT_BLOCK]
-        neg = v < 0
-        u = v.view(np.uint64).copy()
-        np.negative(u, out=u, where=neg)  # |v|, 2^63 included
-        groups = -(-len(str(u.max())) // 4)
-        cols = np.empty((1 + groups + sep_words.size, v.size), "<u4")
-        cols[1 + groups :] = sep_words[:, None]
-        if start + v.size == a.size:
-            cols[1 + groups :, -1] = 0
-        for col in range(groups, 0, -1):  # least significant first
-            q = u // _GROUP  # the digits above the group, faster than np.divmod
-            # intp: numpy 1.x makes uint64 with a Python int float64, and takes no uint64 index
-            g, u = (u - q * _GROUP).astype(np.intp), q
-            g += np.where(u != 0, 10_000, 20_000 if col == groups else 0)
-            np.take(digits, g, out=cols[col])
-        if neg.any():
-            np.multiply(neg, np.uint32(ord("-")), out=cols[0])
-        else:  # no sign to write: translate reads a fifth fewer bytes or more
-            cols = cols[1:]
-        blocks.append(cols.T.tobytes().translate(None, b"\0").decode("ascii"))
+        bounds = [0, *np.searchsorted(v, cuts).tolist(), v.size]
+        runs = [(lo, hi, s, d) for (s, d), lo, hi in zip(_RUNS, bounds, bounds[1:]) if hi > lo]
+        top = (max(runs[0][3], runs[-1][3]) + 3) // 4  # 4-digit groups of the longest
+        g = np.empty((top, v.size), np.uint64)  # the groups, most significant first
+        g[-1] = v.view(np.uint64)
+        np.negative(g[-1, : bounds[19]], out=g[-1, : bounds[19]])  # |v| below 0, 2^63 too
+        for j in range(top - 1, 0, -1):
+            np.floor_divide(g[j], ten4, out=g[j - 1])
+            g[j] -= g[j - 1] * ten4
+        g = g.view(np.intp)  # numpy 1.x takes no uint64 index
+        buf = np.empty(sum((hi - lo) * (s + d + len(raw)) for lo, hi, s, d in runs), np.uint8)
+        o = 0
+        for lo, hi, s, d in runs:
+            n, w, full = hi - lo, s + d + len(raw), (d - 1) // 4
+            if s:
+                view(n, np.uint8, buf, o, (w,))[...] = 45  # "-"
+            first = g[top - 1 - full, lo:hi]  # the leading group
+            for at, table in lead[d - 4 * full]:
+                view(n, table.dtype, buf, o + s + at, (w,))[...] = table.take(first)
+            if full:
+                view((full, n), "<u4", buf, o + s + d - 4 * full, (4, w))[...] = four.take(
+                    g[top - full :, lo:hi])
+            for at, word in words:
+                view(n, word.dtype, buf, o + s + d + at, (w,))[...] = word[:n]
+            o += n * w
+        blocks.append(str(buf[: buf.size - len(raw) * (start + v.size == a.size)], "ascii"))
     return blocks
 
 

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .triples import HadamardTriple, _digits, _fields_json, _integers, _pairs
+from .triples import HadamardTriple, _digit_table, _digits, _fields_json, _integers, _pairs
 
 __all__ = [
     "DEFAULT_TAIL_DEPTH",
@@ -233,7 +233,7 @@ class ConvolutionSpec:
             most = max(self.word.exp_prefix + self.word.exp_period) * max(
                 abs(t.N).bit_length() for t in self.family
             )
-            _check_budget(f"a table of {n} factors", 512 * n + most * n * (n + 1) // 16,
+            _check_budget(f"a table of {n} factors", 512 * n + most * n * (n + 1) // 14,
                           lambda: (need for _, _, need in _table_walk(self, n)))
             table = list(itertools.islice(self._walk(), n))
         return table[:n]
@@ -270,14 +270,15 @@ def _table_walk(spec: ConvolutionSpec, n: int) -> Iterator[tuple[HadamardTriple,
     """Positions 1..n as (triple, a bound on the bits of P_k, estimated bytes
     of the factor table up to it).
 
-    A Factor with its list slot takes ~512 bytes, plus the bits of P_k, so
-    the table grows with n^2.  The walk forms no P_k.
+    A Factor, its slots in the table and in factors' list and its ints'
+    headers take 144 bytes, plus 4 bytes per 30 bits of P_k, so the table
+    grows with n^2.  The walk forms no P_k.
     """
     bits = need = 0
     for k in range(1, n + 1):
         t = spec.triple_at(k)
         bits += spec.exponent_at(k) * abs(t.N).bit_length()
-        need += 512 + bits // 8
+        need += 144 + bits // 7
         yield t, bits, need
 
 
@@ -441,12 +442,18 @@ def mask(B: Sequence[int], xi: ArrayLike) -> complex | np.ndarray:
     return complex(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
+def _past_horizon(deltas: tuple[int, ...], scale: float, reach: float) -> bool:
+    """Whether _mask_power leaves out a factor (deltas, 2*pi/P_k) within reach."""
+    return bool(deltas) and deltas[-1] * abs(scale) * reach < _HORIZON
+
+
 def _mask_power(
-    factors: Iterable[tuple[Sequence[int], int]], x: np.ndarray, offsets: np.ndarray
+    factors: Iterable[tuple[tuple[int, ...], int]], x: np.ndarray, offsets: np.ndarray
 ) -> np.ndarray:
     """prod_k |M_{B_k}((x + o) / P_k)|^2 over the factors (B_k, P_k), for every x and o.
 
-    The result has shape x.shape + offsets.shape.  With c_delta the number
+    The result has shape x.shape + offsets.shape.  Each B_k is a checked
+    tuple, as a HadamardTriple's, read from the cache.  With c_delta the number
     of digit pairs b - b' = delta > 0 (from triples._pairs), a factor is
     |M_B(y)|^2 = 1/#B + (2/#B^2) sum_delta c_delta cos(2*pi*delta*y), and
     cos(a + b) = cos a cos b - sin a sin b makes it one real matrix product
@@ -477,9 +484,9 @@ def _mask_power(
     cos_at, sin_at, one_at = [], [], []  # each factor's columns of u and rows of v
     moduli, owner, at = [], [], []  # the |P_k| that reduce x; their frequencies' modulus and column
     for B, p in factors:
-        pw = _pairs(_digits(B))
+        pw = _pairs(_digit_table(B))
         scale = 2.0 * np.pi * _inv_float(p)
-        if pw.deltas and pw.deltas[-1] * abs(scale) * reach < _HORIZON:
+        if _past_horizon(pw.deltas, scale, reach):
             continue
         start, r = 2 * len(freq) + len(const), len(pw.deltas)
         cos_at += range(start, start + r)

@@ -30,6 +30,7 @@ from .convolution import (
     _int_bytes,
     _inv_float,
     _mask_power,
+    _past_horizon,
     _part_count,
     _table_walk,
     _tail_series_coefficient,
@@ -38,7 +39,7 @@ from .convolution import (
     fourier_tail,
 )
 from .spectrum import SpectrumLevels
-from .triples import _digits, _fields_json, _integers, _pairs
+from .triples import _digit_table, _fields_json, _integers, _pairs
 
 __all__ = [
     "QReport",
@@ -54,6 +55,7 @@ _EXACT_DOUBLE_LIMIT = 1 << 53  # integers up to here are exact doubles
 _GRAM_WORD_BYTES = 64  # per lambda and atom on the Gram check's matrix path: residues, weights
 _TILE_BYTES = 1 << 20  # bytes of a Q tile's pairs, 16 each for the mask kernel's result and term
 _FFT_BYTES = 64  # peak bytes per residue bin or lambda on the Gram check's FFT path
+_PASS_OBJECT_BYTES = 16 << 10  # a Q pass's frames, lists and small arrays (traced ~4 KB)
 
 
 def _residues(a: np.ndarray, d: int) -> np.ndarray:
@@ -169,16 +171,22 @@ def _lattice_rows(level: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]
 
 
 def _pass_bytes(spec: ConvolutionSpec, m_i: int, depth: int, lam: np.ndarray, count: np.ndarray,
-                n_xi: int) -> int:
-    """Estimated peak bytes of a _pass over the rows U of _lattice_rows and n_xi columns.
+                n_xi: int, reach: float) -> int:
+    """Estimated peak bytes of a _pass over the rows U of _lattice_rows and n_xi
+    columns, whose kernel calls stay within reach.
 
-    Per factor, the kernel's cosine and sine sides hold 5 * #delta + 1
-    floats per column and per tile row (the larger of its two factor
-    lists), its residues 3 more per tile row, and the factor table takes
-    what _table_walk estimates; a tile takes 6 floats per pair, the level
-    and U 4 entries per row, and the sums 6 floats per column and shift.
-    Tiles keep two rows, so a large grid or depth cannot fit: past the
-    budget, or at a depth below m_i, ValueError (the walk forms no P_k).
+    The pass holds the factor table (as _table_walk estimates), 4 entries
+    per lambda and row, 6 floats per column and shift, _PASS_OBJECT_BYTES,
+    and the larger of the tail's table (for the series coefficient) and a
+    tile: six arrays of pairs while the bound is formed, or |F|^2 and a
+    kernel call.  A call keeps the factors its horizon rule keeps (here at
+    reach (1 + 2^-20): this running 1/|P_k| may round apart from the
+    kernel's by k ulps).  With #delta = r per factor it holds 5r + 4 floats
+    per tile row while it reduces the rows and takes their cosines, then
+    3r + 1 per row and 6r + 1 per column while it takes the columns', then
+    3r + 1 per row and column and two arrays of pairs.  Tiles keep two rows,
+    so a large grid or depth cannot fit: past the budget, or at a depth
+    below m_i, ValueError (the walk forms no P_k).
     """
     if depth < m_i:
         raise ValueError(f"depth {depth} must be >= m_i = {m_i}")
@@ -187,11 +195,17 @@ def _pass_bytes(spec: ConvolutionSpec, m_i: int, depth: int, lam: np.ndarray, co
     tile = -(-rows // _part_count(rows, 16 * rows * n_xi, _TILE_BYTES))
     kind = "lattice scan" if shifts > 1 else "grid pass"
     what = f"a Q {kind} of {n} frequencies over {n_xi} points at depth {depth}"
-    base = 8 * (6 * tile * n_xi + 6 * shifts * n_xi) + 4 * word * (n + rows)
-    width = [0, 0]  # the first m_i factors, the rest
+    pairs, base = tile * n_xi, _PASS_OBJECT_BYTES + 48 * shifts * n_xi + 4 * word * (n + rows)
+    kept, inv, call = [[0, 0], [0, 0]], 1.0, 0  # sum r and count: first m_i factors, the rest
     for k, (t, _, table) in enumerate(_table_walk(spec, depth), start=1):
-        width[k > m_i] += 5 * len(_pairs(_digits(t.B)).deltas) + 1
-        need = _check_budget(what, base + 8 * (n_xi + tile) * max(width) + 24 * tile * k + table)
+        inv *= abs(t.N) ** -float(spec.exponent_at(k))  # 1/|P_k|
+        deltas = _pairs(_digit_table(t.B)).deltas
+        if not _past_horizon(deltas, 2 * np.pi * inv, reach * (1 + 2**-20)):
+            kept[k > m_i][0] += len(deltas)
+            kept[k > m_i][1] += 1
+            call = max(max(tile * (5 * r + 4 * c), tile * (3 * r + c) + n_xi * (6 * r + c),
+                           (tile + n_xi) * (3 * r + c) + 2 * pairs) for r, c in kept)
+        need = _check_budget(what, base + table + max(table, 8 * max(6 * pairs, pairs + call)))
     return need
 
 
@@ -241,7 +255,10 @@ def _pass(spec: ConvolutionSpec, levels: SpectrumLevels, i: int, depth: int, shi
     """
     m_i = levels.m(i)
     lam, count = _lattice_rows(levels.level(i), len(shifts))
-    _pass_bytes(spec, m_i, depth, lam, count, len(cols))
+    # the kernel's reach: a range is widest at its ends, and is formed only past the estimate
+    edge = max(-cols[0], cols[-1]) if isinstance(cols, range) else np.abs(cols).max()
+    reach = max(abs(float(lam[0] + shifts[0])), abs(float(lam[-1] + shifts[-1])), edge / den)
+    _pass_bytes(spec, m_i, depth, lam, count, len(cols), reach)
     cols = np.asarray(cols) / den
     factors = [(f.triple.B, f.product) for f in spec.factors(depth)]
     inv = _inv_float(spec.scale_product(m_i))
@@ -268,10 +285,10 @@ def _pass(spec: ConvolutionSpec, levels: SpectrumLevels, i: int, depth: int, shi
                 at = end[lo:hi] - first
                 if np.all(count[lo + 1 : hi] == 1):  # a run of rows: read in place
                     at = slice(at[0], at[-1] + 1)
-                for s, part in zip(sums[k], (t2, t, f2)):
-                    s[:] = _carry_sum(part[at], s)
+                sums[k] = [_carry_sum(part[at], s) for s, part in zip(sums[k], (t2, t, f2))]
                 np.minimum(low[k], gap[at].min(axis=0), out=low[k])
         start += rows.size
+        del f2, t2, t, gap  # before the next tile's kernel calls
     parts = (*sums.transpose(1, 0, 2), 1.0 - low**2)  # the level part is 1 - (least |T| - t)^2
     q, t_sum, mass, level_part = (np.concatenate([*x[:-1, :-1], x[-1]]) for x in parts)
     return _Pass(q, level_part + 2.0 * t_sum, float(np.max(np.abs(mass - 1.0))))

@@ -879,6 +879,72 @@ def test_int_text_takes_arrays():
     assert _int_text(big, ";") == [f"{-(2**64)};0;{2**63 + 1}"]
 
 
+def assert_written(ints, sep, monkeypatch, kernel=True):
+    """_int_text writes ints joined by sep as Python's ints do, through the
+    run kernel (which reads the digit tables) or through int.__repr__."""
+    reads, tables = [], convspec.cli._digit_tables
+    with monkeypatch.context() as m:
+        m.setattr(convspec.cli, "_digit_tables", lambda: reads.append(1) or tables())
+        text = "".join(_int_text(ints, sep))
+    want = sep.join(map(str, ints.tolist()))
+    if text != want:  # a diff of two megabytes of text would take minutes
+        at = next((j for j, (x, y) in enumerate(zip(text, want)) if x != y), len(want))
+        pytest.fail(f"at {at}: {text[at - 30 : at + 30]!r} != {want[at - 30 : at + 30]!r}")
+    assert bool(reads) == kernel
+
+
+@pytest.mark.parametrize("sep", [",\n      ", "\n7,"])
+def test_int_text_writes_every_width_and_sign(sep, monkeypatch):
+    # the least, the largest and a random number of 1 to 19 digits, with both
+    # signs, each four times: every run the kernel cuts a block into
+    rng = random.Random(19)
+    ends = [v for d in range(1, 20) for v in (10 ** (d - 1), min(10**d, 2**63) - 1,
+                                               rng.randrange(10 ** (d - 1), min(10**d, 2**63)))]
+    ints = np.repeat(np.array(sorted({0, *ends, *(-v for v in ends)}), dtype=np.int64), 4)
+    assert ints.size >= convspec.cli._JOIN_BELOW
+    assert_written(ints, sep, monkeypatch)
+
+
+@pytest.mark.parametrize("sep", ["", ";"])
+def test_int_text_writes_the_int64_ends(sep, monkeypatch):
+    ends = [-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1]
+    assert_written(np.repeat(np.array(ends, dtype=np.int64), 64), sep, monkeypatch)
+
+
+@pytest.mark.parametrize("low, high", [
+    ((-9, -1), (0, 9)),  # the sign
+    ((1000, 9999), (10_000, 99_999)),  # the width, by a 4-digit group
+    ((-(10**9) + 1, -(10**8)), (10**7, 10**8 - 1)),  # both
+])
+@pytest.mark.parametrize("at", [-1, 0, 1, convspec.cli._INT_BLOCK])
+def test_int_text_runs_change_at_a_block_edge(low, high, at, monkeypatch):
+    # the change falls on the first block's last or first number past it, one
+    # after, or at the second block's edge; the array ends a block past that
+    block = convspec.cli._INT_BLOCK
+    rng = np.random.default_rng(at + block)
+    edge, size = block + at, 3 * block + at + 5
+    ints = np.sort(np.concatenate([rng.integers(*low, edge, endpoint=True),
+                                   rng.integers(*high, size - edge, endpoint=True)]))
+    assert ints[edge - 1] <= low[1] and ints[edge] >= high[0]
+    assert_written(ints, "\n3,", monkeypatch)
+
+
+@pytest.mark.parametrize("sep", [",;\n -|:#@"[:k] for k in range(10)] + [",\n      ", "\n12,"])
+def test_int_text_writes_each_separator_length(sep, monkeypatch):
+    # 0 to 9 bytes, stored as words of 8, 4, 2 and 1 bytes, the JSON and CSV ones
+    ints = np.sort(np.random.default_rng(len(sep)).integers(-(10**12), 10**15, 3000))
+    assert_written(ints, sep, monkeypatch)
+
+
+def test_int_text_writes_unsorted_and_short_arrays_by_repr(monkeypatch):
+    ints = np.random.default_rng(5).integers(-(2**63), 2**63 - 1, 5000, endpoint=True)
+    assert_written(ints, ",\n      ", monkeypatch, kernel=False)
+    assert_written(np.sort(ints), ",\n      ", monkeypatch)
+    short = np.sort(ints[: convspec.cli._JOIN_BELOW])
+    assert_written(short, ",", monkeypatch)
+    assert_written(short[1:], ",", monkeypatch, kernel=False)
+
+
 def old_csv_rows(payload):
     rows = (f"{i},{lam}" for i, lv in enumerate(payload["levels"]) for lam in lv)
     return "\n".join(["level,lambda", *rows]) + "\n"

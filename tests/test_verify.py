@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import convspec.convolution
+import convspec.triples
 import convspec.verify as verify
 from convspec import (
     BuildParams,
@@ -815,9 +816,13 @@ def test_report_grid_and_depth_are_checked(jp_spec, kw):
 
 
 def pass_bytes(spec, levels, depth, n_xi, span):
-    """_pass_bytes of the last level's rows lambda + n, n over span shifts."""
+    """_pass_bytes of the last level's rows lambda + n, n over span shifts: the
+    report's (n in -2..1, columns r/g in [0, 1]) or a grid pass's (n = 0, xi
+    in [-2, 2])."""
     i = levels.level_count
-    return verify._pass_bytes(spec, levels.m(i), depth, *verify._lattice_rows(levels.level(i), span), n_xi)
+    lam, count = verify._lattice_rows(levels.level(i), span)
+    reach = max(-lam[0] + 2, lam[-1] + 1, 1) if span > 1 else max(-lam[0], lam[-1], 2)
+    return verify._pass_bytes(spec, levels.m(i), depth, lam, count, n_xi, float(reach))
 
 
 def test_grid_pass_memory_stays_within_its_estimate(deep_levels, jp_spec):
@@ -839,7 +844,7 @@ def test_grid_pass_memory_stays_within_its_estimate(deep_levels, jp_spec):
             tracemalloc.stop()
         assert peak <= need, (i, depth, n_xi, peak, need)
     # the reports of jp L9 and mixed L5 over 65 columns, whose rows U are
-    # counted from the level's gaps: traced at 1.21x and 1.18x
+    # counted from the level's gaps: traced at 1.23x and 1.24x
     for spec, levels in deep_levels.values():
         need = pass_bytes(spec, levels, 30, 65, 4)
         fresh = ConvolutionSpec(spec.family, spec.word)
@@ -850,6 +855,46 @@ def test_grid_pass_memory_stays_within_its_estimate(deep_levels, jp_spec):
         finally:
             tracemalloc.stop()
         assert peak <= need <= 1.3 * peak, (peak, need)
+
+
+def test_report_estimate_counts_only_the_factors_the_kernel_keeps(deep_levels, jp_spec):
+    # at depth 300 the kernel leaves out every factor past its horizon, and so
+    # does the estimate: jp L9, mixed :12 L5 and jp L3 read 1.23x, 1.24x and
+    # 1.21x of their traced peaks (6.0x, 6.5x and 10.4x counting every factor)
+    cases = [deep_levels["jp"], deep_levels["mixed"], (jp_spec, build_quiet(jp_spec, 3))]
+    for spec, levels in cases:
+        need = pass_bytes(spec, levels, 300, 65, 4)
+        fresh = ConvolutionSpec(spec.family, spec.word)
+        tracemalloc.start()
+        try:
+            spectral_report(fresh, levels, grid_n=64, depth=300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= need <= 1.5 * peak, (levels.level_count, peak, need)
+
+
+def test_report_checks_no_digit_set_per_row_tile(deep_levels, monkeypatch):
+    # every B comes from a checked HadamardTriple, so the kernel reads its
+    # table from the cache: the _integers calls of a report do not grow with
+    # its row tiles
+    spec, levels = deep_levels["mixed"]
+
+    def run(budget):
+        checks, kernels = [], []
+        check, kernel = convspec.triples._integers, verify._mask_power
+        with monkeypatch.context() as m:
+            m.setattr(verify, "_TILE_BYTES", budget)
+            m.setattr(verify, "_mask_power", lambda *a: kernels.append(1) or kernel(*a))
+            for module in (convspec.triples, convspec.convolution, verify):
+                m.setattr(module, "_integers", lambda *a: checks.append(1) or check(*a))
+            report = spectral_report(spec, levels, grid_n=8, depth=30).to_json()
+        return len(checks), len(kernels), report
+
+    few, whole_calls, whole = run(verify._TILE_BYTES)
+    many, tiled_calls, tiled = run(1)  # two-row tiles
+    assert tiled_calls > 100 * whole_calls and tiled == whole
+    assert many == few, (few, many)
 
 
 def test_grid_pass_memory_budget(jp_spec, monkeypatch):
