@@ -8,6 +8,7 @@ reports carry no timestamps and floats print through repr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import inspect
 import json
@@ -15,7 +16,7 @@ import math
 import sys
 import warnings
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -68,8 +69,8 @@ PRESETS = {
 }
 
 
-# payload (without "command"), its CSV rendering on demand, exit code
-Report = tuple[dict, Callable[[], str], int]
+# payload (without "command"), its CSV on demand (the text, or its pieces as bytes), exit code
+Report = tuple[dict, Callable[[], str | Iterator[bytes]], int]
 
 
 class UsageError(Exception):
@@ -185,11 +186,12 @@ def cmd_spectrum(args) -> Report:
         str(w.message) for w in caught if issubclass(w.category, GcdNotCertifiedWarning)
     ]
 
-    def csv() -> str:
-        parts = ["level,lambda\n"]
+    def csv() -> Iterator[bytes]:
+        yield b"level,lambda\n"
         for i, lv in enumerate(levels.levels):  # every level is nonempty
-            parts += [f"{i},", *_int_text(lv, f"\n{i},"), "\n"]
-        return "".join(parts)
+            yield f"{i},".encode()
+            yield from _int_text(lv, f"\n{i},")
+            yield b"\n"
 
     return {"warnings": gcd_warnings, **levels.to_json(np.asarray)}, csv, EXIT_OK
 
@@ -291,19 +293,19 @@ _INT_BLOCK = 1 << 15  # numbers per block of _int_text, about 0.5 MB of text
 _JOIN_BELOW = 256  # shorter arrays are faster through int.__repr__ than a block's fixed cost
 
 
-def _int_text(a: np.ndarray, sep: str) -> list[str]:
-    """The decimal text of the integers of a joined by sep, as blocks to join.
-
-    a is an int64 array or an object array of Python ints.  A sorted int64
-    array (as every level is) is written _INT_BLOCK numbers at a time: the
-    cuts split a block into _RUNS, whose numbers are records of one width,
-    sign + digits + sep, so each part of a run's records (the "-", the
-    leading digits, each further 4-digit group, sep as 8, 4, 2 and 1-byte
-    words) is one strided store into the block's buffer.  Other arrays, and
-    short ones, go through int.__repr__.
+def _int_text(a: np.ndarray, sep: str) -> Iterator[bytes | memoryview]:
+    """The decimal text of the integers of a joined by sep, as ASCII pieces,
+    each valid until the next is taken: a sorted int64 array's (as every
+    level is) are views of one uint8 buffer, rewritten for each block of
+    _INT_BLOCK numbers.  The cuts split a block into _RUNS, whose numbers
+    are records of one width, sign + digits + sep, so each part of a run's
+    records (the "-", the leading digits, each further 4-digit group, sep
+    as 8, 4, 2 and 1-byte words) is one strided store into the buffer.
+    Object arrays (of Python ints), unsorted and short ones are one piece by repr.
     """
     if a.dtype == object or a.size < _JOIN_BELOW or (a[1:] < a[:-1]).any():
-        return [sep.join(map(int.__repr__, a.tolist()))]
+        yield sep.join(map(int.__repr__, a.tolist())).encode()
+        return
     lead, cuts = _digit_tables()
     four, ten4 = lead[4][0][1], np.uint64(10_000)  # numpy 1.x makes uint64 // int float64
     raw, words, at = sep.encode("ascii"), [], 0
@@ -311,7 +313,8 @@ def _int_text(a: np.ndarray, sep: str) -> list[str]:
         # stored from an array: a scalar stored into unaligned words is several times slower
         words.append((at, np.frombuffer(raw[at : at + k] * min(a.size, _INT_BLOCK), f"<u{k}")))
         at += k
-    view, blocks = np.ndarray, []  # view(shape, dtype, buf, offset, strides)
+    # view(shape, dtype, buf, offset, strides); buf holds a block of the widest records
+    view, buf = np.ndarray, np.empty(min(a.size, _INT_BLOCK) * (20 + len(raw)), np.uint8)
     for start in range(0, a.size, _INT_BLOCK):
         v = a[start : start + _INT_BLOCK]
         bounds = [0, *np.searchsorted(v, cuts).tolist(), v.size]
@@ -324,7 +327,6 @@ def _int_text(a: np.ndarray, sep: str) -> list[str]:
             np.floor_divide(g[j], ten4, out=g[j - 1])
             g[j] -= g[j - 1] * ten4
         g = g.view(np.intp)  # numpy 1.x takes no uint64 index
-        buf = np.empty(sum((hi - lo) * (s + d + len(raw)) for lo, hi, s, d in runs), np.uint8)
         o = 0
         for lo, hi, s, d in runs:
             n, w, full = hi - lo, s + d + len(raw), (d - 1) // 4
@@ -339,72 +341,73 @@ def _int_text(a: np.ndarray, sep: str) -> list[str]:
             for at, word in words:
                 view(n, word.dtype, buf, o + s + d + at, (w,))[...] = word[:n]
             o += n * w
-        blocks.append(str(buf[: buf.size - len(raw) * (start + v.size == a.size)], "ascii"))
-    return blocks
+        yield buf.data[: o - len(raw) * (start + v.size == a.size)]
 
 
 def _dumps(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)`` for str-keyed payloads.
-
-    With an indent, CPython's json falls back to its pure-Python encoder,
-    one generator frame per item.  This writes a list of exact ints and
-    finite floats with one repr, and recurses only into the other
-    containers, which add their pieces to one list (main writes it unjoined).
-    An integer array goes to _int_text, a certificate to its table's text.
-    """
-    out: list[str] = []
-    _write(obj, "\n", out)
-    return "".join(out)
+    """``json.dumps(obj, sort_keys=True, indent=2)`` for str-keyed payloads: _write's pieces."""
+    out = bytearray()
+    _write(obj, "\n", out.extend)
+    return out.decode()
 
 
-def _write(obj, newline: str, out: list[str]) -> None:
-    """Append the pieces of obj's JSON to out, obj starting after newline."""
+def _write(obj, newline: str, put: Callable[[bytes], object]) -> None:
+    """Hand the JSON of obj, starting after newline, to put as bytes, in order.
+
+    With an indent, CPython's json falls back to its pure-Python encoder, one
+    generator frame per item.  This writes a list of exact ints and finite
+    floats with one repr, recurses only into the other containers, each
+    separator before its item, and hands on an integer array's _int_text
+    blocks and a certificate's table text as they are: put must use each
+    piece before it returns, as a block's buffer is rewritten for the next."""
     if isinstance(obj, str):
-        out.append(_encode_str(obj))
+        put(_encode_str(obj).encode())
     elif obj is None:
-        out.append("null")
+        put(b"null")
     elif obj is True or obj is False:
-        out.append("true" if obj else "false")
+        put(b"true" if obj else b"false")
+    elif isinstance(obj, (dict, list, tuple)) and not obj:
+        put(b"{}" if isinstance(obj, dict) else b"[]")
     elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
+        put(int.__repr__(obj).encode())
     elif isinstance(obj, float):
         if math.isfinite(obj):
-            out.append(float.__repr__(obj))
+            put(float.__repr__(obj).encode())
         else:
-            out.append("NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity")
+            put(b"NaN" if obj != obj else b"Infinity" if obj > 0 else b"-Infinity")
     elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        out += "{", inner
+        inner, sep = newline + "  ", "{"
         for k, v in sorted(obj.items()):
-            out += _encode_str(k), ": "
-            _write(v, inner, out)
-            out.append("," + inner)
-        out[-1] = newline + "}"
+            put(f"{sep}{inner}{_encode_str(k)}: ".encode())
+            _write(v, inner, put)
+            sep = ","
+        put(f"{newline}}}".encode())
     elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
         inner = newline + "  "
         # repr writes exact ints and finite floats as json does; "n" marks nan,
         # inf, and bools are not ints here, as they write true and false
         if {*map(type, obj)} <= {int, float} and "n" not in (text := repr(list(obj))):
-            out += "[", inner, text[1:-1].replace(", ", "," + inner), newline, "]"
+            put(f"[{inner}{text[1:-1].replace(', ', ',' + inner)}{newline}]".encode())
         else:
-            out += "[", inner
+            sep = "["
             for v in obj:
-                _write(v, inner, out)
-                out.append("," + inner)
-            out[-1] = newline + "]"
+                put(f"{sep}{inner}".encode())
+                _write(v, inner, put)
+                sep = ","
+            put(f"{newline}]".encode())
     elif isinstance(obj, np.ndarray) and obj.ndim == 1 and (obj.dtype == np.int64 or (
             obj.dtype == object and {*map(type, obj)} <= {int})):
         inner = newline + "  "
-        out += ["[", inner, *_int_text(obj, "," + inner), newline, "]"] if obj.size else ["[]"]
+        put(f"[{inner}".encode() if obj.size else b"[]")
+        if obj.size:
+            for block in _int_text(obj, "," + inner):
+                put(block)
+            put(f"{newline}]".encode())
     elif isinstance(obj, EquiPositivityCertificate):
         inner, deep = newline + "  ", newline + "    "
-        out += "[", inner, obj.text("," + deep, "[" + deep, inner + "]", "," + inner), newline, "]"
+        table = obj.text("," + deep, "[" + deep, inner + "]", "," + inner)
+        for text in ("[" + inner, table, newline + "]"):
+            put(text.encode())
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
@@ -476,23 +479,26 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and stream its report's bytes, as they render, into --out
+    (opened once the command returns: an error it raises leaves the file as it
+    was) or stdout's buffer (decoded for a stdout with none); the exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         payload, csv, code = args.func(args)
-        if args.output == "csv":
-            pieces = [csv()]
-        else:
-            payload["command"] = args.command
-            pieces = []
-            _write(payload, "\n", pieces)
-            pieces.append("\n")
-        # one piece at a time: a string of the whole report would be its largest copy
-        if args.out:
-            with open(args.out, "w") as f:
-                f.writelines(pieces)
-        else:
-            sys.stdout.writelines(pieces)
+        if not args.out:
+            sys.stdout.flush()  # what was written to stdout goes before the report
+        stdout = getattr(sys.stdout, "buffer", None)
+        with open(args.out, "wb") if args.out else contextlib.nullcontext(stdout) as f:
+            put = f.write if f else lambda piece: sys.stdout.write(str(piece, "utf-8"))
+            if args.output == "csv":
+                text = csv()
+                for piece in [text.encode()] if isinstance(text, str) else text:
+                    put(piece)
+            else:
+                payload["command"] = args.command
+                _write(payload, "\n", put)
+                put(b"\n")
         return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

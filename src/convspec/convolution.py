@@ -537,23 +537,25 @@ def fourier_finite(spec: ConvolutionSpec, n: int, xi: ArrayLike) -> complex | np
     return math.prod(mask(f.triple.B, x * _inv_float(f.product)) for f in spec.factors(n))
 
 
-def _tail_series_coefficient(tail: ConvolutionSpec, depth: int) -> float:
-    """Exact value of sum_{j>depth} 2*pi*max|B_j| / |P_j| for the tail factors.
+def _tail_series_coefficient(spec: ConvolutionSpec, depth: int, skip: int = 0) -> float:
+    """Exact value of sum_{j>depth} 2*pi*max|B_j| / |P_j| for the factors of
+    TailSpec(spec, skip), read from spec's own factor table.
 
-    P_j is the running product of the tail scales N^e.  The word is
-    eventually periodic, so past the preperiodic part the terms form a
-    geometric pattern and the series sums in closed form.
+    P_j is the running product of the tail scales N^e, the exact quotient
+    P_{skip+j} // P_skip of spec's products.  The word is eventually
+    periodic, so past the preperiodic part the terms form a geometric
+    pattern and the series sums in closed form.
     """
-    w = tail.word
-    pre = max(len(w.prefix), len(w.exp_prefix))
+    w = spec.word
+    pre = max(len(w.prefix), len(w.exp_prefix), skip) - skip  # the tail's
     per = math.lcm(len(w.period), len(w.exp_period))
     # first index > max(depth, pre) aligned with the period start
     t0 = max(0, -(-(depth - pre) // per))  # ceil
     start = pre + 1 + t0 * per
-    table = tail.factors(start + per - 1)
+    table, p = spec.factors(skip + start + per - 1)[skip:], spec.scale_product(skip)
 
     def term(f: Factor) -> float:
-        return 2.0 * math.pi * max(abs(b) for b in f.triple.B) * abs(_inv_float(f.product))
+        return 2.0 * math.pi * max(abs(b) for b in f.triple.B) * abs(_inv_float(f.product // p))
 
     total = 0.0
     for f in table[depth : start - 1]:

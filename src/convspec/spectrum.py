@@ -261,8 +261,8 @@ def next_level(spec: ConvolutionSpec, state: SpectrumLevels) -> SpectrumLevels:
     block_points = [n0_prev * (lam + shift_map[lam] * blocks.N) for lam in blocks.L]
     bound = reach + max(abs(b) for b in block_points)
     dtype = np.int64 if bound < _INT64_LIMIT else object
-    # block-major: one sorted run per block point, merged by a stable sort in place
-    points = np.array(block_points, dtype=dtype)
+    # block-major: a sorted run per block point, ascending, merged by a stable sort in place
+    points = np.sort(np.array(block_points, dtype=dtype))
     new_level = np.add.outer(points, prev.astype(dtype, copy=False)).ravel()
     new_level.sort(kind="stable")
     new_level.flags.writeable = False

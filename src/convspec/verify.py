@@ -23,7 +23,6 @@ import numpy as np
 from .convolution import (
     ConvolutionSpec,
     DiscreteMeasure,
-    TailSpec,
     _INT64_LIMIT,
     _check_budget,
     _int_array,
@@ -175,18 +174,18 @@ def _pass_bytes(spec: ConvolutionSpec, m_i: int, depth: int, lam: np.ndarray, co
     """Estimated peak bytes of a _pass over the rows U of _lattice_rows and n_xi
     columns, whose kernel calls stay within reach.
 
-    The pass holds the factor table (as _table_walk estimates), 4 entries
-    per lambda and row, 6 floats per column and shift, _PASS_OBJECT_BYTES,
-    and the larger of the tail's table (for the series coefficient) and a
-    tile: six arrays of pairs while the bound is formed, or |F|^2 and a
-    kernel call.  A call keeps the factors its horizon rule keeps (here at
-    reach (1 + 2^-20): this running 1/|P_k| may round apart from the
-    kernel's by k ulps).  With #delta = r per factor it holds 5r + 4 floats
-    per tile row while it reduces the rows and takes their cosines, then
-    3r + 1 per row and 6r + 1 per column while it takes the columns', then
-    3r + 1 per row and column and two arrays of pairs.  Tiles keep two rows,
-    so a large grid or depth cannot fit: past the budget, or at a depth
-    below m_i, ValueError (the walk forms no P_k).
+    The pass holds the factor table (as _table_walk estimates; the series
+    coefficient reads it on to two periods past depth or the word's prefix
+    at most), 4 entries per lambda and row, 6 floats per column and shift,
+    _PASS_OBJECT_BYTES and a tile: six arrays of pairs while the bound is
+    formed, or |F|^2 and a kernel call.  A call keeps the factors its
+    horizon rule keeps (here at reach (1 + 2^-20): this running 1/|P_k| may
+    round apart from the kernel's by k ulps).  With #delta = r per factor it
+    holds 5r + 4 floats per tile row while it reduces the rows and takes
+    their cosines, then 3r + 1 per row and 6r + 1 per column while it takes
+    the columns', then 3r + 1 per row and column and two arrays of pairs.
+    Tiles keep two rows, so a large grid or depth cannot fit: past the
+    budget, or at a depth below m_i, ValueError (the walk forms no P_k).
     """
     if depth < m_i:
         raise ValueError(f"depth {depth} must be >= m_i = {m_i}")
@@ -205,7 +204,7 @@ def _pass_bytes(spec: ConvolutionSpec, m_i: int, depth: int, lam: np.ndarray, co
             kept[k > m_i][1] += 1
             call = max(max(tile * (5 * r + 4 * c), tile * (3 * r + c) + n_xi * (6 * r + c),
                            (tile + n_xi) * (3 * r + c) + 2 * pairs) for r, c in kept)
-        need = _check_budget(what, base + table + max(table, 8 * max(6 * pairs, pairs + call)))
+        need = _check_budget(what, base + table + 8 * max(6 * pairs, pairs + call))
     return need
 
 
@@ -262,7 +261,7 @@ def _pass(spec: ConvolutionSpec, levels: SpectrumLevels, i: int, depth: int, shi
     cols = np.asarray(cols) / den
     factors = [(f.triple.B, f.product) for f in spec.factors(depth)]
     inv = _inv_float(spec.scale_product(m_i))
-    coef = _tail_series_coefficient(TailSpec(spec, m_i), depth - m_i)
+    coef = _tail_series_coefficient(spec, depth - m_i, m_i)
     top = shifts[-1]
     end = np.cumsum(count, dtype=np.int64)  # lambda_j + n is row end_j - 1 - (top - n)
     u = np.repeat(lam, count)

@@ -1,9 +1,11 @@
 """CLI exit codes, report shapes, determinism, end-to-end flows."""
 
 import hashlib
+import io
 import json
 import math
 import random
+import sys
 import time
 import tracemalloc
 
@@ -853,6 +855,12 @@ def test_random_int64_lists_match_the_stdlib_encoder(seed):
     assert _dumps({"a": [ints, ints[:7]]}) == stdlib_dumps({"a": [ints, ints[:7]]})
 
 
+def pieces(ints, sep) -> list[bytes]:
+    """_int_text's pieces, each copied as it comes: a block's text is a view
+    of the buffer that the next block reuses."""
+    return [bytes(p) for p in _int_text(ints, sep)]
+
+
 @pytest.mark.parametrize("extra", [-1, 0, 1])
 def test_int_text_across_a_block_edge(extra):
     # the last number of a block has sep after it unless it is the last of all
@@ -861,22 +869,22 @@ def test_int_text_across_a_block_edge(extra):
     ints = [rng.randrange(-(10**12), 10**12) for _ in range(n)]
     ints[-1] = -(2**63)
     assert _dumps([ints]) == stdlib_dumps([ints])
-    assert "".join(_int_text(np.array(ints), "\n7,")) == "\n7,".join(map(str, ints))
+    assert b"".join(pieces(np.array(ints), "\n7,")).decode() == "\n7,".join(map(str, ints))
 
 
 def test_int_text_falls_back_past_int64():
-    assert _int_text(np.array([2**64, -3], dtype=object), ", ") == ["18446744073709551616, -3"]
+    assert pieces(np.array([2**64, -3], dtype=object), ", ") == [b"18446744073709551616, -3"]
     extremes = np.array([-(2**63), 2**63 - 1], dtype=np.int64)
-    assert _int_text(extremes, ";") == [f"{-(2**63)};{2**63 - 1}"]
+    assert pieces(extremes, ";") == [f"{-(2**63)};{2**63 - 1}".encode()]
 
 
 def test_int_text_takes_arrays():
     # three blocks: two with a negative number, and one with no sign column
     ints = np.arange(-40_000, 40_000, dtype=np.int64)
     for sep in (",", "\n  "):
-        assert "".join(_int_text(ints, sep)) == sep.join(map(str, ints.tolist()))
+        assert b"".join(pieces(ints, sep)).decode() == sep.join(map(str, ints.tolist()))
     big = np.array([-(2**64), 0, 2**63 + 1], dtype=object)
-    assert _int_text(big, ";") == [f"{-(2**64)};0;{2**63 + 1}"]
+    assert pieces(big, ";") == [f"{-(2**64)};0;{2**63 + 1}".encode()]
 
 
 def assert_written(ints, sep, monkeypatch, kernel=True):
@@ -885,7 +893,7 @@ def assert_written(ints, sep, monkeypatch, kernel=True):
     reads, tables = [], convspec.cli._digit_tables
     with monkeypatch.context() as m:
         m.setattr(convspec.cli, "_digit_tables", lambda: reads.append(1) or tables())
-        text = "".join(_int_text(ints, sep))
+        text = b"".join(pieces(ints, sep)).decode()
     want = sep.join(map(str, ints.tolist()))
     if text != want:  # a diff of two megabytes of text would take minutes
         at = next((j for j, (x, y) in enumerate(zip(text, want)) if x != y), len(want))
@@ -1066,8 +1074,9 @@ def test_past_the_budget_exits_3(capsys, tmp_path, monkeypatch, case):
 
 
 def test_report_is_written_without_a_copy_of_its_text(tmp_path):
-    # the report goes out piece by piece, so at mixed :12 L8, whose 9.3 MB
-    # of text is the largest object, the traced peak stays below two texts
+    # the report goes into the file as it is rendered, so at mixed :12 L8,
+    # whose 9.3 MB of text would be the largest object, no copy of the text
+    # is held: the traced peak stays below the report's size
     cfg, out = tmp_path / "mixed.json", tmp_path / "levels.json"
     cfg.write_text(json.dumps(MIXED_CONFIG))
     tracemalloc.start()
@@ -1078,7 +1087,41 @@ def test_report_is_written_without_a_copy_of_its_text(tmp_path):
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert peak <= 2 * out.stat().st_size
+    assert peak <= out.stat().st_size
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--preset", "jp", "--levels-file", "MALFORMED"],
+    ["spectrum", "--preset", "jp", "--levels", "0"],
+])
+def test_a_command_that_fails_leaves_out_untouched(capsys, tmp_path, argv):
+    # the command fails before its report renders, so --out is not opened
+    malformed, out = tmp_path / "malformed.json", tmp_path / "report"
+    malformed.write_text('{"levels": [[0], [0, 1]')
+    before = b'{"kept": "byte for byte"}\n\x00\xff'
+    out.write_bytes(before)
+    argv = [str(malformed) if a == "MALFORMED" else a for a in argv]
+    for output in ("json", "csv"):
+        assert main([*argv, "--output", output, "--out", str(out)]) == 3
+        assert out.read_bytes() == before
+        assert "config error" in capsys.readouterr().err
+
+
+def test_a_stdout_with_no_buffer_gets_the_text_out_gets(tmp_path, monkeypatch):
+    # a text stream with no byte buffer under it, as a StringIO redirect is,
+    # takes the decoded pieces; mixed :12 L7 writes its deepest level in
+    # three blocks of one reused buffer
+    argv = ["spectrum", "--preset", "mixed", "--word", ":12", "--levels", "7"]
+    out = tmp_path / "report"
+    for output in ("json", "csv"):
+        assert main([*argv, "--output", output, "--out", str(out)]) == 0
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        assert not hasattr(sys.stdout, "buffer")
+        assert main([*argv, "--output", output]) == 0
+        text = sys.stdout.getvalue()
+        monkeypatch.undo()
+        assert text.encode() == out.read_bytes(), output
+        assert text.count("\n") > 93312
 
 
 def test_depth_within_the_factor_table_budget_runs(capsys):

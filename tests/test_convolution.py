@@ -770,6 +770,18 @@ def test_tail_bound_matches_fraction_series_random():
         assert got == pytest.approx(2 * math.pi * float(series), rel=1e-12)
 
 
+def test_tail_series_coefficient_reads_the_spec_table_exactly(jp_spec, mixed_spec):
+    # skip > 0 reads the tail's P_j as P_{skip+j} // P_skip of the spec's own
+    # table: the same float as the coefficient of the tail's own table
+    coefficient = convspec.convolution._tail_series_coefficient
+    rng = random.Random(73)
+    for spec in [jp_spec, mixed_spec, *(random_spec(rng) for _ in range(10))]:
+        for skip in (0, 1, 2, 3, 7):
+            for depth in (0, 1, 4, 13, 40):
+                got = coefficient(spec, depth, skip)
+                assert got == coefficient(TailSpec(spec, skip), depth), (spec, skip, depth)
+
+
 def test_block_frequencies_match_hand_built_composite_random():
     rng = random.Random(71)
     for _ in range(25):
