@@ -28,6 +28,7 @@ from .spectrum import (
     GcdNotCertifiedWarning,
     HorizonExhaustedError,
     SpectrumLevels,
+    _check_steps,
     build_spectrum,
     certify_gcd_condition,
 )
@@ -207,6 +208,7 @@ def cmd_verify(args) -> Report:
         return payload, lambda: "status\nnot-applicable\n", EXIT_CONFIG
     try:
         levels = SpectrumLevels.from_json(obj)
+        _check_steps(spec, levels)  # before any Q pass
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"invalid levels file: {exc}") from exc
     if levels.level_count < 1:
@@ -254,7 +256,7 @@ def cmd_equipos(args) -> Report:
         depth=args.depth,
         failure_threshold=args.threshold,
     )
-    return cert.to_json(cert), cert.to_csv, EXIT_OK if cert.ok else EXIT_VERIFICATION
+    return cert.to_json(cert), cert._csv, EXIT_OK if cert.ok else EXIT_VERIFICATION
 
 
 def _parse_symbols_signed(text: str) -> tuple[int, ...]:
@@ -358,8 +360,8 @@ def _write(obj, newline: str, put: Callable[[bytes], object]) -> None:
     generator frame per item.  This writes a list of exact ints and finite
     floats with one repr, recurses only into the other containers, each
     separator before its item, and hands on an integer array's _int_text
-    blocks and a certificate's table text as they are: put must use each
-    piece before it returns, as a block's buffer is rewritten for the next."""
+    blocks and a certificate's _pieces of rows as they come: put must use
+    each piece before it returns, as a block's buffer is rewritten for the next."""
     if isinstance(obj, str):
         put(_encode_str(obj).encode())
     elif obj is None:
@@ -405,9 +407,10 @@ def _write(obj, newline: str, put: Callable[[bytes], object]) -> None:
             put(f"{newline}]".encode())
     elif isinstance(obj, EquiPositivityCertificate):
         inner, deep = newline + "  ", newline + "    "
-        table = obj.text("," + deep, "[" + deep, inner + "]", "," + inner)
-        for text in ("[" + inner, table, newline + "]"):
-            put(text.encode())
+        put(f"[{inner}".encode())
+        for piece in obj._pieces("," + deep, "[" + deep, inner + "]", "," + inner):
+            put(piece)
+        put(f"{newline}]".encode())
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 

@@ -11,6 +11,7 @@ reported as half the grid spacing and labeled as such.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, NamedTuple
@@ -38,10 +39,15 @@ __all__ = [
 
 DEFAULT_FAILURE_THRESHOLD = 1e-4
 _SHIFT_PAIRS = 17 << 13  # (point, shift) pairs per part and chunk: 8,192 points at K = 8
+_TEXT_ROWS = 1 << 8  # grid points per piece of a certificate's table text
 
 
-def _reprs(column: tuple) -> list[str]:  # each int or finite float's repr, from one repr
-    return repr(list(column))[1:-1].split(", ")
+def _reprs(column) -> np.ndarray:
+    """The repr of each int or finite float, as an object array, from one repr
+    of the distinct bit patterns (0.0 and -0.0 apart)."""
+    a = np.array(column)
+    bits, at = np.unique(a.view(np.uint64), return_inverse=True)
+    return np.array(repr(bits.view(a.dtype).tolist())[1:-1].split(", "), object)[at]
 
 
 class ProbeRow(NamedTuple):
@@ -91,24 +97,31 @@ class EquiPositivityCertificate:
         return tuple(rows)
 
     def text(self, sep: str = ",", start: str = "", end: str = "", join: str = "\n") -> str:
-        """The table as text, rows start, x, skip, k, value, end joined by join.
+        """The table as text, rows start, x, skip, k, value, end joined by join."""
+        return b"".join(self._pieces(sep, start, end, join)).decode()
+
+    def _pieces(self, sep=",", start="", end="", join="\n") -> Iterator[bytes]:
+        """text as ASCII bytes, in pieces of _TEXT_ROWS grid points.
 
         The fields are joined by sep and the floats, all finite (x = j / grid_n,
-        values are moduli), written by repr as JSON writes them, one repr per
-        column.  Each search's row tails are formed once (by identity, never by
-        float equality: 0.0 == -0.0), and one join takes every row's pieces.
+        values are moduli), written by repr as JSON writes them (see _reprs).
+        Each search's columns are formatted once (by identity, never by float
+        equality: 0.0 == -0.0), and one join takes each piece's rows.
         """
-        heads = [join + start + x + sep for x in _reprs(self.grid)]
-        tails: dict[int, list[str]] = {}
+        found = {id(c): c for c in self.columns}
+        reprs = {key: [_reprs(c) for c in columns] for key, columns in found.items()}
         step = 3 * len(self.skips)
-        pieces = [""] * (step * len(heads))  # head, skip and tail of each row, in row order
-        for j, (s, found) in enumerate(zip(self.skips, self.columns)):
-            if id(found) not in tails:
-                tails[id(found)] = [sep + a + sep + b + end for a, b in zip(*map(_reprs, found))]
-            pieces[3 * j :: step], pieces[3 * j + 1 :: step], pieces[3 * j + 2 :: step] = (
-                heads, [str(s)] * len(heads), tails[id(found)])
-        pieces[0] = pieces[0][len(join) :]  # no join before the first row
-        return "".join(pieces)
+        for lo in range(0, len(self.grid), _TEXT_ROWS):
+            at = slice(lo, lo + _TEXT_ROWS)
+            heads = [f"{join}{start}{x}{sep}" for x in _reprs(self.grid[at])]
+            tails = {key: [f"{sep}{a}{sep}{b}{end}" for a, b in zip(k[at], v[at])]
+                     for key, (k, v) in reprs.items()}
+            pieces = [""] * (step * len(heads))  # head, skip and tail of each row, in row order
+            for j, (s, c) in enumerate(zip(self.skips, self.columns)):
+                pieces[3 * j :: step], pieces[3 * j + 1 :: step], pieces[3 * j + 2 :: step] = (
+                    heads, [str(s)] * len(heads), tails[id(c)])
+            pieces[0] = pieces[0][len(join) * (not lo) :]  # no join before the first row
+            yield "".join(pieces).encode()
 
     def table(self) -> Iterator[list]:
         """The rows as [x, skip, k, value] lists, in row order, each formed when reached."""
@@ -132,7 +145,10 @@ class EquiPositivityCertificate:
         }
 
     def to_csv(self) -> str:
-        return "x,skip,k,value\n" + self.text() + "\n"
+        return b"".join(self._csv()).decode()
+
+    def _csv(self) -> Iterator[bytes]:  # the CSV report as ASCII bytes
+        return itertools.chain([b"x,skip,k,value\n"], self._pieces(), [b"\n"])
 
 
 def choose_k(

@@ -193,15 +193,21 @@ class SpectrumLevels:
 
 
 def block_frequencies(spec: ConvolutionSpec, p: int, q: int) -> HadamardTriple:
-    """Composite triple over factor positions p+1..q (frequencies normalized)."""
+    """Composite triple over factor positions p+1..q (frequencies normalized).
+
+    The spec keeps each block, outside its dataclass fields, by its factors
+    (triple, N^e), for the steps and the load checks that repeat them."""
     if not 0 <= p < q:
         raise ValueError(f"invalid range: need 0 <= p < q, got p={p}, q={q}")
-    normalized = {t: normalize_frequencies(t).L for t in spec.family}
-    # position k as a plain triple: (N^e, B, N^(e-1) L)
-    return compose_triples([
-        HadamardTriple(s, t.B, tuple(s // t.N * l for l in normalized[t]))
-        for t, s, _ in spec.factors(q)[p:]
-    ])
+    steps = tuple((t, s) for t, s, _ in spec.factors(q)[p:])
+    blocks = spec.__dict__.setdefault("_blocks", {})
+    if steps not in blocks:
+        normalized = {t: normalize_frequencies(t).L for t in spec.family}
+        # position k as a plain triple: (N^e, B, N^(e-1) L)
+        blocks[steps] = compose_triples([
+            HadamardTriple(s, t.B, tuple(s // t.N * l for l in normalized[t])) for t, s in steps
+        ])
+    return blocks[steps]
 
 
 def next_level(spec: ConvolutionSpec, state: SpectrumLevels) -> SpectrumLevels:
@@ -227,17 +233,7 @@ def next_level(spec: ConvolutionSpec, state: SpectrumLevels) -> SpectrumLevels:
         raise HorizonExhaustedError(
             f"no admissible index after m={m_prev} up to max_m={params.max_m}"
         )
-
-    block_size = math.prod(len(f.triple.L) for f in spec.factors(m_i)[m_prev:])
-    # every new |lambda| is below reach + |P_{m_i}| (K + 2)
-    bits = (reach + abs(spec.scale_product(m_i)) * (params.K + 2)).bit_length()
-    _check_budget(
-        f"level {len(state.levels)} of {len(prev)} x {block_size} frequencies",
-        _BLOCK_BYTES * block_size + (sum(map(len, state.levels)) + len(prev) * block_size)
-        * (_LEVEL_BYTES + 2 * (_int_bytes(bits) + bits * 3 // 10)),
-    )
-    blocks = block_frequencies(spec, m_prev, m_i)
-    n0_prev = spec.scale_product(m_prev)
+    blocks = _block(spec, state.levels, m_prev, m_i, params.K)
 
     # one shift search over every block frequency, each at x = frac(lambda/N);
     # equal tail words spell equal tails, so the spec keeps each search, outside
@@ -256,16 +252,8 @@ def next_level(spec: ConvolutionSpec, state: SpectrumLevels) -> SpectrumLevels:
             raise EquiPositivityViolation(
                 lam=lam, m=m_i, x=x, achieved=value, epsilon=params.epsilon
             )
-    shift_map = {lam: k - math.floor(r) for lam, k, r in zip(blocks.L, ks, ratios)}
-
-    block_points = [n0_prev * (lam + shift_map[lam] * blocks.N) for lam in blocks.L]
-    bound = reach + max(abs(b) for b in block_points)
-    dtype = np.int64 if bound < _INT64_LIMIT else object
-    # block-major: a sorted run per block point, ascending, merged by a stable sort in place
-    points = np.sort(np.array(block_points, dtype=dtype))
-    new_level = np.add.outer(points, prev.astype(dtype, copy=False)).ravel()
-    new_level.sort(kind="stable")
-    new_level.flags.writeable = False
+    shifts = tuple(sorted((lam, k - math.floor(r)) for lam, k, r in zip(blocks.L, ks, ratios)))
+    new_level = _compose(prev, spec.scale_product(m_prev), blocks.N, shifts)
     if np.any(new_level[1:] == new_level[:-1]):
         raise RuntimeError(
             "level cardinality collapsed; the input spec is not a valid "
@@ -274,9 +262,53 @@ def next_level(spec: ConvolutionSpec, state: SpectrumLevels) -> SpectrumLevels:
     return SpectrumLevels(
         levels=state.levels + (new_level,),
         indices=state.indices + (m_i,),
-        shifts=state.shifts + (tuple(sorted(shift_map.items())),),
+        shifts=state.shifts + (shifts,),
         params=params,
     )
+
+
+def _block(spec: ConvolutionSpec, levels: tuple, m_prev: int, m_i: int, K: int) -> HadamardTriple:
+    """block_frequencies(spec, m_prev, m_i), once the level it adds to levels,
+    with shifts |k| <= K + 2, passes the budget as the report holds them."""
+    prev = levels[-1]
+    block_size = math.prod(len(f.triple.L) for f in spec.factors(m_i)[m_prev:])
+    # every new |lambda| is below reach + |P_{m_i}| (K + 2)
+    reach = max(-int(prev.min()), int(prev.max()))
+    bits = (reach + abs(spec.scale_product(m_i)) * (K + 2)).bit_length()
+    _check_budget(
+        f"level {len(levels)} of {len(prev)} x {block_size} frequencies",
+        _BLOCK_BYTES * block_size + (sum(map(len, levels)) + len(prev) * block_size)
+        * (_LEVEL_BYTES + 2 * (_int_bytes(bits) + bits * 3 // 10)),
+    )
+    return block_frequencies(spec, m_prev, m_i)
+
+
+def _compose(prev: np.ndarray, n0_prev: int, n_blk: int, shifts) -> np.ndarray:
+    """sort(prev + n0_prev (l + k n_blk)) over the shifts (l, k), read-only, in
+    int64 while it fits: block-major, a run per sorted block point, merged in place."""
+    points = [n0_prev * (lam + k * n_blk) for lam, k in shifts]
+    bound = max(-int(prev.min()), int(prev.max())) + max(map(abs, points))
+    dtype = np.int64 if bound < _INT64_LIMIT else object
+    level = np.add.outer(np.sort(np.array(points, dtype)), prev.astype(dtype, copy=False)).ravel()
+    level.sort(kind="stable")
+    level.flags.writeable = False
+    return level
+
+
+def _check_steps(spec: ConvolutionSpec, levels: SpectrumLevels) -> None:
+    """ValueError naming the first level that is not {0} (level 0) or, as
+    next_level composes it, the level before plus its block over its shifts."""
+    if levels.level(0).tolist() != [0]:
+        raise ValueError("level 0 is not {0}")
+    m_prev = 0
+    for i, (m_i, shifts) in enumerate(zip(levels.indices, levels.shifts), start=1):
+        block = _block(spec, levels.levels[:i], m_prev, m_i, max(abs(k) for _, k in shifts))
+        if sorted(lam for lam, _ in shifts) != sorted(block.L):
+            raise ValueError(f"the shifts of level {i} are not over its block frequencies")
+        want = _compose(levels.level(i - 1), spec.scale_product(m_prev), block.N, shifts)
+        if not np.array_equal(np.sort(levels.level(i)), want):
+            raise ValueError(f"level {i} is not level {i - 1} plus its block")
+        m_prev = m_i
 
 
 def build_spectrum(

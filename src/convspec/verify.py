@@ -329,15 +329,14 @@ class QReport:
     completeness_defect: float
     min_q: float
     passed: bool
+    inconclusive_at: tuple[float, float] | None  # (xi, bound) of the first bound >= 1
 
     def to_json(self) -> dict:
         return _fields_json(self)
 
     def to_csv(self) -> str:
-        lines = ["xi,q,bound"]
-        for x, q, b in zip(self.xi_grid, self.q_values, self.q_bounds):
-            lines.append(f"{x!r},{q!r},{b!r}")
-        return "\n".join(lines) + "\n"
+        rows = zip(self.xi_grid, self.q_values, self.q_bounds)
+        return "xi,q,bound\n" + "".join(f"{x!r},{q!r},{b!r}\n" for x, q, b in rows)
 
 
 def spectral_report(
@@ -352,8 +351,9 @@ def spectral_report(
     r in 0..grid_n: one _pass over the rows lambda + n and the columns
     r/grid_n gives Q and its bound at each and the completeness defect over
     them, every lambda + xi evaluated once.  Pass requires the completeness
-    defect within DEFAULT_COMPLETENESS_TOL and min Q >= 1 - (tail_bound +
-    DEFAULT_Q_SLACK).
+    defect within DEFAULT_COMPLETENESS_TOL and, point by point, bound < 1 and
+    Q >= 1 - (bound + DEFAULT_Q_SLACK): a bound of 1 admits Q = 0, so the
+    first such point, named as inconclusive_at = (xi, bound), fails the report.
     """
     (grid_n,) = _integers((grid_n,), "grid_n")
     (depth,) = _integers((depth,), "depth")
@@ -363,19 +363,21 @@ def spectral_report(
         raise ValueError("no levels to verify")
     i = levels.level_count
     res = _pass(spec, levels, i, depth, range(-2, 2), range(grid_n + 1), grid_n)
-    tail_bound = float(np.max(res.bound))
-    min_q = float(np.min(res.q))
+    xi = np.arange(-2 * grid_n, 2 * grid_n + 1) / grid_n
+    over = np.flatnonzero(res.bound >= 1.0)
     comp = res.completeness_defect
-    passed = comp <= DEFAULT_COMPLETENESS_TOL and min_q >= 1.0 - (tail_bound + DEFAULT_Q_SLACK)
+    passed = (comp <= DEFAULT_COMPLETENESS_TOL and not over.size
+              and bool(np.all(res.q >= 1.0 - (res.bound + DEFAULT_Q_SLACK))))
     return QReport(
-        xi_grid=tuple((np.arange(-2 * grid_n, 2 * grid_n + 1) / grid_n).tolist()),
+        xi_grid=tuple(xi.tolist()),
         q_values=tuple(res.q.tolist()),
         q_bounds=tuple(res.bound.tolist()),
         level=i,
         truncation_depth=depth,
         max_defect=float(np.max(np.abs(res.q - 1.0))),
-        tail_bound=tail_bound,
+        tail_bound=float(np.max(res.bound)),
         completeness_defect=comp,
-        min_q=min_q,
+        min_q=float(np.min(res.q)),
         passed=passed,
+        inconclusive_at=(float(xi[over[0]]), float(res.bound[over[0]])) if over.size else None,
     )

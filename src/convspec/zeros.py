@@ -49,7 +49,7 @@ DEFAULT_SHIFT_WINDOW = 8  # K of every shift search: the shifts -K..K of search_
 _PRIME = 2**61 - 1  # modulus of the square-freeness test
 _CIRCLE_TOL = 1e-8  # largest ||z| - 1| of a polynomial root taken as a mask zero
 _SHIFT_BYTES = 64  # per shift of a window: a tuple slot, its Python int and int64 copies
-_SIDE_BYTES = 4 << 20  # bytes of the mask kernel's point side, or its shift side, in one part
+_SIDE_BYTES = 2 << 20  # bytes of the mask kernel's point side, or its shift side, in one part
 
 
 @dataclass(frozen=True)
@@ -84,10 +84,7 @@ class ZeroSetReport:
         }
 
     def to_csv(self) -> str:
-        lines = ["root,radius"]
-        for e in self.entries:
-            lines.append(f"{e.root:.15g},{e.radius:.15g}")
-        return "\n".join(lines) + "\n"
+        return "root,radius\n" + "".join(f"{e.root:.15g},{e.radius:.15g}\n" for e in self.entries)
 
 
 def search_order(K: int) -> tuple[int, ...]:
@@ -459,7 +456,10 @@ def zero_propagation(spec: ConvolutionSpec, xi0: float, steps: int) -> Propagati
     """Iterate Y_n = {(xi + l)/N : xi in Y_{n-1}, surviving mask values}.
 
     Each factor position uses its effective scale N^e and frequencies
-    N^(e-1) * (L reduced mod |N|); survivors keep |M_B| > DEFAULT_PROBE_TOL.
+    N^(e-1) * (L reduced mod |N|); survivors keep |M_B|^2 > DEFAULT_PROBE_TOL^2
+    in one _mask_power call over (point, frequency), whose rounding (_Window's
+    floor, ~1.3e-15) can move a decision only where |M_B| is within ~0.07 % of
+    the threshold.  Candidates are formed frequency-major, in ascending runs.
     With frequencies reduced, every element stays within |xi0| + 2.  An
     element within DEFAULT_INTEGER_TOL of an integer raises the step's
     integer flag (a nonempty periodic zero set cannot contain integers).
@@ -472,9 +472,9 @@ def zero_propagation(spec: ConvolutionSpec, xi0: float, steps: int) -> Propagati
     ys = [(float(xi0),)]
     flags = [abs(xi0 - round(xi0)) <= DEFAULT_INTEGER_TOL]
     for t, scale, _ in spec.factors(steps):
-        l_eff = [float(scale // t.N * (l % abs(t.N))) for l in t.L]
-        tau = np.add.outer(y, l_eff).ravel() / float(scale)
-        alive = np.abs(mask(_digits(t.B).offsets, tau)) > DEFAULT_PROBE_TOL
+        l_eff = np.sort([float(scale // t.N * (l % abs(t.N))) for l in t.L])
+        alive = _mask_power([(t.B, scale)], y, l_eff).T > DEFAULT_PROBE_TOL**2
+        tau = np.add.outer(l_eff, y) / float(scale)
         y = _merge_close(np.sort(tau[alive], kind="stable"))
         ys.append(tuple(y.tolist()))
         flags.append(bool(np.any(np.abs(y - np.round(y)) <= DEFAULT_INTEGER_TOL)))

@@ -16,6 +16,7 @@ import dataclasses
 
 import convspec.cli
 import convspec.convolution
+import convspec.equipos
 import convspec.spectrum
 from convspec import (
     BuildParams,
@@ -35,6 +36,7 @@ from convspec import (
     spectral_report,
     verify_triple,
 )
+from convspec.spectrum import block_frequencies
 from convspec.cli import _dumps, _int_text, build_parser, load_spec, main
 
 
@@ -206,12 +208,104 @@ def test_verify_detects_tampered_levels(capsys, tmp_path):
     obj["levels"][-1].remove(1)
     tampered = tmp_path / "tampered.json"
     tampered.write_text(json.dumps(obj))
-    code, payload = run_json(
-        capsys, "verify", "--preset", "jp", "--levels-file", str(tampered),
-    )
-    assert code == 2
-    assert payload["passed"] is False
-    assert payload["min_q"] < 1 - 0.01
+    capsys.readouterr()
+    # the level is no longer level 2 plus its block: refused at load, before
+    # any Q pass (spectral_report alone still fails it on Q)
+    assert main(["verify", "--preset", "jp", "--levels-file", str(tampered)]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "invalid levels file: level 3 is not level 2 plus its block" in out.err
+
+
+def recomposed(spec, obj):
+    """obj with each level composed from the one before, its index and its shifts."""
+    levels, m_prev = [[0]], 0
+    for m, shifts in zip(obj["indices"], obj["shifts"]):
+        n_blk, p = block_frequencies(spec, m_prev, m).N, spec.scale_product(m_prev)
+        levels.append(sorted(x + p * (l + k * n_blk) for l, k in shifts for x in levels[-1]))
+        m_prev = m
+    return {**obj, "levels": levels}
+
+
+@pytest.mark.parametrize("preset", ["jp", "mixed"])
+def test_verify_refuses_a_level_that_is_not_its_steps(capsys, tmp_path, preset):
+    # seeded corruptions of L5's last level: moves by 1 (which mixed L5's Q
+    # missed 6 times in 10, far entries' terms being under the completeness
+    # tolerance), by P_{m_5} and 64 P_{m_5} (which keep an orthonormal set
+    # and always passed), drops and duplicates all exit 3 before a Q pass
+    path = tmp_path / "levels.json"
+    assert main(["spectrum", "--preset", preset, "--levels", "5", "--out", str(path)]) == 0
+    obj = json.loads(path.read_text())
+    p = ConvolutionSpec.from_json(convspec.cli.PRESETS[preset]).scale_product(obj["indices"][-1])
+    rng = random.Random(30)
+
+    def moved(by):
+        return lambda lv, j: lv.__setitem__(j, lv[j] + by)
+
+    def verify(edited):
+        path.write_text(json.dumps(edited))
+        capsys.readouterr()
+        code = main(["verify", "--preset", preset, "--levels-file", str(path),
+                     "--out", str(tmp_path / "report.json")])
+        out = capsys.readouterr()
+        assert out.out == ""
+        return code, out.err
+
+    for edit in (moved(1), moved(p), moved(64 * p), list.pop, lambda lv, j: lv.insert(j, lv[j])):
+        for _ in range(4):
+            edited = json.loads(json.dumps(obj))
+            edit(edited["levels"][5], rng.randrange(len(edited["levels"][5])))
+            code, err = verify(edited)
+            assert code == 3 and "invalid levels file: level 5 is not level 4 plus" in err
+    # the first level that disagrees is named, though every later one does too
+    edited = json.loads(json.dumps(obj))
+    edited["levels"][2][-1] += 1
+    assert verify(edited) == (3, "config error: invalid levels file: "
+                                 "level 2 is not level 1 plus its block\n")
+    edited = json.loads(json.dumps(obj))
+    edited["levels"][0] = [1]
+    assert verify(edited) == (3, "config error: invalid levels file: level 0 is not {0}\n")
+    edited = json.loads(json.dumps(obj))
+    del edited["shifts"][3][-1]
+    assert verify(edited) == (3, "config error: invalid levels file: "
+                                 "the shifts of level 4 are not over its block frequencies\n")
+    # the levels need not be sorted, and the genuine file still passes
+    edited = json.loads(json.dumps(obj))
+    edited["levels"][5].reverse()
+    assert verify(edited) == (0, "")
+
+
+def canonical(shifts):  # every shift 0
+    return [[[l, 0] for l, _ in step] for step in shifts]
+
+
+def odd_moved(shifts):  # step 1's odd frequency moved by 16 N_1 = 64: every odd lambda by 64
+    return [[[l, k + 16 * (l % 2)] for l, k in shifts[0]], *shifts[1:]]
+
+
+@pytest.mark.parametrize("preset, n, edit, zero_at, first", [
+    ("mixed", 7, canonical, 1.0, (-1.96875, 1.0000000000370102)),
+    ("jp", 3, odd_moved, -1.0, (-1.0, 1.0000000000000004)),
+])
+def test_verify_is_inconclusive_where_a_bound_reaches_one(capsys, tmp_path, preset, n, edit,
+                                                          zero_at, first):
+    # files whose levels follow their own steps, so the load check passes
+    # them, yet are not spectra: Q is 0.0 at a point whose bound is at least
+    # 1, which the gate on min Q against the largest bound used to pass
+    path = tmp_path / "levels.json"
+    assert main(["spectrum", "--preset", preset, "--levels", str(n), "--out", str(path)]) == 0
+    obj = json.loads(path.read_text())
+    spec = ConvolutionSpec.from_json(convspec.cli.PRESETS[preset])
+    assert recomposed(spec, obj) == obj
+    path.write_text(json.dumps(recomposed(spec, {**obj, "shifts": edit(obj["shifts"])})))
+    capsys.readouterr()
+    code, payload = run_json(capsys, "verify", "--preset", preset, "--levels-file", str(path))
+    assert code == 2 and payload["passed"] is False
+    assert payload["completeness_defect"] <= 1e-9
+    assert payload["min_q"] == payload["q_values"][payload["xi_grid"].index(zero_at)] == 0.0
+    assert payload["inconclusive_at"] == list(first)
+    assert payload["q_bounds"][payload["xi_grid"].index(first[0])] == first[1]
+    assert main(["verify", "--preset", preset, "--levels-file", str(path), "--output", "csv"]) == 2
 
 
 def test_verify_levels_file_missing_parameter_exits_3(capsys, tmp_path):
@@ -790,7 +884,9 @@ def test_lazy_table_writes_what_the_stdlib_writes(tmp_path, grid, argv):
     assert payload["table"] == cert
     assert json.loads(_dumps(payload))["table"] == rows
     assert json.loads(_dumps(payload)) == cert.to_json()
-    assert csv() == cert.to_csv()
+    # the CSV is the certificate's pieces as bytes, and to_csv their join
+    want = "".join(f"{x!r},{s},{k},{v!r}\n" for x, s, k, v in rows)
+    assert b"".join(csv()).decode() == cert.to_csv() == "x,skip,k,value\n" + want
 
 
 INT64_BOUNDARIES = [
@@ -1088,6 +1184,48 @@ def test_report_is_written_without_a_copy_of_its_text(tmp_path):
         tracemalloc.stop()
     assert code == 0
     assert peak <= out.stat().st_size
+
+
+@pytest.mark.parametrize("output", ["json", "csv"])
+def test_certificate_is_written_without_a_copy_of_its_text(tmp_path, output):
+    # equipos jp over 8192 points goes into the file a piece of rows at a
+    # time, so the traced peak stays below the report's size (the parent
+    # writer held the whole table's text: 2.2x of the JSON, 2.8x of the CSV);
+    # the first call builds the parser and the caches every call shares
+    out = tmp_path / f"jp.{output}"
+    argv = ["equipos", "--preset", "jp", "--grid", "8192", "--output", output, "--out", str(out)]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= out.stat().st_size
+
+
+def test_certificate_streams_the_bytes_of_its_joined_text(tmp_path, monkeypatch, capsys):
+    # a value column that repeats and holds 0.0 and -0.0 (equal floats, two
+    # texts), in pieces of three grid points: JSON and CSV, on --out and on
+    # stdout, are the joined text of the certificate's rows
+    real = probe_family(JP_SPEC, (1, 0, 2), grid_n=8, K=2, depth=10)
+    k = real.columns[0][0]
+    shared = (k, (0.0, -0.0, 0.5, 0.0, -0.0, 0.5, 0.25, -0.0))
+    cert = dataclasses.replace(real, columns=(shared, (k, shared[1][::-1]), shared))
+    monkeypatch.setattr(convspec.equipos, "_TEXT_ROWS", 3)
+    monkeypatch.setattr(convspec.cli, "probe_family", lambda *args, **kwargs: cert)
+    rows = "".join(f"{r.x!r},{r.skip},{r.k},{r.value!r}\n" for r in cert.rows)
+    assert rows.count(",-0.0\n") == 9 and rows.count(",0.0\n") == 6
+    assert cert.to_csv() == "x,skip,k,value\n" + rows
+    payload = {**cert.to_json(), "command": "equipos"}
+    table = cert.text(",\n      ", "[\n      ", "\n    ]", ",\n    ")
+    assert f'"table": [\n    {table}\n  ]' in stdlib_dumps(payload)
+    for output, want in (("json", stdlib_dumps(payload) + "\n"), ("csv", cert.to_csv())):
+        argv = ["equipos", "--preset", "jp", "--output", output]
+        assert main([*argv, "--out", str(tmp_path / "report")]) == 0
+        assert (tmp_path / "report").read_bytes() == want.encode(), output
+        assert run(capsys, *argv) == (0, want), output
 
 
 @pytest.mark.parametrize("argv", [

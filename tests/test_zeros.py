@@ -447,6 +447,46 @@ def test_propagation_matches_scalar_loop_random():
         assert tr.sets == propagation_sets_by_scalar_loop(spec, xi0, steps)
 
 
+def propagation_by_complex_mask(spec, xi0, steps):
+    """The complex-mask zero_propagation: |M_B| over every (point, frequency) pair."""
+    y = np.array([float(xi0)])
+    ys = [(float(xi0),)]
+    flags = [abs(xi0 - round(xi0)) <= convspec.zeros.DEFAULT_INTEGER_TOL]
+    for t, scale, _ in spec.factors(steps):
+        l_eff = [float(scale // t.N * (l % abs(t.N))) for l in t.L]
+        tau = np.add.outer(y, l_eff).ravel() / float(scale)
+        alive = np.abs(mask(_digits(t.B).offsets, tau)) > convspec.zeros.DEFAULT_PROBE_TOL
+        y = _merge_close(np.sort(tau[alive], kind="stable"))
+        ys.append(tuple(y.tolist()))
+        flags.append(bool(np.any(np.abs(y - np.round(y)) <= convspec.zeros.DEFAULT_INTEGER_TOL)))
+    return tuple(ys), tuple(len(s) for s in ys), tuple(flags)
+
+
+def test_propagation_matches_the_complex_mask(jp_spec, e14_spec, mixed_spec):
+    # the squared kernel decides |M_B| > 1e-6 as the complex mask does, and
+    # the frequency-major candidates sort to the same floats: repr tells
+    # 0.0 from -0.0, which == does not
+    rng = random.Random(38)
+    cases = [(spec, rng.uniform(-4.0, 4.0), 12) for spec in (jp_spec, e14_spec, mixed_spec)
+             for _ in range(12)]
+    cases += [(random_spec(rng), rng.uniform(-2.0, 2.0), rng.randint(2, 7)) for _ in range(60)]
+    for spec, xi0, steps in cases:
+        tr = zero_propagation(spec, xi0, steps)
+        want = propagation_by_complex_mask(spec, xi0, steps)
+        assert repr((tr.sets, tr.counts, tr.integer_flags)) == repr(want), (spec, xi0)
+
+
+@pytest.mark.parametrize("ratio, survivors", [(1.01, 2), (0.99, 1)])
+def test_propagation_threshold_outside_its_rounding_band(jp_spec, ratio, survivors):
+    # jp's first step maps xi0 = 1 - 4d to 1/4 - d, where |M_B| = |sin(2 pi d)|,
+    # and to 1/2 - d, where |M_B| is near 1: 1 % off the threshold lies well
+    # outside the squared kernel's band of about 0.07 %
+    d = math.asin(ratio * convspec.zeros.DEFAULT_PROBE_TOL) / (2 * math.pi)
+    tr = zero_propagation(jp_spec, 1.0 - 4.0 * d, 1)
+    assert tr.counts == (1, survivors)
+    assert tr.counts == propagation_by_complex_mask(jp_spec, 1.0 - 4.0 * d, 1)[1]
+
+
 def merge_by_loop(xs):
     """Greedy merge of sorted values: drop each within 1e-12 of the last kept."""
     kept = []
